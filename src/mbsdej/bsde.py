@@ -1,25 +1,30 @@
 """Discrete backward solver for Lipschitz BSDEs with jumps.
 
-The scheme is implicit in y and explicit in (z, psi).  Conditional
-expectations come from a pluggable backend: exact weighted sums on a
-:class:`~mbsdej.scenario.ScenarioTree`, or ridge-regularized polynomial
-least squares on a :class:`~mbsdej.scenario.PathEnsemble` (Longstaff-Schwartz
-style).  An optional structured penalty term -k_n(t, y) is integrated exactly
-through the resolvent identity, which keeps the implicit step stable no matter
-how large the penalization level is.
+The scheme is implicit in y and explicit in (z, psi).  One backward recursion
+serves both scenario types; only the conditional projection of Y_{i+1} onto
+(E_i[Y_{i+1}], Z_i, psi_i) depends on the backend: exact weighted sums over
+the children of each node of a :class:`~mbsdej.scenario.ScenarioTree`, or
+ridge-regularized polynomial least squares on a
+:class:`~mbsdej.scenario.PathEnsemble` (Longstaff-Schwartz style).  The tree
+recursion runs on node arrays and spreads each step's values onto the leaf
+paths only when storing them.  An optional structured penalty term
+-k_n(t, y) is integrated exactly through the resolvent identity, which keeps
+the implicit step stable no matter how large the penalization level is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ContractionFailure, RegressionRankDeficiency
 from .monotone import PenalizedOperator, resolvent_ordinate
-from .scenario import MarkSpace, PathEnsemble, ScenarioTree, TimeGrid
+from .scenario import (ForwardState, MarkSpace, PathEnsemble, ScenarioTree,
+                       TimeGrid)
 
 __all__ = [
     "ForwardState",
@@ -32,22 +37,6 @@ __all__ = [
     "condexp",
     "residual_check",
 ]
-
-
-@dataclass(frozen=True)
-class ForwardState:
-    """Markov state carried by the regression basis and user evaluators."""
-
-    t: float
-    w: np.ndarray              # (n,) Brownian level
-    counts: np.ndarray         # (n, m) cumulative jump counts per mark
-    marks: MarkSpace
-    grid: TimeGrid
-
-    @property
-    def ntilde(self) -> np.ndarray:
-        """Compensated jump levels N_j(t) - lambda_j * t."""
-        return self.counts - self.marks.intensities * self.t
 
 
 @dataclass(frozen=True)
@@ -290,6 +279,59 @@ def _ridge_predict(A: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarr
     return As @ coef
 
 
+# -- conditional projections -------------------------------------------------
+
+
+def _tree_projection(tree: ScenarioTree, i: int, y_next: np.ndarray):
+    """Exact (E_i[Y_{i+1}], Z_i, psi_i) per level-i node from level-(i+1) values."""
+    V = y_next.reshape(-1, tree.branching)
+    p = tree.probs[i]
+    ey = tree.condexp_level(i, y_next)
+    z = V @ (p * tree.dW[i]) / tree.grid.steps[i]
+    if tree.marks.n_marks:
+        centered = tree.dN_tilde[i] - tree.bias[i]
+        psi = (V @ (p[:, None] * centered)) / tree.var_dnt[i]
+    else:
+        psi = np.zeros((ey.size, 0))
+    return ey, z, psi
+
+
+def _regression_projection(ensemble: PathEnsemble, backend: CEBackend, i: int,
+                           y_next: np.ndarray):
+    """Ridge LS (E_i[Y_{i+1}], Z_i, psi_i) per path on the time-i basis."""
+    n = ensemble.n_paths
+    m = ensemble.marks.n_marks
+    state = ensemble.state(i)
+    A = _design_matrix(state.w, state.counts, backend.degree)
+    targets = np.empty((n, 2 + m))
+    targets[:, 0] = y_next
+    targets[:, 1] = y_next * ensemble.dW[:, i]
+    for j in range(m):
+        targets[:, 2 + j] = y_next * ensemble.dN_tilde[:, i, j]
+    preds = _ridge_predict(A, targets, backend.ridge)
+    dt = ensemble.grid.steps[i]
+    psi = preds[:, 2:] / (dt * ensemble.marks.intensities) if m else np.zeros((n, 0))
+    return preds[:, 0], preds[:, 1] / dt, psi
+
+
+def _projection(scenario, backend: CEBackend) -> Callable:
+    """The backend's ``project(i, y_next) -> (E_i[y_next], Z_i, psi_i)``.
+
+    Raises ValueError when the backend kind does not match the scenario type,
+    or when an ensemble has fewer than 10 paths per regression basis function.
+    """
+    if isinstance(scenario, ScenarioTree) and backend.kind == "tree":
+        return partial(_tree_projection, scenario)
+    if isinstance(scenario, PathEnsemble) and backend.kind == "regression":
+        p_basis = basis_size(1 + scenario.marks.n_marks, backend.degree)
+        if scenario.n_paths < 10 * p_basis:
+            raise ValueError(f"regression needs n_paths >= 10 x basis size "
+                             f"({10 * p_basis}), got {scenario.n_paths}")
+        return partial(_regression_projection, scenario, backend)
+    raise ValueError("backend kind does not match the scenario type "
+                     f"({backend.kind} vs {type(scenario).__name__})")
+
+
 # -- main solver --------------------------------------------------------------
 
 
@@ -300,135 +342,49 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
                max_fp_iter: int = 200) -> SolutionGrid:
     """Backward recursion for the discrete BSDE with jumps.
 
-    Y_N = xi; then per step Z_i and psi_i are conditional projections of
-    Y_{i+1} against the Brownian and compensated jump increments, and Y_i
-    solves the implicit-in-y equation with the driver (and, when given, the
-    structured penalty -k_n, whose integral fills K by the left-endpoint
+    Y_N = xi; then per step the backend projects Y_{i+1} onto E_i[Y_{i+1}]
+    and onto the Brownian and compensated jump increments (Z_i, psi_i), and
+    Y_i solves the implicit-in-y equation with the driver (and, when given,
+    the structured penalty -k_n, whose integral fills K by the left-endpoint
     rule).  Without a penalty K is identically zero.
     """
     driver.check_against(marks)
-    if isinstance(scenario, ScenarioTree) and backend.kind == "tree":
-        return _solve_tree(driver, terminal, scenario, grid, marks, penalty,
-                           substep_budget, fp_tol, max_fp_iter)
-    if isinstance(scenario, PathEnsemble) and backend.kind == "regression":
-        return _solve_regression(driver, terminal, scenario, grid, marks,
-                                 backend, penalty, substep_budget, fp_tol,
-                                 max_fp_iter)
-    raise ValueError("backend kind does not match the scenario type "
-                     f"({backend.kind} vs {type(scenario).__name__})")
-
-
-def _solve_tree(driver, terminal, tree, grid, marks, penalty,
-                substep_budget, fp_tol, max_fp_iter):
+    project = _projection(scenario, backend)
     n_steps = grid.n_steps
-    m = marks.n_marks
-    B = tree.branching
     qw = driver.q_weights(marks)
-
-    state = ForwardState(grid.horizon, tree.w_nodes[n_steps],
-                         tree.count_nodes[n_steps], marks, grid)
-    y = terminal(state)
-
-    y_levels = [None] * (n_steps + 1)
-    z_levels = [None] * n_steps
-    psi_levels = [None] * n_steps
-    pen_levels = [None] * n_steps
-    y_levels[n_steps] = y
-    max_substeps = 1
-
-    for i in reversed(range(n_steps)):
-        dt = grid.steps[i]
-        t = float(grid.times[i])
-        V = y.reshape(-1, B)
-        p = tree.probs[i]
-        ey = V @ p
-        z = V @ (p * tree.dW[i]) / dt
-        if m:
-            centered = tree.dN_tilde[i] - tree.bias[i]
-            psi = (V @ (p[:, None] * centered)) / tree.var_dnt[i]
-        else:
-            psi = np.zeros((ey.size, 0))
-        q = psi @ qw
-        state = ForwardState(t, tree.w_nodes[i], tree.count_nodes[i], marks, grid)
-        y, pen_int, nsub = _implicit_step(driver, t, state, ey, z, q, dt,
-                                          penalty, substep_budget, fp_tol,
-                                          max_fp_iter)
-        max_substeps = max(max_substeps, nsub)
-        y_levels[i], z_levels[i], psi_levels[i], pen_levels[i] = y, z, psi, pen_int
-
-    k_levels = [np.zeros(1)]
-    for i in range(n_steps):
-        k_levels.append(np.repeat(k_levels[i] - pen_levels[i], B))
-
-    n_leaves = tree.n_leaves
-    Y = np.empty((n_leaves, n_steps + 1))
-    K = np.empty((n_leaves, n_steps + 1))
-    Z = np.empty((n_leaves, n_steps))
-    psi_full = np.empty((n_leaves, n_steps, m))
-    for i in range(n_steps + 1):
-        Y[:, i] = tree.expand_to_leaves(i, y_levels[i])
-        K[:, i] = tree.expand_to_leaves(i, k_levels[i])
-    for i in range(n_steps):
-        Z[:, i] = tree.expand_to_leaves(i, z_levels[i])
-        psi_full[:, i, :] = tree.expand_to_leaves(i, psi_levels[i])
-
-    meta = {"backend": "tree", "max_substeps": max_substeps,
-            "penalty_level": None if penalty is None else penalty.level,
-            "y0_targets": tree.expand_to_leaves(1, y_levels[1]) if n_steps else Y[:, 0]}
-    return SolutionGrid(grid, marks, Y, Z, psi_full, K, tree.leaf_probs, meta)
-
-
-def _solve_regression(driver, terminal, ensemble, grid, marks, backend,
-                      penalty, substep_budget, fp_tol, max_fp_iter):
-    n_steps = grid.n_steps
-    m = marks.n_marks
-    n = ensemble.n_paths
-    p_basis = basis_size(1 + m, backend.degree)
-    if n < 10 * p_basis:
-        raise ValueError(f"regression needs n_paths >= 10 x basis size "
-                         f"({10 * p_basis}), got {n}")
-    qw = driver.q_weights(marks)
-    W = ensemble.w_levels
-    C = ensemble.count_levels
-    lam_dt = np.outer(grid.steps, marks.intensities)  # (N, m)
+    weights = scenario.weights
+    n = weights.size
 
     Y = np.empty((n, n_steps + 1))
     Z = np.empty((n, n_steps))
-    psi = np.empty((n, n_steps, m))
-    dK = np.empty((n, n_steps))
-    state = ForwardState(grid.horizon, W[:, n_steps], C[:, n_steps], marks, grid)
-    Y[:, n_steps] = terminal(state)
+    psi = np.empty((n, n_steps, marks.n_marks))
+    y = terminal(scenario.state(n_steps))
+    Y[:, n_steps] = scenario.expand_to_leaves(n_steps, y)
+    pen = [None] * n_steps
     max_substeps = 1
 
     for i in reversed(range(n_steps)):
-        dt = grid.steps[i]
-        t = float(grid.times[i])
-        A = _design_matrix(W[:, i], C[:, i], backend.degree)
-        y_next = Y[:, i + 1]
-        targets = np.empty((n, 2 + m))
-        targets[:, 0] = y_next
-        targets[:, 1] = y_next * ensemble.dW[:, i]
-        for j in range(m):
-            targets[:, 2 + j] = y_next * ensemble.dN_tilde[:, i, j]
-        preds = _ridge_predict(A, targets, backend.ridge)
-        ey = preds[:, 0]
-        z = preds[:, 1] / dt
-        psi_i = preds[:, 2:] / lam_dt[i] if m else np.zeros((n, 0))
-        q = psi_i @ qw
-        state = ForwardState(t, W[:, i], C[:, i], marks, grid)
-        y, pen_int, nsub = _implicit_step(driver, t, state, ey, z, q, dt,
-                                          penalty, substep_budget, fp_tol,
-                                          max_fp_iter)
+        ey, z, psi_i = project(i, y)
+        y, pen[i], nsub = _implicit_step(driver, float(grid.times[i]),
+                                         scenario.state(i), ey, z, psi_i @ qw,
+                                         grid.steps[i], penalty, substep_budget,
+                                         fp_tol, max_fp_iter)
         max_substeps = max(max_substeps, nsub)
-        Y[:, i], Z[:, i], psi[:, i, :], dK[:, i] = y, z, psi_i, -pen_int
+        Y[:, i] = scenario.expand_to_leaves(i, y)
+        Z[:, i] = scenario.expand_to_leaves(i, z)
+        psi[:, i, :] = scenario.expand_to_leaves(i, psi_i)
 
-    K = np.zeros((n, n_steps + 1))
-    np.cumsum(dK, axis=1, out=K[:, 1:])
-    meta = {"backend": "regression", "max_substeps": max_substeps,
+    K = np.empty((n, n_steps + 1))
+    k = np.zeros(n)               # K_{t_i} per path, K_0 = +0
+    K[:, 0] = k
+    for i in range(n_steps):
+        k -= scenario.expand_to_leaves(i, pen[i])
+        K[:, i + 1] = k
+    meta = {"backend": backend.kind, "max_substeps": max_substeps,
             "penalty_level": None if penalty is None else penalty.level,
-            "seed": ensemble.seed, "y0_targets": Y[:, 1].copy()}
-    return SolutionGrid(grid, marks, Y, Z, psi, K,
-                        np.full(n, 1.0 / n), meta)
+            "seed": getattr(scenario, "seed", None),
+            "y0_targets": Y[:, 1].copy()}
+    return SolutionGrid(grid, marks, Y, Z, psi, K, weights, meta)
 
 
 def condexp(backend: CEBackend, scenario, i: int, values: np.ndarray) -> np.ndarray:
@@ -438,15 +394,12 @@ def condexp(backend: CEBackend, scenario, i: int, values: np.ndarray) -> np.ndar
     node.  Regression: ridge LS projection onto the polynomial basis in the
     time-i forward state.
     """
+    _projection(scenario, backend)   # rejects a backend/scenario mismatch
     values = np.asarray(values, dtype=float)
     if backend.kind == "tree":
-        if not isinstance(scenario, ScenarioTree):
-            raise ValueError("tree backend needs a ScenarioTree")
         return scenario.condexp_leaves(i, values)
-    if not isinstance(scenario, PathEnsemble):
-        raise ValueError("regression backend needs a PathEnsemble")
-    A = _design_matrix(scenario.w_levels[:, i], scenario.count_levels[:, i],
-                       backend.degree)
+    state = scenario.state(i)
+    A = _design_matrix(state.w, state.counts, backend.degree)
     return _ridge_predict(A, values[:, None], backend.ridge)[:, 0]
 
 
@@ -498,20 +451,14 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     max_abs = np.empty(n_steps)
     cond_mean = np.empty(n_steps)
     zscores = np.empty(n_steps)
-    if isinstance(scenario, ScenarioTree):
-        w_levels = np.stack([scenario.expand_to_leaves(i, scenario.w_nodes[i])
-                             for i in range(n_steps + 1)], axis=1)
-        c_levels = np.stack([scenario.expand_to_leaves(i, scenario.count_nodes[i])
-                             for i in range(n_steps + 1)], axis=1)
-    else:
-        w_levels = scenario.w_levels
-        c_levels = scenario.count_levels
 
     for i in range(n_steps):
         dt = grid.steps[i]
-        t = float(grid.times[i])
-        state = ForwardState(t, w_levels[:, i], c_levels[:, i], marks, grid)
-        fval = driver.f(t, state, solution.Y[:, i], solution.Z[:, i],
+        node_state = scenario.state(i)
+        state = replace(node_state,
+                        w=scenario.expand_to_leaves(i, node_state.w),
+                        counts=scenario.expand_to_leaves(i, node_state.counts))
+        fval = driver.f(state.t, state, solution.Y[:, i], solution.Z[:, i],
                         solution.psi[:, i, :], marks)
         jump_part = np.einsum("pj,pj->p", solution.psi[:, i, :], centered[:, i, :]) \
             if m else 0.0

@@ -21,8 +21,9 @@ from .bsde import residual_check, solve_bsde
 from .config import ProblemConfig, build_problem, parse_config, render_config
 from .errors import (HypothesisViolated, MbsdejError, ParseError, UnknownName,
                      ValidationError)
-from .monotone import validate_assumptions
-from .penalization import solve_mbsde, solve_penalized, solve_unbounded
+from .monotone import default_probes, validate_assumptions
+from .penalization import (constraint_slack, solve_mbsde, solve_penalized,
+                           solve_unbounded)
 from .registry import make_family
 from .scenario import build_tree, simulate_paths
 from .verification import (CheckResult, GraphSelection, PropertyReport,
@@ -36,7 +37,6 @@ def _load_config(path: str, args) -> ProblemConfig:
     text = Path(path).read_text()
     config = parse_config(text)
     return config.with_overrides(seed=args.seed, n_paths=args.paths,
-                                 workers=args.workers,
                                  mode=getattr(args, "mode", None))
 
 
@@ -44,7 +44,7 @@ def _make_scenario(problem, backend, run):
     if backend.kind == "tree":
         return build_tree(problem.grid, problem.marks)
     return simulate_paths(problem.grid, problem.marks, run["n_paths"],
-                          run["seed"], workers=run["workers"])
+                          run["seed"])
 
 
 def _check_mode(problem, mode: str) -> None:
@@ -128,8 +128,7 @@ def _suite_core(problem, backend, schedule, scenario, report):
     sol, pen_report = solve_mbsde(problem, schedule, scenario, backend)
     report.add(check_constraint(sol, problem.family, tol=5e-2))
     selections = [GraphSelection.interior_constant(problem.family, problem.grid, 0.5)]
-    a0 = problem.family.boundary_at(0.0)[0]
-    if np.isfinite(a0):
+    if np.isfinite(problem.family.barriers(0.0)[0]):
         selections.append(GraphSelection.boundary_offset(problem.family,
                                                          problem.grid, 1e-3))
     report.add(check_skorokhod(sol, problem.family, selections, tol=5e-2))
@@ -186,7 +185,7 @@ def _suite_uniqueness(problem, backend, schedule, scenario, run, report):
                                     backend, schedule))
     else:
         other = simulate_paths(problem.grid, problem.marks, run["n_paths"],
-                               run["seed"] + 1, workers=run["workers"])
+                               run["seed"] + 1)
         report.add(check_uniqueness(problem, scenario, other, backend,
                                     backend, schedule))
 
@@ -254,17 +253,14 @@ def run_sweep(config: ProblemConfig, out_dir: Path) -> int:
         raise ValidationError("sweep needs a negative-valued family")
     scenario = _make_scenario(problem, backend, run)
     out_dir.mkdir(parents=True, exist_ok=True)
-    barriers = np.array([problem.family.boundary_at(float(t))[0]
-                         for t in problem.grid.times[:-1]])
-    finite = np.isfinite(barriers)
     prev = None
     rows = []
     for level in schedule.active_levels():
         sol = solve_penalized(problem, level, scenario, backend)
         y0 = sol.y0()
         delta = np.nan if prev is None else abs(y0 - prev)
-        slack = sol.Y[:, :-1] - barriers[None, :]
-        min_slack = float(slack[:, finite].min()) if finite.any() else np.inf
+        slack, steps = constraint_slack(sol.Y, problem.family, problem.grid)
+        min_slack = float(slack.min()) if steps.size else np.inf
         rows.append((level, y0, delta, min_slack, sol.k_terminal_mean()))
         prev = y0
     with open(out_dir / "sweep.csv", "w") as fh:
@@ -282,12 +278,9 @@ def run_validate(config: ProblemConfig) -> int:
     if problem.family is None:
         print("no family declared; nothing to validate")
         return 0
-    sup_a = max(problem.family.boundary_at(float(t))[0]
-                for t in problem.grid.times)
-    base = sup_a if np.isfinite(sup_a) else 0.0
     report = validate_assumptions(problem.family, problem.envelope,
                                   problem.grid,
-                                  base + np.array([0.5, 1.0, 2.0]))
+                                  default_probes(problem.family, problem.grid))
     for item in report.items:
         mark = "PASS" if item.passed else "FAIL"
         stat = "" if item.statistic is None else f" stat={item.statistic:.6g}"
@@ -309,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="artifact directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
 
     p_solve = sub.add_parser("solve", help="run one solve and write artifacts")
     common(p_solve)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .bsde import CEBackend
 from .errors import ParseError, UnknownName, ValidationError
-from .monotone import validate_assumptions
+from .monotone import default_probes, validate_assumptions
 from .penalization import PenalizationSchedule, Problem, default_levels
 from .registry import (DRIVERS, ENVELOPES, FAMILIES, TERMINALS, make_driver,
                        make_envelope, make_family, make_terminal)
@@ -75,11 +75,10 @@ class ProblemConfig:
     envelope: dict | None = None
     schedule: dict = field(default_factory=dict)
 
-    def with_overrides(self, seed=None, n_paths=None, workers=None,
+    def with_overrides(self, seed=None, n_paths=None,
                        mode=None) -> "ProblemConfig":
         run = dict(self.run)
-        for key, val in (("seed", seed), ("n_paths", n_paths),
-                         ("workers", workers), ("mode", mode)):
+        for key, val in (("seed", seed), ("n_paths", n_paths), ("mode", mode)):
             if val is not None:
                 run[key] = val
         return replace(self, run=run)
@@ -281,17 +280,14 @@ def build_problem(config: ProblemConfig, validate: bool = True):
 
     run = {"seed": int(config.run.get("seed", 0)),
            "n_paths": int(config.run.get("n_paths", 10_000)),
-           "workers": int(config.run.get("workers", 1)),
            "mode": config.run.get("mode", "bsde")}
 
     problem = Problem(grid=grid, marks=marks, driver=driver,
                       terminal=terminal, family=family, envelope=envelope)
 
     if validate and family is not None:
-        sup_a = max(family.boundary_at(float(t))[0] for t in grid.times)
-        base = sup_a if np.isfinite(sup_a) else 0.0
-        probes = base + np.array([0.5, 1.0, 2.0])
-        report = validate_assumptions(family, envelope, grid, probes)
+        report = validate_assumptions(family, envelope, grid,
+                                      default_probes(family, grid))
         if not report.passed:
             failing = [it.name for it in report.items if not it.passed]
             raise ValidationError(

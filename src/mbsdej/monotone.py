@@ -28,6 +28,7 @@ __all__ = [
     "resolvent_ordinate",
     "truncate_shift",
     "validate_assumptions",
+    "default_probes",
 ]
 
 _NEG_INF_CUTOFF = -1e12  # body values at or below this count as -inf limits
@@ -71,6 +72,16 @@ class MonotoneFamily:
 
     def k(self, t: float, x) -> np.ndarray:
         return np.asarray(self.body(t, np.asarray(x, dtype=float)), dtype=float)
+
+    def barriers(self, times) -> np.ndarray:
+        """Boundary points a_t per time, -inf where a_t is not finite.
+
+        Unlike :meth:`boundary_at` this does not probe whether a_t belongs to
+        the domain.
+        """
+        a = np.array([float(self.boundary(float(t))) for t in np.atleast_1d(times)])
+        a[~np.isfinite(a)] = -np.inf
+        return a
 
     def boundary_at(self, t: float) -> tuple[float, bool]:
         """Boundary point a_t and whether it belongs to the domain."""
@@ -402,7 +413,7 @@ def validate_assumptions(family: MonotoneFamily,
     """
     probes = np.atleast_1d(np.asarray(probe_points, dtype=float))
     check_times = np.union1d(grid.times, 0.5 * (grid.times[:-1] + grid.times[1:]))
-    sup_a = max(family.boundary_at(float(t))[0] for t in check_times)
+    sup_a = float(family.barriers(check_times).max())
     if np.isfinite(sup_a) and np.any(probes <= sup_a):
         raise ValueError(f"probe points must exceed sup_t a_t = {sup_a}")
 
@@ -443,6 +454,13 @@ def validate_assumptions(family: MonotoneFamily,
     if envelope is not None:
         items.extend(_envelope_items(family, envelope, grid, probes))
     return ValidationReport(items)
+
+
+def default_probes(family: MonotoneFamily, grid: TimeGrid) -> np.ndarray:
+    """Probe points 0.5, 1 and 2 above sup_t a_t (above 0 without a barrier)."""
+    sup_a = family.barriers(grid.times).max()
+    base = sup_a if np.isfinite(sup_a) else 0.0
+    return base + np.array([0.5, 1.0, 2.0])
 
 
 def _envelope_items(family, envelope, grid, probes):
@@ -488,8 +506,7 @@ def _envelope_items(family, envelope, grid, probes):
 
     worst = -np.inf
     witness = None
-    for t in times:
-        a, in_dom = family.boundary_at(float(t))
+    for t, a in zip(times, family.barriers(times)):
         mask = probes > a
         if not mask.any():
             continue

@@ -32,6 +32,7 @@ __all__ = [
     "stopping_times",
     "solve_unbounded",
     "default_levels",
+    "constraint_slack",
 ]
 
 
@@ -120,8 +121,16 @@ class PenalizationReport:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
 
-def _barrier_values(family: MonotoneFamily, grid: TimeGrid) -> np.ndarray:
-    return np.array([family.boundary_at(float(t))[0] for t in grid.times])
+def constraint_slack(Y: np.ndarray, family: MonotoneFamily,
+                     grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Slack Y_i - a_{t_i} on the steps before the terminal one with finite a.
+
+    Returns the (n_paths, k) slack and the k step indices it covers.  The
+    terminal column is excluded: Y_N == xi is data, not solver output.
+    """
+    barriers = family.barriers(grid.times[:-1])
+    steps = np.flatnonzero(np.isfinite(barriers))
+    return Y[:, steps] - barriers[steps], steps
 
 
 def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
@@ -134,11 +143,8 @@ def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
         diff = sol.Y - prev.Y
         delta = float(np.max(np.abs(diff).T @ w))
         viol = float(max(0.0, np.max(-diff)))
-    barriers = _barrier_values(problem.family, grid)
-    # terminal column excluded: Y_N == xi is data, not solver output
-    slack = sol.Y[:, :-1] - barriers[None, :-1]
-    finite = np.isfinite(barriers[:-1])
-    min_slack = float(np.min(slack[:, finite])) if finite.any() else np.inf
+    slack, steps = constraint_slack(sol.Y, problem.family, grid)
+    min_slack = float(slack.min()) if steps.size else np.inf
     dt = grid.steps
     energy = sol.Z**2 @ dt
     if problem.marks.n_marks:
@@ -169,7 +175,7 @@ def solve_penalized(problem: Problem, level: int, scenario,
     sol = solve_bsde(problem.driver, problem.terminal, scenario, problem.grid,
                      problem.marks, backend, penalty=op, **solver_kwargs)
     if problem.terminal.lower_bound_check:
-        a_T = family.boundary_at(problem.grid.horizon)[0]
+        a_T = family.barriers(problem.grid.horizon)[0]
         worst = float(np.min(sol.Y[:, -1]))
         if worst < a_T - 1e-12:
             raise ValidationError(

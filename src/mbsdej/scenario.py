@@ -12,7 +12,6 @@ Two interchangeable noise models:
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +22,7 @@ from .errors import BudgetExceeded
 __all__ = [
     "TimeGrid",
     "MarkSpace",
+    "ForwardState",
     "PathEnsemble",
     "ScenarioTree",
     "MartingaleReport",
@@ -124,6 +124,22 @@ class MarkSpace:
         return phi**2 @ self.intensities
 
 
+@dataclass(frozen=True)
+class ForwardState:
+    """Markov state carried by the regression basis and user evaluators."""
+
+    t: float
+    w: np.ndarray              # (n,) Brownian level
+    counts: np.ndarray         # (n, m) cumulative jump counts per mark
+    marks: MarkSpace
+    grid: TimeGrid
+
+    @property
+    def ntilde(self) -> np.ndarray:
+        """Compensated jump levels N_j(t) - lambda_j * t."""
+        return self.counts - self.marks.intensities * self.t
+
+
 def _path_generator(seed: int, path: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(path,))
     return np.random.Generator(np.random.Philox(ss))
@@ -167,6 +183,15 @@ class PathEnsemble:
     def weights(self) -> np.ndarray:
         return np.full(self.n_paths, 1.0 / self.n_paths)
 
+    def state(self, i: int) -> ForwardState:
+        """Forward state at grid time t_i, one entry per path."""
+        return ForwardState(float(self.grid.times[i]), self.w_levels[:, i],
+                            self.count_levels[:, i], self.marks, self.grid)
+
+    def expand_to_leaves(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Per-path values are already per path: the identity."""
+        return values
+
     def subset(self, rows) -> "PathEnsemble":
         """Ensemble restricted to a slice or index array of paths."""
         return PathEnsemble(self.grid, self.marks, self.dW[rows],
@@ -185,14 +210,14 @@ class PathEnsemble:
                     writer.writerow(row)
 
 
-def simulate_paths(grid: TimeGrid, marks: MarkSpace, n_paths: int, seed: int,
-                   workers: int = 1) -> PathEnsemble:
+def simulate_paths(grid: TimeGrid, marks: MarkSpace, n_paths: int,
+                   seed: int) -> PathEnsemble:
     """Draw an ensemble of Brownian and Poisson increments.
 
     dW_i ~ Gaussian(0, dt_i) and dN_i(e_j) ~ Poisson(lambda_j dt_i), mutually
     independent across steps, marks and paths.  Each path owns a Philox stream
-    keyed by (seed, path index), so the result is bit-identical for a fixed
-    seed and path count regardless of ``workers``.
+    keyed by (seed, path index), so the draws are bit-identical for a fixed
+    seed, and the first k paths are the same whatever ``n_paths`` >= k is.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -205,20 +230,11 @@ def simulate_paths(grid: TimeGrid, marks: MarkSpace, n_paths: int, seed: int,
     dW = np.empty((n_paths, n_steps))
     dN = np.zeros((n_paths, n_steps, m))
 
-    def fill(lo: int, hi: int) -> None:
-        for p in range(lo, hi):
-            rng = _path_generator(seed, p)
-            dW[p] = rng.normal(0.0, sqrt_dt)
-            if m:
-                dN[p] = rng.poisson(lam_dt)
-
-    if workers > 1 and n_paths > 1:
-        chunk = -(-n_paths // workers)
-        bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    else:
-        fill(0, n_paths)
+    for p in range(n_paths):
+        rng = _path_generator(seed, p)
+        dW[p] = rng.normal(0.0, sqrt_dt)
+        if m:
+            dN[p] = rng.poisson(lam_dt)
     return PathEnsemble(grid, marks, dW, dN, seed)
 
 
@@ -288,6 +304,16 @@ class ScenarioTree:
         for i in range(self.grid.n_steps):
             probs = (probs[:, None] * self.probs[i][None, :]).ravel()
         return probs
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Path probabilities: those of the leaves."""
+        return self.leaf_probs
+
+    def state(self, i: int) -> ForwardState:
+        """Forward state at grid time t_i, one entry per level-i node."""
+        return ForwardState(float(self.grid.times[i]), self.w_nodes[i],
+                            self.count_nodes[i], self.marks, self.grid)
 
     def condexp_level(self, i: int, next_values: np.ndarray) -> np.ndarray:
         """E[. | F_{t_i}] of level-(i+1) node values; exact weighted sums."""

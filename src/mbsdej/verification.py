@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsde import CEBackend, ForwardState, SolutionGrid, solve_bsde
+from .bsde import CEBackend, SolutionGrid, solve_bsde
 from .errors import HypothesisViolated, InvalidSelection
 from .monotone import MonotoneFamily, _integrability_item
 from .penalization import (PenalizationReport, PenalizationSchedule, Problem,
-                           solve_mbsde, solve_penalized)
+                           constraint_slack, solve_mbsde, solve_penalized)
 from .scenario import PathEnsemble, ScenarioTree, TimeGrid
 
 __all__ = [
@@ -100,13 +100,11 @@ class GraphSelection:
         n = grid.n_steps
         alpha = np.empty((1, n))
         beta = np.empty((1, n))
-        for i in range(n):
-            t = float(grid.times[i])
-            a = family.boundary_at(t)[0]
+        for i, a in enumerate(family.barriers(grid.times[:-1])):
             if not np.isfinite(a):
                 raise InvalidSelection("boundary strategy needs a finite barrier")
             alpha[0, i] = a + eps
-            beta[0, i] = float(family.k(t, [a + eps])[0])
+            beta[0, i] = float(family.k(float(grid.times[i]), [a + eps])[0])
         return cls(f"boundary(a+{eps:g})", alpha, beta)
 
     @classmethod
@@ -117,12 +115,10 @@ class GraphSelection:
         n = grid.n_steps
         alpha = 0.5 * (sol1.Y[:, :n] + sol2.Y[:, :n])
         beta = np.empty_like(alpha)
-        for i in range(n):
-            t = float(grid.times[i])
-            a = family.boundary_at(t)[0]
+        for i, a in enumerate(family.barriers(grid.times[:-1])):
             if np.isfinite(a):
                 np.maximum(alpha[:, i], a + eps, out=alpha[:, i])
-            beta[:, i] = family.k(t, alpha[:, i])
+            beta[:, i] = family.k(float(grid.times[i]), alpha[:, i])
         return cls("midpoint", alpha, beta)
 
     def validate(self, family: MonotoneFamily, grid: TimeGrid,
@@ -145,21 +141,15 @@ class GraphSelection:
 def check_constraint(solution: SolutionGrid, family: MonotoneFamily,
                      tol: float) -> CheckResult:
     """Y_i >= a_{t_i} - tol on grid points before the terminal one."""
-    grid = solution.grid
-    barriers = np.array([family.boundary_at(float(t))[0]
-                         for t in grid.times[:-1]])
-    slack = solution.Y[:, :-1] - barriers[None, :]
-    finite = np.isfinite(barriers)
-    if not finite.any():
+    slack, steps = constraint_slack(solution.Y, family, solution.grid)
+    if not steps.size:
         return CheckResult("constraint", True, np.inf, tol)
-    sl = slack[:, finite]
-    stat = float(sl.min())
+    stat = float(slack.min())
     passed = stat >= -tol
     witness = None
     if not passed:
-        p, i = np.unravel_index(int(np.argmin(sl)), sl.shape)
-        witness = {"path": int(p), "step": int(np.nonzero(finite)[0][i]),
-                   "slack": stat}
+        p, i = np.unravel_index(int(np.argmin(slack)), slack.shape)
+        witness = {"path": int(p), "step": int(steps[i]), "slack": stat}
     return CheckResult("constraint", passed, stat, tol, witness)
 
 
@@ -194,27 +184,9 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
                        None if passed else witness)
 
 
-def _terminal_state(scenario, grid, marks) -> ForwardState:
-    n = grid.n_steps
-    if isinstance(scenario, ScenarioTree):
-        return ForwardState(grid.horizon, scenario.w_nodes[n],
-                            scenario.count_nodes[n], marks, grid)
-    return ForwardState(grid.horizon, scenario.w_levels[:, n],
-                        scenario.count_levels[:, n], marks, grid)
-
-
-def _step_state(scenario, grid, marks, i) -> ForwardState:
-    t = float(grid.times[i])
-    if isinstance(scenario, ScenarioTree):
-        return ForwardState(t, scenario.w_nodes[i], scenario.count_nodes[i],
-                            marks, grid)
-    return ForwardState(t, scenario.w_levels[:, i],
-                        scenario.count_levels[:, i], marks, grid)
-
-
 def _verify_comparison_hypotheses(p1: Problem, p2: Problem, scenario) -> None:
-    grid, marks = p1.grid, p1.marks
-    state_T = _terminal_state(scenario, grid, marks)
+    grid = p1.grid
+    state_T = scenario.state(grid.n_steps)
     xi1, xi2 = p1.terminal(state_T), p2.terminal(state_T)
     if np.any(xi1 > xi2 + 1e-10):
         j = int(np.argmax(xi1 - xi2))
@@ -225,8 +197,8 @@ def _verify_comparison_hypotheses(p1: Problem, p2: Problem, scenario) -> None:
     z_grid = (-1.0, 0.0, 2.0)
     q_grid = (-1.0, 0.0, 1.0)
     for i in range(grid.n_steps):
-        state = _step_state(scenario, grid, marks, i)
-        t = float(grid.times[i])
+        state = scenario.state(i)
+        t = state.t
         ones = np.ones_like(state.w)
         for y in y_grid:
             for z in z_grid:
@@ -243,9 +215,8 @@ def _verify_comparison_hypotheses(p1: Problem, p2: Problem, scenario) -> None:
     if (p1.family is None) != (p2.family is None):
         raise HypothesisViolated("both problems must carry a family, or none")
     if p1.family is not None:
-        for t in grid.times:
-            a1 = p1.family.boundary_at(float(t))[0]
-            a2 = p2.family.boundary_at(float(t))[0]
+        for t, a1, a2 in zip(grid.times, p1.family.barriers(grid.times),
+                             p2.family.barriers(grid.times)):
             if a1 > a2 + 1e-12:
                 raise HypothesisViolated(f"barrier ordering fails at t={t:g}")
             base = a2 if np.isfinite(a2) else -3.0
@@ -393,32 +364,40 @@ def _oracle_implicit(c, fn, n_iter: int = 100):
 
 def _oracle_dp(tree: ScenarioTree, problem: Problem, barrier,
                level: int | None, project: bool) -> float:
-    """Independent dynamic program on the tree (plain bisection per node)."""
+    """Independent dynamic program on the tree (plain bisection per node).
+
+    Per node, the conditional mean and the Brownian and jump projections
+    z = E[V dW]/dt and psi_j = Cov(V, dN_j)/Var(dN_j) come from plain sums
+    over the children.  The penalized step solves
+    y = c + dt*(f(y) + level*(a - y)^+) and the projection step
+    y = max(a, y*) with y* = c + dt*f(y*), its level -> infinity limit.
+    """
     grid, marks = problem.grid, problem.marks
     n = grid.n_steps
     B = tree.branching
-    state = ForwardState(grid.horizon, tree.w_nodes[n], tree.count_nodes[n],
-                         marks, grid)
-    v = problem.terminal(state)
+    qw = problem.driver.q_weights(marks)
+    v = problem.terminal(tree.state(n))
     for i in reversed(range(n)):
-        c = v.reshape(-1, B) @ tree.probs[i]
-        t = float(grid.times[i])
+        V = v.reshape(-1, B)
+        p = tree.probs[i]
         dt = float(grid.steps[i])
-        state = ForwardState(t, tree.w_nodes[i], tree.count_nodes[i], marks, grid)
-        zeros = np.zeros_like(c)
+        c = V @ p
+        z = V @ (p * tree.dW[i]) / dt
+        dn = tree.dN[i] - p @ tree.dN[i]                   # (B, m), centered
+        psi = (V @ (p[:, None] * dn)) / (p @ dn**2)
+        q = psi @ qw
+        state = tree.state(i)
 
         def fval(y):
-            return dt * np.asarray(problem.driver.shape(t, state, y, zeros, zeros))
+            return dt * np.asarray(problem.driver.shape(state.t, state, y, z, q))
 
-        if project:
-            v = c + dt * np.asarray(problem.driver.shape(t, state, c, zeros, zeros))
-            if barrier is not None:
-                v = np.maximum(barrier, v)
-        elif level is not None and barrier is not None:
+        if project or level is None or barrier is None:
+            v = _oracle_implicit(c, fval)
+        else:
             v = _oracle_implicit(c, lambda y: fval(y)
                                  + dt * level * np.maximum(barrier - y, 0.0))
-        else:
-            v = _oracle_implicit(c, fval)
+        if project and barrier is not None:
+            v = np.maximum(barrier, v)
     return float(v[0])
 
 
@@ -482,12 +461,11 @@ def lipschitz_remark_check(problem: Problem, schedule: PenalizationSchedule,
     if family is None:
         raise ValueError("needs a problem with a family")
     grid = problem.grid
+    if np.isfinite(family.barriers(grid.times)).any():
+        raise HypothesisViolated("family must be defined on all of R")
     xs = np.linspace(sample_range[0], sample_range[1], 41)
     lip = 0.0
     for t in grid.times:
-        a = family.boundary_at(float(t))[0]
-        if np.isfinite(a):
-            raise HypothesisViolated("family must be defined on all of R")
         vals = family.k(float(t), xs)
         ratios = np.abs(np.diff(vals)) / np.diff(xs)
         if not np.all(np.isfinite(ratios)) or ratios.max() > 1e6:

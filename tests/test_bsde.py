@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mbsdej import (CEBackend, ContractionFailure, DriverSpec, MarkSpace,
-                    RegressionRankDeficiency, TerminalSpec, TimeGrid,
-                    build_tree, condexp, residual_check, simulate_paths,
-                    solve_bsde)
-from mbsdej.registry import make_driver, make_terminal
+                    PenalizedOperator, RegressionRankDeficiency, TerminalSpec,
+                    TimeGrid, build_tree, condexp, residual_check,
+                    simulate_paths, solve_bsde)
+from mbsdej.registry import make_driver, make_family, make_terminal
 
 
 class TestMartingaleRepresentation:
@@ -181,12 +181,26 @@ class TestComparisonPlainLevel:
 
 
 class TestResidual:
-    def test_tree_solution_exact(self, grid6, marks1, tree6_jumps, tree_backend):
-        drv = make_driver("mixed", {"a": 0.4, "bz": 0.2, "qc": 0.3,
-                                    "gamma": 0.5}, marks1)
-        term = make_terminal("brownian", {}, marks1, grid6)
-        sol = solve_bsde(drv, term, tree6_jumps, grid6, marks1, tree_backend)
-        report = residual_check(sol, drv, tree6_jumps, grid6, marks1)
+    @pytest.mark.parametrize("level", [None, 16], ids=["plain", "reflect16"])
+    @pytest.mark.parametrize("marks", [
+        MarkSpace.empty(), MarkSpace([1.0], [1.0]),
+        MarkSpace([1.0, -0.5], [1.0, 0.5])], ids=["m0", "m1", "m2"])
+    def test_tree_solution_exact(self, marks, level, tree_backend):
+        grid = TimeGrid.uniform(1.0, 4)
+        tree = build_tree(grid, marks)
+        params = {"a": 0.4, "bz": 0.2, "qc": 0.3}
+        if marks.n_marks:
+            params["gamma"] = 0.5
+        drv = make_driver("mixed", params, marks)
+        # distinct jump weights per mark, so a psi mix-up changes the driver
+        jump_w = np.array([1.0, -2.0])[:marks.n_marks]
+        term = TerminalSpec(lambda s: s.w + s.ntilde @ jump_w, name="w+jumps")
+        penalty = None if level is None else PenalizedOperator(
+            make_family("reflect_at", {"a": 0.0}, grid), level)
+        sol = solve_bsde(drv, term, tree, grid, marks, tree_backend,
+                         penalty=penalty)
+        assert (sol.K[:, -1].max() > 0) == (level is not None)
+        report = residual_check(sol, drv, tree, grid, marks)
         assert report.kind == "tree"
         assert report.cond_mean_abs.max() <= 1e-10
         assert report.passed()

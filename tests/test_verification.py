@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from mbsdej import (CEBackend, HypothesisViolated, InvalidSelection,
-                    PenalizationSchedule, Problem, TerminalSpec,
-                    simulate_paths, solve_bsde, solve_mbsde, solve_penalized)
+                    MarkSpace, PenalizationSchedule, Problem, TerminalSpec,
+                    TimeGrid, build_tree, simulate_paths, solve_bsde,
+                    solve_mbsde, solve_penalized)
 from mbsdej.registry import make_driver, make_family, make_terminal
 from mbsdej.verification import (GraphSelection, PropertyReport, bounds_monitor,
                                  check_comparison, check_constraint,
@@ -243,6 +244,27 @@ class TestOracle:
         for _ in range(6):
             expected = (expected + dt * b) / (1.0 - dt * a)
         assert v0 == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("steps, marks", [
+        (8, MarkSpace.empty()),
+        (6, MarkSpace([1.0], [1.0])),
+    ], ids=["8-steps-no-marks", "6-steps-one-mark"])
+    def test_levels_match_solver_with_z_dependent_driver(self, steps, marks):
+        # the oracle must feed the driver its own z and psi projections: with
+        # bz = 1 a z-blind oracle is off by more than 1 at every level
+        grid = TimeGrid.uniform(1.0, steps)
+        params = {"a": 0.5, "bz": 1.0}
+        if marks.n_marks:
+            params["gamma"] = 0.5
+        prob = Problem(grid, marks, make_driver("mixed", params, marks),
+                       make_terminal("brownian", {}, marks, grid),
+                       family=make_family("reflect_at", {"a": 0.0}, grid))
+        tree = build_tree(grid, marks)
+        from mbsdej.verification import _oracle_dp
+        for level in (1, 4, 16, 64, 256, 1024):
+            oracle = _oracle_dp(tree, prob, 0.0, level=level, project=False)
+            solver = solve_penalized(prob, level, tree, CEBackend(kind="tree"))
+            assert oracle == pytest.approx(solver.y0(), abs=1e-10)
 
     def test_mc_match_within_se(self, reflected_problem, grid6, no_marks,
                                 tree6, reg_backend):
