@@ -180,9 +180,12 @@ class SolutionGrid:
 
 # -- implicit step -----------------------------------------------------------
 
+_MAX_SUBSTEPS = 4096  # sub-steps one grid step may be cut into
+_FP_RTOL = 1e-13      # relative sup-norm change that ends the fixed-point sweeps
+_FP_SWEEPS = 200      # sweeps per sub-step before ContractionFailure
 
-def _implicit_step(driver, t, state, target, z, q, dt, penalty,
-                   substep_budget, fp_tol, max_fp_iter):
+
+def _implicit_step(driver, t, state, target, z, q, dt, penalty):
     """Solve y = target + dt*(h(t,x,y,z,q) - k_n(t,y)) vectorized over paths.
 
     The penalty is resolved exactly per fixed-point sweep via the identity
@@ -190,16 +193,16 @@ def _implicit_step(driver, t, state, target, z, q, dt, penalty,
     driver's own y-dependence iterates, with contraction factor dt*L < 1
     enforced by automatic sub-stepping.
 
-    Returns the solved y and the integral of k_n(t, y) over the step (zero
-    without a penalty).
+    Returns the solved y, the integral of k_n(t, y) over the step (zero
+    without a penalty) and the number of sub-steps.
     """
     L = driver.lipschitz_c
     nsub = 1
     if dt * L >= 0.9:
         nsub = math.ceil(dt * L / 0.45)
-        if nsub > substep_budget:
+        if nsub > _MAX_SUBSTEPS:
             raise ContractionFailure(
-                f"dt*L = {dt * L:.3g} needs {nsub} substeps > budget {substep_budget}")
+                f"dt*L = {dt * L:.3g} needs {nsub} substeps > budget {_MAX_SUBSTEPS}")
     dts = dt / nsub
     slope = None
     if penalty is not None:
@@ -212,17 +215,15 @@ def _implicit_step(driver, t, state, target, z, q, dt, penalty,
         right = y
         yy = np.array(right, copy=True)
         w = right
-        for it in range(max_fp_iter):
+        for it in range(_FP_SWEEPS):
             w = right + dts * np.asarray(driver.shape(t, state, yy, z, q), dtype=float)
             w = np.broadcast_to(w, yy.shape).astype(float)
             if penalty is not None:
-                kv = resolvent_ordinate(penalty.family, t, w, slope,
-                                        penalty.root_tolerance,
-                                        penalty.search_radius)
+                kv = resolvent_ordinate(penalty.family, t, w, slope)
                 y_new = w - dts * kv
             else:
                 y_new = w
-            if np.max(np.abs(y_new - yy)) <= fp_tol * (1.0 + np.max(np.abs(y_new))):
+            if np.max(np.abs(y_new - yy)) <= _FP_RTOL * (1.0 + np.max(np.abs(y_new))):
                 yy = y_new
                 break
             yy = y_new
@@ -337,9 +338,7 @@ def _projection(scenario, backend: CEBackend) -> Callable:
 
 def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
                grid: TimeGrid, marks: MarkSpace, backend: CEBackend,
-               penalty: Optional[PenalizedOperator] = None,
-               substep_budget: int = 4096, fp_tol: float = 1e-13,
-               max_fp_iter: int = 200) -> SolutionGrid:
+               penalty: Optional[PenalizedOperator] = None) -> SolutionGrid:
     """Backward recursion for the discrete BSDE with jumps.
 
     Y_N = xi; then per step the backend projects Y_{i+1} onto E_i[Y_{i+1}]
@@ -367,8 +366,7 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
         ey, z, psi_i = project(i, y)
         y, pen[i], nsub = _implicit_step(driver, float(grid.times[i]),
                                          scenario.state(i), ey, z, psi_i @ qw,
-                                         grid.steps[i], penalty, substep_budget,
-                                         fp_tol, max_fp_iter)
+                                         grid.steps[i], penalty)
         max_substeps = max(max_substeps, nsub)
         Y[:, i] = scenario.expand_to_leaves(i, y)
         Z[:, i] = scenario.expand_to_leaves(i, z)
@@ -415,10 +413,13 @@ class ResidualReport:
     cond_mean_abs: np.ndarray     # (N,) worst conditional-mean residual
     kind: str                     # "tree" (exact) or "ensemble" (statistical)
     cond_mean_z: np.ndarray | None = None  # (N,) z-scores, ensemble only
+    # (N,) worst |E_i[resid dW]| and |E_i[resid (dN_j - p_j)]|, tree only
+    cond_cov_abs: np.ndarray | None = None
 
     def passed(self, tol: float = 1e-10, z_gate: float = 4.0) -> bool:
         if self.kind == "tree":
-            return bool(np.all(self.cond_mean_abs <= tol))
+            return bool(np.all(self.cond_mean_abs <= tol)
+                        and np.all(self.cond_cov_abs <= tol))
         return bool(np.all(np.abs(self.cond_mean_z) <= z_gate))
 
 
@@ -429,17 +430,16 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     The jump increments are centered with the scenario's own compensator (the
     tree's two-point branch mean, or lambda*dt for a Poisson ensemble), so
     that on the exact tree the conditional-mean residual of a solver output is
-    zero to machine precision.
+    zero to machine precision.  On the tree the residual must also have zero
+    conditional covariance with each step increment: that is what pins Z, psi.
     """
     n_steps = grid.n_steps
     m = marks.n_marks
     if isinstance(scenario, ScenarioTree):
         dW, dN = scenario.leaf_increments()
-        centered = np.empty_like(dN)
-        for i in range(n_steps):
-            # center with the tree's exact per-step jump probabilities
-            pj = scenario.probs[i] @ scenario.dN[i]
-            centered[:, i, :] = dN[:, i, :] - pj
+        # center with the tree's exact per-step jump probabilities
+        pj = np.array([scenario.probs[i] @ scenario.dN[i] for i in range(n_steps)])
+        centered = dN - pj[None, :, :]
         kind = "tree"
     else:
         dW = scenario.dW
@@ -450,6 +450,7 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     mean_abs = np.empty(n_steps)
     max_abs = np.empty(n_steps)
     cond_mean = np.empty(n_steps)
+    cond_cov = np.empty(n_steps)
     zscores = np.empty(n_steps)
 
     for i in range(n_steps):
@@ -469,9 +470,15 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
         mean_abs[i] = float(w @ np.abs(resid))
         max_abs[i] = float(np.max(np.abs(resid)))
         if kind == "tree":
-            cm = scenario.condexp_leaves(i, resid)
-            cond_mean[i] = float(np.max(np.abs(cm)))
-            zscores[i] = 0.0
+            cond_mean[i] = float(np.max(np.abs(scenario.condexp_nodes(i, resid))))
+            # E_i[resid * increment] from the conditional means at the
+            # step-i children, weighted by the branch increments
+            p = scenario.probs[i]
+            child = scenario.condexp_nodes(i + 1, resid).reshape(
+                -1, scenario.branching)
+            cov = child @ np.column_stack(
+                [p * scenario.dW[i], p[:, None] * (scenario.dN[i] - pj[i])])
+            cond_cov[i] = float(np.max(np.abs(cov)))
         else:
             # The per-path residuals share the fitted regression functions, so
             # the naive std(resid)/sqrt(n) understates the fluctuation of the
@@ -484,5 +491,6 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
             cond_mean[i] = abs(mu)
             zscores[i] = mu / se if se > 0 else 0.0
 
+    tree = kind == "tree"
     return ResidualReport(mean_abs, max_abs, cond_mean, kind,
-                          zscores if kind == "ensemble" else None)
+                          None if tree else zscores, cond_cov if tree else None)

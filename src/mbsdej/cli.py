@@ -22,8 +22,7 @@ from .config import ProblemConfig, build_problem, parse_config, render_config
 from .errors import (HypothesisViolated, MbsdejError, ParseError, UnknownName,
                      ValidationError)
 from .monotone import default_probes, validate_assumptions
-from .penalization import (constraint_slack, solve_mbsde, solve_penalized,
-                           solve_unbounded)
+from .penalization import solve_mbsde, solve_unbounded
 from .registry import make_family
 from .scenario import build_tree, simulate_paths
 from .verification import (CheckResult, GraphSelection, PropertyReport,
@@ -253,16 +252,12 @@ def run_sweep(config: ProblemConfig, out_dir: Path) -> int:
         raise ValidationError("sweep needs a negative-valued family")
     scenario = _make_scenario(problem, backend, run)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prev = None
-    rows = []
-    for level in schedule.active_levels():
-        sol = solve_penalized(problem, level, scenario, backend)
-        y0 = sol.y0()
-        delta = np.nan if prev is None else abs(y0 - prev)
-        slack, steps = constraint_slack(sol.Y, problem.family, problem.grid)
-        min_slack = float(slack.min()) if steps.size else np.inf
-        rows.append((level, y0, delta, min_slack, sol.k_terminal_mean()))
-        prev = y0
+    _, report = solve_mbsde(problem, replace(schedule, stop_tolerance=0.0),
+                            scenario, backend)
+    y0s = [r.y0 for r in report.rows]
+    deltas = [np.nan] + [abs(b - a) for a, b in zip(y0s, y0s[1:])]
+    rows = [(r.level, r.y0, d, r.min_constraint_slack, r.k_terminal_mean)
+            for r, d in zip(report.rows, deltas)]
     with open(out_dir / "sweep.csv", "w") as fh:
         fh.write("level,y0,delta_prev,min_constraint_slack,k_terminal_mean\n")
         for level, y0, delta, slack, kt in rows:
@@ -314,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--suite", choices=SUITES, default="core")
 
-    p_sweep = sub.add_parser("sweep", help="table of Y0 per penalization level")
+    p_sweep = sub.add_parser("sweep", help="Y0 at every level of the schedule; "
+                                           "exit 3 if Y decreases")
     common(p_sweep)
 
     p_val = sub.add_parser("validate", help="assumption diagnostics only")

@@ -266,13 +266,15 @@ def build_problem(config: ProblemConfig, validate: bool = True):
                         ridge=float(config.backend.get("ridge", 1e-8)))
 
     ssec = config.schedule
+    unknown = sorted(set(ssec) - {"levels", "stop_tolerance", "mono_tolerance"})
+    if unknown:
+        raise ValidationError(f"bad [schedule]: unknown key(s) {', '.join(unknown)}")
     levels = tuple(int(n) for n in _as_list(ssec.get("levels",
                                                      list(default_levels()))))
     try:
         schedule = PenalizationSchedule(
             levels=levels,
             stop_tolerance=float(ssec.get("stop_tolerance", 1e-4)),
-            max_level=(int(ssec["max_level"]) if "max_level" in ssec else None),
             mono_tolerance=(float(ssec["mono_tolerance"])
                             if "mono_tolerance" in ssec else None))
     except ValueError as exc:

@@ -183,9 +183,12 @@ class GrowthEnvelope:
 
 # -- resolvent-line intersection ------------------------------------------
 
+_ROOT_WIDTH = 1e-10       # bisection stops once the bracket is this narrow
+_BRACKET_RADIUS = 1e6     # farthest the bracket search moves from x
+
 
 def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
-             a: float, in_dom: bool, radius: float):
+             a: float, in_dom: bool):
     """Find lo < hi with g(lo) < x <= g(hi) for g(u) = u + k(t,u)/slope."""
     # upper end: since k is нondecreasing, g(u) >= u + k(x0)/slope -> +inf
     hi = x + 1.0
@@ -194,7 +197,7 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
     width = 1.0
     while need.any():
         width *= 2.0
-        if width > radius:
+        if width > _BRACKET_RADIUS:
             raise NoBracket("no upper bracket within the search radius; "
                             "is the family evaluator monotone?")
         hi_new = x[need] + width
@@ -211,7 +214,7 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
         width = 1.0
         while need.any():
             width *= 2.0
-            if width > radius:
+            if width > _BRACKET_RADIUS:
                 raise NoBracket("no lower bracket within the search radius")
             lo_new = x[need] - width
             k_new = family.k(t, lo_new)
@@ -246,9 +249,7 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
     return lo, klo, hi, khi
 
 
-def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float,
-                       root_tolerance: float = 1e-10,
-                       search_radius: float = 1e6):
+def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     """Ordinate of Gr(k_t) intersected with the line of slope -`slope` through (x, 0).
 
     This is the Lipschitz approximant value k_n(t, x) for slope = n.  The
@@ -277,10 +278,10 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float,
     idx = np.nonzero(todo)[0]
     if idx.size:
         xi = xs[idx]
-        lo, klo, hi, khi = _bracket(family, t, xi, slope, a, in_dom, search_radius)
+        lo, klo, hi, khi = _bracket(family, t, xi, slope, a, in_dom)
         lower = np.maximum(slope * (xi - hi), klo)
         upper = np.minimum(slope * (xi - lo), khi)
-        active = (hi - lo > root_tolerance) & (upper - lower > 1e-14 * (1 + np.abs(lower)))
+        active = (hi - lo > _ROOT_WIDTH) & (upper - lower > 1e-14 * (1 + np.abs(lower)))
         for _ in range(200):
             if not active.any():
                 break
@@ -294,7 +295,7 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float,
             hi[down], khi[down] = mid[~below], kmid[~below]
             lower = np.maximum(slope * (xi - hi), klo)
             upper = np.minimum(slope * (xi - lo), khi)
-            active = (hi - lo > root_tolerance) & \
+            active = (hi - lo > _ROOT_WIDTH) & \
                 (upper - lower > 1e-14 * (1 + np.abs(lower)))
         if np.any(upper < lower - 1e-6 * (1.0 + np.abs(lower))):
             raise NoBracket("inconsistent bisection state; "
@@ -312,8 +313,6 @@ class PenalizedOperator:
 
     family: MonotoneFamily
     level: int
-    root_tolerance: float = 1e-10
-    search_radius: float = 1e6
 
     def __post_init__(self):
         if int(self.level) < 1:
@@ -321,8 +320,7 @@ class PenalizedOperator:
         object.__setattr__(self, "level", int(self.level))
 
     def eval(self, t: float, x):
-        return resolvent_ordinate(self.family, t, x, float(self.level),
-                                  self.root_tolerance, self.search_radius)
+        return resolvent_ordinate(self.family, t, x, float(self.level))
 
     __call__ = eval
 

@@ -54,11 +54,14 @@ def default_levels(max_exponent: int = 10) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PenalizationSchedule:
-    """Level sequence and stopping tolerances for the penalization loop."""
+    """Level sequence and stopping tolerances for the penalization loop.
+
+    ``stop_tolerance = 0`` runs every level; it also makes the default
+    ``overlap_floor`` of :func:`solve_unbounded` 0.
+    """
 
     levels: tuple = default_levels()
     stop_tolerance: float = 1e-4
-    max_level: Optional[int] = None
     mono_tolerance: Optional[float] = None  # None -> backend-dependent default
 
     def __post_init__(self):
@@ -68,13 +71,8 @@ class PenalizationSchedule:
             raise ValueError("levels must be positive integers")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if self.stop_tolerance <= 0:
-            raise ValueError("stop_tolerance must be positive")
-
-    def active_levels(self) -> tuple:
-        if self.max_level is None:
-            return self.levels
-        return tuple(n for n in self.levels if n <= self.max_level)
+        if self.stop_tolerance < 0:
+            raise ValueError("stop_tolerance must be nonnegative")
 
 
 @dataclass
@@ -163,7 +161,7 @@ def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
 
 
 def solve_penalized(problem: Problem, level: int, scenario,
-                    backend: CEBackend, **solver_kwargs) -> SolutionGrid:
+                    backend: CEBackend) -> SolutionGrid:
     """One penalization level: BSDE with driver f - k_n and K from the penalty."""
     family = problem.family
     if family is None:
@@ -173,7 +171,7 @@ def solve_penalized(problem: Problem, level: int, scenario,
                          "use solve_unbounded for real-valued ones")
     op = PenalizedOperator(family, level)
     sol = solve_bsde(problem.driver, problem.terminal, scenario, problem.grid,
-                     problem.marks, backend, penalty=op, **solver_kwargs)
+                     problem.marks, backend, penalty=op)
     if problem.terminal.lower_bound_check:
         a_T = family.barriers(problem.grid.horizon)[0]
         worst = float(np.min(sol.Y[:, -1]))
@@ -185,15 +183,15 @@ def solve_penalized(problem: Problem, level: int, scenario,
 
 
 def solve_mbsde(problem: Problem, schedule: PenalizationSchedule, scenario,
-                backend: CEBackend,
-                **solver_kwargs) -> tuple[SolutionGrid, PenalizationReport]:
+                backend: CEBackend) -> tuple[SolutionGrid, PenalizationReport]:
     """Penalization loop with monotonicity guard and per-level monitors.
 
     All levels share the given scenario, which is what makes the pathwise
     monotone-increase assertion meaningful.  Convergence is declared when the
     sup-over-steps mean |Y^next - Y^prev| drops below the schedule's stop
     tolerance; running out of levels returns the last grid with
-    ``report.converged = False`` (the report is still complete).
+    ``report.converged = False`` (the report is still complete), as with
+    ``stop_tolerance = 0``, which runs every level.
     """
     mono_tol = schedule.mono_tolerance
     if mono_tol is None:
@@ -201,9 +199,8 @@ def solve_mbsde(problem: Problem, schedule: PenalizationSchedule, scenario,
 
     report = PenalizationReport()
     prev = None
-    sol = None
-    for level in schedule.active_levels():
-        sol = solve_penalized(problem, level, scenario, backend, **solver_kwargs)
+    for level in schedule.levels:
+        sol = solve_penalized(problem, level, scenario, backend)
         stats = _level_stats(problem, sol, level, prev)
         report.rows.append(stats)
         if prev is not None and stats.mono_violation > mono_tol:
@@ -216,7 +213,7 @@ def solve_mbsde(problem: Problem, schedule: PenalizationSchedule, scenario,
             break
         prev = sol
     if not report.converged:
-        last = report.rows[-1].delta_prev if len(report.rows) > 1 else np.nan
+        last = report.rows[-1].delta_prev   # nan after a single level
         report.reason = (f"levels exhausted with delta {last:.3g} "
                          f">= {schedule.stop_tolerance:.3g}")
     return sol, report
@@ -286,8 +283,8 @@ class ConcatenationRecord:
 
 def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
                     backend: CEBackend, max_truncation: int = 16,
-                    overlap_floor: float | None = None,
-                    **solver_kwargs) -> tuple[SolutionGrid, ConcatenationRecord]:
+                    overlap_floor: float | None = None
+                    ) -> tuple[SolutionGrid, ConcatenationRecord]:
     """Truncation-concatenation for real-valued operator families.
 
     For each truncation level n the family is clamped and shifted
@@ -320,8 +317,7 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     for n in levels:
         fam_n = truncate_shift(family, n)
         prob_n = replace(problem, family=fam_n, driver=problem.driver.shifted(n))
-        sol_hat, rep = solve_mbsde(prob_n, schedule, scenario, backend,
-                                   **solver_kwargs)
+        sol_hat, rep = solve_mbsde(prob_n, schedule, scenario, backend)
         # undo the shift: K^n_t = K-hat^n_t - n t (bounded variation)
         sol_n = SolutionGrid(grid, problem.marks, sol_hat.Y, sol_hat.Z,
                              sol_hat.psi,

@@ -326,12 +326,14 @@ class ScenarioTree:
             w = (self.probs[k][:, None] * w[None, :]).ravel()
         return w
 
+    def condexp_nodes(self, i: int, leaf_values: np.ndarray) -> np.ndarray:
+        """E[. | F_{t_i}] of a leaf function, one value per level-i node."""
+        tail = self.tail_weights(i)
+        return leaf_values.reshape(self.level_size(i), tail.size) @ tail
+
     def condexp_leaves(self, i: int, leaf_values: np.ndarray) -> np.ndarray:
         """E[. | F_{t_i}] of a leaf function, returned per leaf."""
-        tail = self.tail_weights(i)
-        grouped = leaf_values.reshape(self.level_size(i), tail.size)
-        node_vals = grouped @ tail
-        return np.repeat(node_vals, tail.size)
+        return self.expand_to_leaves(i, self.condexp_nodes(i, leaf_values))
 
     def expand_to_leaves(self, i: int, node_values: np.ndarray) -> np.ndarray:
         """Broadcast level-i node values onto all leaf paths."""

@@ -1,10 +1,13 @@
 """Executable checks of the solution properties.
 
-Each check consumes immutable solver outputs on a shared scenario and emits a
-:class:`CheckResult` with the measured statistic, the tolerance it was held
-to, and a witness when it fails.  Almost-sure statements are tested pathwise
-at grid resolution; Monte Carlo quantities get 4-standard-error gates and
-tree-exact quantities 1e-10 gates unless stated otherwise.
+Each check emits a :class:`CheckResult` with the measured statistic, the
+tolerance it was held to, and a witness when it fails.  Most consume immutable
+solver outputs on a shared scenario.  :func:`check_comparison`,
+:func:`check_uniqueness` and :func:`oracle_compare` solve internally and run
+every level of their ladder; :func:`lipschitz_remark_check` solves with the
+schedule as given, early stop included.  Almost-sure statements are tested
+pathwise at grid resolution; Monte Carlo quantities get 4-standard-error gates
+and tree-exact quantities 1e-10 gates unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -229,21 +232,21 @@ def _verify_comparison_hypotheses(p1: Problem, p2: Problem, scenario) -> None:
                     f"operator ordering fails at t={t:g}, x={xs[j]:g}")
 
 
-def _solve_for_comparison(problem, scenario, backend, schedule, **kw):
+def _solve_for_comparison(problem, scenario, backend, schedule):
     if problem.family is None:
         return solve_bsde(problem.driver, problem.terminal, scenario,
-                          problem.grid, problem.marks, backend, **kw)
+                          problem.grid, problem.marks, backend)
     # run the full level ladder: ordering statements pair solutions at the
     # same penalization level, so early stopping must not desynchronize them
-    pinned = replace(schedule, stop_tolerance=1e-300)
-    sol, _ = solve_mbsde(problem, pinned, scenario, backend, **kw)
+    sol, _ = solve_mbsde(problem, replace(schedule, stop_tolerance=0.0),
+                         scenario, backend)
     return sol
 
 
 def check_comparison(problem1: Problem, problem2: Problem, scenario,
                      backend: CEBackend,
-                     schedule: PenalizationSchedule | None = None,
-                     tol: float = 1e-8, **solver_kwargs) -> CheckResult:
+                     schedule: PenalizationSchedule = PenalizationSchedule(),
+                     tol: float = 1e-8) -> CheckResult:
     """Ordered data must give ordered solutions on the shared scenario.
 
     The hypothesis triple (xi1 <= xi2, f1 <= f2, a1 <= a2 with k1 >= k2) is
@@ -252,12 +255,8 @@ def check_comparison(problem1: Problem, problem2: Problem, scenario,
     backend and at most 1% for regression.
     """
     _verify_comparison_hypotheses(problem1, problem2, scenario)
-    if schedule is None:
-        schedule = PenalizationSchedule()
-    sol1 = _solve_for_comparison(problem1, scenario, backend, schedule,
-                                 **solver_kwargs)
-    sol2 = _solve_for_comparison(problem2, scenario, backend, schedule,
-                                 **solver_kwargs)
+    sol1 = _solve_for_comparison(problem1, scenario, backend, schedule)
+    sol2 = _solve_for_comparison(problem2, scenario, backend, schedule)
     excess = sol1.Y - sol2.Y
     violating = excess > tol
     frac = float(violating.mean())
@@ -292,24 +291,20 @@ def block_y0_se(scenario, solve_fn, blocks: int = 8) -> float:
 
 def check_uniqueness(problem: Problem, scenario_a, scenario_b,
                      backend_a: CEBackend, backend_b: CEBackend,
-                     schedule: PenalizationSchedule | None = None,
-                     tol: float | None = None, **solver_kwargs) -> CheckResult:
+                     schedule: PenalizationSchedule = PenalizationSchedule(),
+                     tol: float | None = None) -> CheckResult:
     """Two independent solves of the same problem must agree on Y_0.
 
     Default tolerance: 1e-10 for exact-vs-exact, otherwise 4 combined
     standard errors (batch means over path blocks).
     """
-    if schedule is None:
-        schedule = PenalizationSchedule()
-    sol_a = _solve_for_comparison(problem, scenario_a, backend_a, schedule,
-                                  **solver_kwargs)
-    sol_b = _solve_for_comparison(problem, scenario_b, backend_b, schedule,
-                                  **solver_kwargs)
+    sol_a = _solve_for_comparison(problem, scenario_a, backend_a, schedule)
+    sol_b = _solve_for_comparison(problem, scenario_b, backend_b, schedule)
     diff = abs(sol_a.y0() - sol_b.y0())
     if tol is None:
         def y0_of(backend):
             return lambda sub: _solve_for_comparison(
-                problem, sub, backend, schedule, **solver_kwargs).y0()
+                problem, sub, backend, schedule).y0()
         se = np.hypot(block_y0_se(scenario_a, y0_of(backend_a)),
                       block_y0_se(scenario_b, y0_of(backend_b)))
         tol = 1e-10 if se == 0.0 else 4.0 * se
@@ -321,11 +316,11 @@ def check_uniqueness(problem: Problem, scenario_a, scenario_b,
 # -- independent tree oracle --------------------------------------------------
 
 
-def _reflection_barrier(problem: Problem) -> float | None:
+def _reflection_barrier(problem: Problem) -> float:
     """Barrier of a reflection-type family (k == 0 on [a, inf)), else raise."""
     family = problem.family
     if family is None:
-        return None
+        raise ValueError("oracle_compare needs a reflection family")
     grid = problem.grid
     a0 = family.boundary_at(0.0)[0]
     for t in grid.times:
@@ -402,15 +397,15 @@ def _oracle_dp(tree: ScenarioTree, problem: Problem, barrier,
 
 
 def oracle_compare(problem: Problem, tree: ScenarioTree, levels,
-                   mc_scenario=None, mc_backend: CEBackend | None = None,
-                   tol_gap: float = 2e-2, z_gate: float = 4.0,
-                   **solver_kwargs) -> CheckResult:
+                   mc_scenario=None, mc_backend: CEBackend = CEBackend("regression"),
+                   tol_gap: float = 2e-2, z_gate: float = 4.0) -> CheckResult:
     """Brute-force tree oracle for the penalization convergence claims.
 
     Computes the exact penalized value per level by an independent dynamic
     program (plain per-node bisection, closed-form reflection penalty) and the
-    constrained value by the projection recursion; passes iff the level values
-    increase to the projection value within ``tol_gap`` and, when an MC
+    constrained value by the projection recursion.  Passes iff the tree
+    solver's Y_0 matches the oracle at every level within 1e-10, the level
+    values increase to the projection value within ``tol_gap`` and, when an MC
     scenario is supplied, the solver matches the tree per level within
     ``z_gate`` standard errors.
     """
@@ -418,39 +413,39 @@ def oracle_compare(problem: Problem, tree: ScenarioTree, levels,
     dp_values = [_oracle_dp(tree, problem, barrier, level=n, project=False)
                  for n in levels]
     projection = _oracle_dp(tree, problem, barrier, level=None, project=True)
+    tree_backend = CEBackend(kind="tree")
+    solver_gaps = [abs(solve_penalized(problem, n, tree, tree_backend).y0() - ref)
+                   for n, ref in zip(levels, dp_values)]
 
     increases = np.diff(dp_values)
     monotone = bool(np.all(increases >= -1e-12))
-    gap = abs(dp_values[-1] - projection) if barrier is not None else 0.0
+    gap = abs(dp_values[-1] - projection)
     details = {"levels": list(map(int, levels)), "dp_values": dp_values,
-               "projection": projection, "final_gap": gap}
+               "solver_gaps": solver_gaps, "projection": projection,
+               "final_gap": gap}
 
     mc_ok = True
-    if mc_scenario is not None and problem.family is not None:
-        if mc_backend is None:
-            mc_backend = CEBackend(kind="regression")
+    if mc_scenario is not None:
         mc_stats = []
         for n, ref in zip(levels, dp_values):
-            sol = solve_penalized(problem, n, mc_scenario, mc_backend,
-                                  **solver_kwargs)
+            sol = solve_penalized(problem, n, mc_scenario, mc_backend)
             se = block_y0_se(
                 mc_scenario,
-                lambda sub, _n=n: solve_penalized(problem, _n, sub, mc_backend,
-                                                  **solver_kwargs).y0())
+                lambda sub, _n=n: solve_penalized(problem, _n, sub,
+                                                  mc_backend).y0())
             z = abs(sol.y0() - ref) / max(se, 1e-12)
             mc_stats.append({"level": int(n), "y0": sol.y0(), "z": z})
             mc_ok = mc_ok and z <= z_gate
         details["mc"] = mc_stats
 
-    passed = monotone and gap <= tol_gap and mc_ok
+    passed = max(solver_gaps) <= 1e-10 and monotone and gap <= tol_gap and mc_ok
     return CheckResult("oracle_compare", passed, gap, tol_gap,
                        None if passed else details)
 
 
 def lipschitz_remark_check(problem: Problem, schedule: PenalizationSchedule,
                            scenario, backend: CEBackend, tol: float,
-                           sample_range: tuple = (-3.0, 3.0),
-                           **solver_kwargs) -> CheckResult:
+                           sample_range: tuple = (-3.0, 3.0)) -> CheckResult:
     """Single-valued Lipschitz families reduce to a plain BSDE with driver f - k.
 
     Hypotheses (full-line domain, Lipschitz samples, square-integrable
@@ -485,8 +480,8 @@ def lipschitz_remark_check(problem: Problem, schedule: PenalizationSchedule,
                             lipschitz_c=base.lipschitz_c + lip,
                             name=f"{base.name or 'driver'}-k")
     direct = solve_bsde(direct_driver, problem.terminal, scenario, grid,
-                        problem.marks, backend, **solver_kwargs)
-    mb, _ = solve_mbsde(problem, schedule, scenario, backend, **solver_kwargs)
+                        problem.marks, backend)
+    mb, _ = solve_mbsde(problem, schedule, scenario, backend)
     diff = abs(mb.y0() - direct.y0())
     passed = diff <= tol
     witness = None if passed else {"mbsde_y0": mb.y0(), "direct_y0": direct.y0()}

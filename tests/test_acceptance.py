@@ -139,7 +139,7 @@ def test_04_single_valued_reduction():
         problem = Problem(grid, marks, driver, terminal,
                           family=make_family("min_zero", {}, grid))
         schedule = PenalizationSchedule(levels=tuple(2**k for k in range(11)),
-                                        stop_tolerance=1e-300)
+                                        stop_tolerance=0.0)
         mb, report = solve_mbsde(problem, schedule, tree, backend)
         assert report.rows[-1].level == 2**10
 

@@ -94,11 +94,11 @@ class TestImplicitStep:
         grid = TimeGrid.uniform(1.0, 1)
         tree = build_tree(grid, MarkSpace.empty())
         marks = MarkSpace.empty()
-        drv = make_driver("linear", {"a": -50.0, "b": 0.0}, marks)
+        # dt*L = 5000 needs 11,112 sub-steps, over the budget of 4096
+        drv = make_driver("linear", {"a": -5000.0, "b": 0.0}, marks)
         term = make_terminal("brownian", {}, marks, grid)
         with pytest.raises(ContractionFailure):
-            solve_bsde(drv, term, tree, grid, marks, CEBackend(kind="tree"),
-                       substep_budget=3)
+            solve_bsde(drv, term, tree, grid, marks, CEBackend(kind="tree"))
 
 
 class TestCondexp:
@@ -203,6 +203,7 @@ class TestResidual:
         report = residual_check(sol, drv, tree, grid, marks)
         assert report.kind == "tree"
         assert report.cond_mean_abs.max() <= 1e-10
+        assert report.cond_cov_abs.max() <= 1e-10
         assert report.passed()
 
     def test_regression_statistical(self, grid6, marks1, ensemble_small,
@@ -221,6 +222,26 @@ class TestResidual:
         report = residual_check(sol, drv, tree6_jumps, grid6, marks1)
         assert not report.passed()
         assert report.mean_abs[5] >= 1.0 - 1e-6
+
+    @pytest.mark.parametrize("control, terminal", [
+        ("Z", "brownian"), ("psi", "compensated_jumps")])
+    def test_control_corruption_detected(self, control, terminal, grid6,
+                                         marks1, tree6_jumps, tree_backend):
+        # with the zero driver a wrong Z or psi leaves E_i[resid] at zero;
+        # only the conditional covariances with the increments can see it
+        drv = make_driver("zero", {}, marks1)
+        term = make_terminal(terminal, {}, marks1, grid6)
+        sol = solve_bsde(drv, term, tree6_jumps, grid6, marks1, tree_backend)
+        clean = residual_check(sol, drv, tree6_jumps, grid6, marks1)
+        assert clean.passed()
+        values = getattr(sol, control)
+        assert np.abs(values).max() > 0.1
+        values *= 3.0
+        report = residual_check(sol, drv, tree6_jumps, grid6, marks1)
+        assert report.cond_mean_abs.max() <= 1e-10
+        assert not report.passed()
+        assert clean.cond_cov_abs.max() <= 1e-15
+        assert report.cond_cov_abs.max() > 1e-3
 
 
 class TestSpecs:

@@ -143,6 +143,17 @@ class TestBuildProblem:
         assert schedule.levels == (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
         assert run["mode"] == "mbsde"
 
+    @pytest.mark.parametrize("line", ["max_level = 4", "stop_tol = 1e-4"])
+    def test_unknown_schedule_key_rejected(self, line, tmp_path):
+        text = REFLECTED_TREE.replace("stop_tolerance = 5e-3",
+                                      f"stop_tolerance = 5e-3\n{line}")
+        with pytest.raises(ValidationError):
+            build_problem(parse_config(text))
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")]) == 2
+
     def test_validation_runs_before_solve(self):
         text = REFLECTED_TREE.replace("name = reflect_at",
                                       "name = blowup_near_terminal")

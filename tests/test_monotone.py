@@ -152,8 +152,7 @@ class TestPenalizedEval:
         bad = MonotoneFamily(body=lambda t, x: -x**2,
                              boundary=lambda t: -np.inf, sign="negative")
         with pytest.raises(NoBracket):
-            resolvent_ordinate(bad, 0.0, np.linspace(-3, 3, 7), 1.0,
-                               search_radius=100.0)
+            resolvent_ordinate(bad, 0.0, np.linspace(-3, 3, 7), 1.0)
 
     @given(st.integers(1, 12), st.floats(-2, 2))
     @settings(max_examples=150, deadline=None)

@@ -88,12 +88,17 @@ class TestSolveMbsde:
         assert not report.converged
         assert "delta" in report.reason
 
-    def test_max_level_caps_schedule(self, reflected_problem, tree6,
-                                     tree_backend):
-        sched = PenalizationSchedule(levels=(1, 2, 4, 8, 16),
-                                     stop_tolerance=1e-12, max_level=4)
-        _, report = solve_mbsde(reflected_problem, sched, tree6, tree_backend)
+    def test_stop_tolerance_zero_runs_every_level(self, slack_problem, tree6,
+                                                  tree_backend):
+        # the penalty never activates, so every delta is exactly 0; a
+        # positive tolerance, however small, would stop after level 2
+        sched = PenalizationSchedule(levels=(1, 2, 4), stop_tolerance=0.0)
+        _, report = solve_mbsde(slack_problem, sched, tree6, tree_backend)
         assert report.levels == [1, 2, 4]
+        assert [r.delta_prev for r in report.rows[1:]] == [0.0, 0.0]
+        assert not report.converged
+        with pytest.raises(ValueError):
+            PenalizationSchedule(stop_tolerance=-1e-12)
 
     def test_k_increments_stable_under_refinement(self, reg_backend):
         # discrete proxy for continuity of K: with the path law held fixed,

@@ -8,6 +8,7 @@ from mbsdej import (CEBackend, HypothesisViolated, InvalidSelection,
                     MarkSpace, PenalizationSchedule, Problem, TerminalSpec,
                     TimeGrid, build_tree, simulate_paths, solve_bsde,
                     solve_mbsde, solve_penalized)
+from mbsdej import bsde
 from mbsdej.registry import make_driver, make_family, make_terminal
 from mbsdej.verification import (GraphSelection, PropertyReport, bounds_monitor,
                                  check_comparison, check_constraint,
@@ -265,6 +266,29 @@ class TestOracle:
             oracle = _oracle_dp(tree, prob, 0.0, level=level, project=False)
             solver = solve_penalized(prob, level, tree, CEBackend(kind="tree"))
             assert oracle == pytest.approx(solver.y0(), abs=1e-10)
+
+    def test_solver_disagreement_fails(self, monkeypatch):
+        # a solver whose Z projection is wrong must fail even without an MC
+        # scenario: the oracle alone is self-consistent
+        grid = TimeGrid.uniform(1.0, 8)
+        marks = MarkSpace.empty()
+        prob = Problem(grid, marks,
+                       make_driver("mixed", {"a": 0.5, "bz": 1.0}, marks),
+                       make_terminal("brownian", {}, marks, grid),
+                       family=make_family("reflect_at", {"a": 0.0}, grid))
+        tree = build_tree(grid, marks)
+        levels = [1, 16, 256]
+        assert oracle_compare(prob, tree, levels).passed
+        project = bsde._tree_projection
+
+        def tripled_z(tree, i, y_next):
+            ey, z, psi = project(tree, i, y_next)
+            return ey, 3.0 * z, psi
+
+        monkeypatch.setattr(bsde, "_tree_projection", tripled_z)
+        entry = oracle_compare(prob, tree, levels)
+        assert not entry.passed
+        assert max(entry.witness["solver_gaps"]) > 1e-3
 
     def test_mc_match_within_se(self, reflected_problem, grid6, no_marks,
                                 tree6, reg_backend):
