@@ -5,8 +5,10 @@ right-continuous map x -> k(t, x) on a moving domain with lower boundary a_t.
 The associated set-valued operator fills jumps with vertical segments and, when
 the boundary point belongs to the domain, attaches the ray ]-inf, k(t, a_t)] at
 x = a_t.  :class:`PenalizedOperator` produces the n-Lipschitz approximants
-k_n(t, .) by intersecting that graph with lines of slope -n, computed by
-bisection on the strictly increasing map u -> u + k(t, u)/n.
+k_n(t, .) (Yosida approximations) by intersecting that graph with lines of
+slope -n: a bracket walk and a bisection on the strictly increasing map
+u -> u + k(t, u)/n, both as whole-array ``np.where`` updates that neither
+gather nor scatter the points still moving.
 """
 
 from __future__ import annotations
@@ -185,67 +187,59 @@ class GrowthEnvelope:
 
 _ROOT_WIDTH = 1e-10       # bisection stops once the bracket is this narrow
 _BRACKET_RADIUS = 1e6     # farthest the bracket search moves from x
+_DOUBLINGS = int(np.log2(_BRACKET_RADIUS))   # bracket widths 1, 2, ..., 2^19
+_HALVINGS = 200           # steps towards an open boundary; bisection steps
+_K_FLOOR = 2 * _NEG_INF_CUTOFF   # stands in for a non-finite k value
+
+
+def _floored(kv: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(kv), kv, _K_FLOOR)
+
+
+def _walk(k, x, slope, candidate, steps, upper, a=None):
+    """Move each point along candidate(0), candidate(1), ... until it brackets x.
+
+    A point stops once g(u) = u + k(u)/slope >= x (``upper``) or g(u) < x, and
+    keeps its position after that, so k only sees candidates a point visits.
+    A moving point whose candidate reaches the open boundary ``a`` raises.
+    """
+    u = candidate(0)
+    ku = k(u)
+    for j in range(1, steps + 2):
+        g = u + ku / slope
+        need = g < x if upper else g >= x
+        if not need.any():
+            return u, ku
+        if j > steps:
+            raise NoBracket(f"no {'upper' if upper else 'lower'} bracket "
+                            "within the search range; is k monotone?")
+        cand = candidate(j)
+        if a is not None and np.any(need & (cand <= a)):
+            raise NoBracket("boundary limit of k appears finite although "
+                            "the boundary point is outside the domain")
+        u = np.where(need, cand, u)
+        ku = np.where(need, k(u), ku)
 
 
 def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
              a: float, in_dom: bool):
     """Find lo < hi with g(lo) < x <= g(hi) for g(u) = u + k(t,u)/slope."""
-    # upper end: since k is нondecreasing, g(u) >= u + k(x0)/slope -> +inf
-    hi = x + 1.0
-    khi = family.k(t, hi)
-    need = hi + khi / slope < x
-    width = 1.0
-    while need.any():
-        width *= 2.0
-        if width > _BRACKET_RADIUS:
-            raise NoBracket("no upper bracket within the search radius; "
-                            "is the family evaluator monotone?")
-        hi_new = x[need] + width
-        k_new = family.k(t, hi_new)
-        hi[need], khi[need] = hi_new, k_new
-        need = hi + khi / slope < x
+    def k(u):
+        return family.k(t, u)
 
-    lo = np.empty_like(x)
-    klo = np.empty_like(x)
+    # upper end: k is nondecreasing, so g(u) -> +inf; start inside the domain
+    base = np.maximum(x, a)
+    hi, khi = _walk(k, x, slope, lambda j: base + 2.0**j, _DOUBLINGS, True)
     if not np.isfinite(a):
-        lo = x - 1.0
-        klo = family.k(t, lo)
-        need = lo + klo / slope >= x
-        width = 1.0
-        while need.any():
-            width *= 2.0
-            if width > _BRACKET_RADIUS:
-                raise NoBracket("no lower bracket within the search radius")
-            lo_new = x[need] - width
-            k_new = family.k(t, lo_new)
-            lo[need], klo[need] = lo_new, k_new
-            need = lo + klo / slope >= x
+        lo, klo = _walk(k, x, slope, lambda j: x - 2.0**j, _DOUBLINGS, False)
     elif in_dom:
         # callers exclude the vertical segment, so g(a) < x holds here
-        lo.fill(a)
-        klo[:] = family.k(t, np.full_like(x, a))
+        lo, klo = np.full_like(x, a), k(np.full_like(x, a))
     else:
         # k -> -inf at the open boundary; slide down towards it
         gap = np.maximum(1.0, x - a)
-        lo = a + gap
-        klo = family.k(t, lo)
-        bad = ~np.isfinite(klo)
-        klo[bad] = _NEG_INF_CUTOFF * 2
-        need = lo + klo / slope >= x
-        for _ in range(200):
-            if not need.any():
-                break
-            gap = gap / 2.0
-            lo_new = a + gap[need]
-            if np.any(lo_new <= a):
-                raise NoBracket("boundary limit of k appears finite although "
-                                "the boundary point is outside the domain")
-            k_new = family.k(t, lo_new)
-            k_new[~np.isfinite(k_new)] = _NEG_INF_CUTOFF * 2
-            lo[need], klo[need] = lo_new, k_new
-            need = lo + klo / slope >= x
-        if need.any():
-            raise NoBracket("no lower bracket above the open boundary")
+        lo, klo = _walk(lambda u: _floored(k(u)), x, slope,
+                        lambda j: a + gap / 2.0**j, _HALVINGS, False, a)
     return lo, klo, hi, khi
 
 
@@ -253,12 +247,13 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     """Ordinate of Gr(k_t) intersected with the line of slope -`slope` through (x, 0).
 
     This is the Lipschitz approximant value k_n(t, x) for slope = n.  The
-    intersection abscissa u solves u + k_t(u)/slope = x; it is found by
-    bisection, and the ordinate is pinned by the intersection of the line
-    interval [slope*(x-hi), slope*(x-lo)] with the graph interval
-    [k(t,lo), k(t,hi)], which brackets shrink around.  When the line passes
+    intersection abscissa u solves u + k_t(u)/slope = x.  When the line passes
     below the graph's lower end at an attained boundary, the intersection lies
-    on the vertical segment: v = slope*(x - a_t).
+    on the vertical segment: v = slope*(x - a_t).  Other points are bracketed
+    by :func:`_walk` and bisected with masked whole-array updates; the ordinate
+    is pinned by the intersection of the line interval [slope*(x-hi),
+    slope*(x-lo)] with the graph interval [k(t,lo), k(t,hi)], which the
+    brackets shrink around.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -275,32 +270,26 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
         v[on_segment] = slope * (xs[on_segment] - a)
         todo &= ~on_segment
 
-    idx = np.nonzero(todo)[0]
-    if idx.size:
-        xi = xs[idx]
+    if todo.any():
+        xi = xs[todo]
         lo, klo, hi, khi = _bracket(family, t, xi, slope, a, in_dom)
-        lower = np.maximum(slope * (xi - hi), klo)
-        upper = np.minimum(slope * (xi - lo), khi)
-        active = (hi - lo > _ROOT_WIDTH) & (upper - lower > 1e-14 * (1 + np.abs(lower)))
-        for _ in range(200):
-            if not active.any():
-                break
-            mid = 0.5 * (lo[active] + hi[active])
-            kmid = family.k(t, mid)
-            kmid[~np.isfinite(kmid)] = _NEG_INF_CUTOFF * 2
-            below = mid + kmid / slope < xi[active]
-            sel = np.nonzero(active)[0]
-            up, down = sel[below], sel[~below]
-            lo[up], klo[up] = mid[below], kmid[below]
-            hi[down], khi[down] = mid[~below], kmid[~below]
+        for step in range(_HALVINGS + 1):
             lower = np.maximum(slope * (xi - hi), klo)
             upper = np.minimum(slope * (xi - lo), khi)
             active = (hi - lo > _ROOT_WIDTH) & \
                 (upper - lower > 1e-14 * (1 + np.abs(lower)))
+            if step == _HALVINGS or not active.any():
+                break
+            mid = 0.5 * (lo + hi)
+            kmid = _floored(family.k(t, mid))
+            below = mid + kmid / slope < xi
+            up, down = active & below, active & ~below
+            lo, klo = np.where(up, mid, lo), np.where(up, kmid, klo)
+            hi, khi = np.where(down, mid, hi), np.where(down, kmid, khi)
         if np.any(upper < lower - 1e-6 * (1.0 + np.abs(lower))):
             raise NoBracket("inconsistent bisection state; "
                             "family evaluator is likely non-monotone")
-        v[idx] = 0.5 * (lower + upper)
+        v[todo] = 0.5 * (lower + upper)
 
     if family.sign == "negative":
         np.minimum(v, 0.0, out=v)

@@ -40,6 +40,15 @@ __all__ = [
     "corollary1_ordering_stat",
 ]
 
+_SELECTION_ATOL = 1e-9     # graph-membership slack of a selection
+_MIDPOINT_OFFSET = 1e-6    # midpoint selection stays this far above a_t
+_Y0_BLOCKS = 8             # path blocks of the batch-means Y_0 error
+_ORACLE_BISECTIONS = 100   # per-node bisection steps of the tree oracle
+_ORACLE_TOL_GAP = 2e-2     # last oracle level to projection value
+_ORACLE_Z_GATE = 4.0       # MC level values against the tree oracle, in se
+_LIPSCHITZ_RANGE = (-3.0, 3.0)   # where k is sampled for its Lipschitz bound
+_BOUNDS_FACTOR = 10.0      # monitors may grow this much over the first level
+
 
 @dataclass
 class CheckResult:
@@ -112,24 +121,22 @@ class GraphSelection:
 
     @classmethod
     def midpoint(cls, family: MonotoneFamily, grid: TimeGrid,
-                 sol1: SolutionGrid, sol2: SolutionGrid,
-                 eps: float = 1e-6) -> "GraphSelection":
+                 sol1: SolutionGrid, sol2: SolutionGrid) -> "GraphSelection":
         """Lemma-1 style pairing (Y^1 + Y^2)/2 with boundary fallback."""
         n = grid.n_steps
         alpha = 0.5 * (sol1.Y[:, :n] + sol2.Y[:, :n])
         beta = np.empty_like(alpha)
         for i, a in enumerate(family.barriers(grid.times[:-1])):
             if np.isfinite(a):
-                np.maximum(alpha[:, i], a + eps, out=alpha[:, i])
+                np.maximum(alpha[:, i], a + _MIDPOINT_OFFSET, out=alpha[:, i])
             beta[:, i] = family.k(float(grid.times[i]), alpha[:, i])
         return cls("midpoint", alpha, beta)
 
-    def validate(self, family: MonotoneFamily, grid: TimeGrid,
-                 atol: float = 1e-9) -> None:
+    def validate(self, family: MonotoneFamily, grid: TimeGrid) -> None:
         for i in range(grid.n_steps):
             ok = family.graph_contains_many(float(grid.times[i]),
                                             self.alpha[:, i], self.beta[:, i],
-                                            atol=atol)
+                                            atol=_SELECTION_ATOL)
             if not ok.all():
                 p = int(np.argmin(ok))
                 raise InvalidSelection(
@@ -270,7 +277,7 @@ def check_comparison(problem1: Problem, problem2: Problem, scenario,
     return CheckResult("comparison", passed, frac, limit, witness)
 
 
-def block_y0_se(scenario, solve_fn, blocks: int = 8) -> float:
+def block_y0_se(scenario, solve_fn) -> float:
     """Batch-means standard error of a Y_0 estimator.
 
     Re-runs the full solve on path blocks, so the estimate covers the
@@ -280,7 +287,7 @@ def block_y0_se(scenario, solve_fn, blocks: int = 8) -> float:
     """
     if not isinstance(scenario, PathEnsemble):
         return 0.0
-    nb = min(blocks, scenario.n_paths)
+    nb = min(_Y0_BLOCKS, scenario.n_paths)
     if nb < 2:
         return 0.0
     size = scenario.n_paths // nb
@@ -334,7 +341,7 @@ def _reflection_barrier(problem: Problem) -> float:
     return float(a0)
 
 
-def _oracle_implicit(c, fn, n_iter: int = 100):
+def _oracle_implicit(c, fn):
     """Elementwise bisection for y - fn(y) = c, fn a contraction-ish map."""
     lo = np.array(c, dtype=float)
     hi = np.array(c, dtype=float)
@@ -349,7 +356,7 @@ def _oracle_implicit(c, fn, n_iter: int = 100):
         lo = np.where(bad_lo, lo - width, lo)
         hi = np.where(bad_hi, hi + width, hi)
         width = width * 2.0
-    for _ in range(n_iter):
+    for _ in range(_ORACLE_BISECTIONS):
         mid = 0.5 * (lo + hi)
         gm = mid - fn(mid) - c
         lo = np.where(gm < 0, mid, lo)
@@ -397,17 +404,17 @@ def _oracle_dp(tree: ScenarioTree, problem: Problem, barrier,
 
 
 def oracle_compare(problem: Problem, tree: ScenarioTree, levels,
-                   mc_scenario=None, mc_backend: CEBackend = CEBackend("regression"),
-                   tol_gap: float = 2e-2, z_gate: float = 4.0) -> CheckResult:
+                   mc_scenario=None,
+                   mc_backend: CEBackend = CEBackend("regression")) -> CheckResult:
     """Brute-force tree oracle for the penalization convergence claims.
 
     Computes the exact penalized value per level by an independent dynamic
     program (plain per-node bisection, closed-form reflection penalty) and the
     constrained value by the projection recursion.  Passes iff the tree
     solver's Y_0 matches the oracle at every level within 1e-10, the level
-    values increase to the projection value within ``tol_gap`` and, when an MC
-    scenario is supplied, the solver matches the tree per level within
-    ``z_gate`` standard errors.
+    values increase to the projection value within 2e-2 and, when an MC
+    scenario is supplied, the solver matches the tree per level within 4
+    standard errors.
     """
     barrier = _reflection_barrier(problem)
     dp_values = [_oracle_dp(tree, problem, barrier, level=n, project=False)
@@ -435,17 +442,17 @@ def oracle_compare(problem: Problem, tree: ScenarioTree, levels,
                                                   mc_backend).y0())
             z = abs(sol.y0() - ref) / max(se, 1e-12)
             mc_stats.append({"level": int(n), "y0": sol.y0(), "z": z})
-            mc_ok = mc_ok and z <= z_gate
+            mc_ok = mc_ok and z <= _ORACLE_Z_GATE
         details["mc"] = mc_stats
 
-    passed = max(solver_gaps) <= 1e-10 and monotone and gap <= tol_gap and mc_ok
-    return CheckResult("oracle_compare", passed, gap, tol_gap,
+    passed = (max(solver_gaps) <= 1e-10 and monotone
+              and gap <= _ORACLE_TOL_GAP and mc_ok)
+    return CheckResult("oracle_compare", passed, gap, _ORACLE_TOL_GAP,
                        None if passed else details)
 
 
 def lipschitz_remark_check(problem: Problem, schedule: PenalizationSchedule,
-                           scenario, backend: CEBackend, tol: float,
-                           sample_range: tuple = (-3.0, 3.0)) -> CheckResult:
+                           scenario, backend: CEBackend, tol: float) -> CheckResult:
     """Single-valued Lipschitz families reduce to a plain BSDE with driver f - k.
 
     Hypotheses (full-line domain, Lipschitz samples, square-integrable
@@ -458,7 +465,7 @@ def lipschitz_remark_check(problem: Problem, schedule: PenalizationSchedule,
     grid = problem.grid
     if np.isfinite(family.barriers(grid.times)).any():
         raise HypothesisViolated("family must be defined on all of R")
-    xs = np.linspace(sample_range[0], sample_range[1], 41)
+    xs = np.linspace(*_LIPSCHITZ_RANGE, 41)
     lip = 0.0
     for t in grid.times:
         vals = family.k(float(t), xs)
@@ -488,8 +495,8 @@ def lipschitz_remark_check(problem: Problem, schedule: PenalizationSchedule,
     return CheckResult("lipschitz_remark", passed, float(diff), tol, witness)
 
 
-def bounds_monitor(report: PenalizationReport, factor: float = 10.0) -> CheckResult:
-    """Uniform-in-level moment monitors must stay within factor x first level."""
+def bounds_monitor(report: PenalizationReport) -> CheckResult:
+    """Uniform-in-level moment monitors must stay within 10x the first level."""
     worst_ratio = 0.0
     witness = None
     for name, series in report.monitor_series().items():
@@ -500,8 +507,8 @@ def bounds_monitor(report: PenalizationReport, factor: float = 10.0) -> CheckRes
                 worst_ratio = ratio
                 witness = {"monitor": name, "level": int(level),
                            "value": value, "first": first}
-    passed = worst_ratio <= factor
-    return CheckResult("bounds_monitor", passed, worst_ratio, factor,
+    passed = worst_ratio <= _BOUNDS_FACTOR
+    return CheckResult("bounds_monitor", passed, worst_ratio, _BOUNDS_FACTOR,
                        None if passed else witness)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mbsdej import ParseError, UnknownName, ValidationError
+from mbsdej import ParseError, UnknownName, ValidationError, bsde
 from mbsdej.cli import main
 from mbsdej.config import build_problem, parse_config, render_config
 
@@ -217,6 +217,38 @@ class TestCli:
         assert report["pass"] is True
         names = [c["check"] for c in report["checks"]]
         assert "constraint" in names and "skorokhod" in names
+
+    def test_verify_residual_reports_what_it_gates(self, tmp_path, monkeypatch):
+        # a tripled Z keeps the conditional mean of the residual at zero, so
+        # the entry must report the covariance moment that fails it
+        project = bsde._tree_projection
+
+        def tripled_z(tree, i, y_next):
+            ey, z, psi = project(tree, i, y_next)
+            return ey, 3.0 * z, psi
+
+        monkeypatch.setattr(bsde, "_tree_projection", tripled_z)
+        cfg = self.write(tmp_path, REFLECTED_TREE)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--suite", "core",
+                     "--out", str(out)]) == 1
+        report = json.loads((out / "verify.json").read_text())
+        entry = next(c for c in report["checks"] if c["check"] == "residual")
+        assert entry["pass"] is False and entry["tolerance"] == 1e-8
+        assert entry["statistic"] > entry["tolerance"]
+        assert entry["witness"]["moment"] == "covariance"
+        assert 0 <= entry["witness"]["step"] < 5
+
+    def test_verify_residual_ensemble_gate(self, tmp_path):
+        text = REFLECTED_TREE.replace("kind = tree", "kind = regression\ndegree = 2")
+        cfg = self.write(tmp_path, text)
+        out = tmp_path / "v"
+        main(["verify", "--config", cfg, "--suite", "core", "--out", str(out)])
+        report = json.loads((out / "verify.json").read_text())
+        entry = next(c for c in report["checks"] if c["check"] == "residual")
+        assert entry["tolerance"] == 4.0
+        assert entry["pass"] is (entry["statistic"] <= 4.0)
+        assert entry["pass"] is (entry["witness"] is None)
 
     def test_verify_negative_controls(self, tmp_path):
         cfg = self.write(tmp_path, REFLECTED_TREE)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mbsdej import (DomainViolation, GrowthEnvelope, MonotoneFamily, NoBracket,
                     PenalizedOperator, TimeGrid, resolvent_ordinate,
                     truncate_shift, validate_assumptions)
-from mbsdej.registry import make_envelope, make_family
+from mbsdej.registry import FAMILIES, make_envelope, make_family
 
 
 def constant_family(c=-1.0):
@@ -227,3 +227,66 @@ class TestValidateAssumptions:
     def test_probe_below_barrier_rejected(self):
         with pytest.raises(ValueError):
             validate_assumptions(REFLECT, None, GRID, [-0.5])
+
+
+def _resolvent_cases():
+    cases = {name: make_family(name, {}, GRID) for name in FAMILIES}
+    real = {"linear_decay": {}, "constant": {"c": 0.5}, "step": {"hi": 1.0}}
+    for name, params in real.items():
+        fam = make_family(name, params, GRID)
+        assert fam.sign == "real"
+        cases[f"{name}[real]"] = fam
+        for n in (1, 4):
+            cases[f"{name}[real]^min{n}-{n}"] = truncate_shift(fam, n)
+    cases["open_inverse"] = MonotoneFamily(body=lambda t, x: -1.0 / x,
+                                           boundary=lambda t: 0.0)
+    return cases
+
+
+RESOLVENT_CASES = _resolvent_cases()
+
+
+def reference_ordinate(fam, t, x, slope):
+    """Per-point v = slope*(x - u), u = inf{u >= a : g(u) >= x}, by bisection."""
+    def g(u):
+        return u + float(fam.k(t, np.array([u]))[0]) / slope
+
+    a, in_dom = fam.boundary_at(t)
+    if np.isfinite(a) and in_dom and g(a) >= x:
+        u = a
+    else:
+        start = max(x, a)
+        hi = start + 1.0
+        while g(hi) < x:
+            hi = start + 2.0 * (hi - start)
+        if np.isfinite(a):
+            lo = a          # g(lo) < x, or lo is the open boundary itself
+        else:
+            lo = x - 1.0
+            while g(lo) >= x:
+                lo = x - 2.0 * (x - lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if g(mid) >= x:
+                hi = mid
+            else:
+                lo = mid
+        u = hi
+    v = slope * (x - u)
+    return min(v, 0.0) if fam.sign == "negative" else v
+
+
+class TestResolventProperty:
+    # t <= 0.9 keeps blowup_near_terminal's k = -1/(T - t) inside the
+    # bracket radius
+    @given(st.sampled_from(sorted(RESOLVENT_CASES)), st.floats(0.0, 0.9),
+           st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
+           st.floats(0.5, 4096.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_bisection(self, name, t, xs, slope):
+        fam = RESOLVENT_CASES[name]
+        got = resolvent_ordinate(fam, t, np.array(xs), slope)
+        want = [reference_ordinate(fam, t, x, slope) for x in xs]
+        assert np.all(np.abs(got - want) <= slope * 2e-10 + 1e-12)

@@ -354,7 +354,7 @@ class TestBoundsMonitor:
 
     def test_reflected_plateau(self, reflected_solution):
         _, report = reflected_solution
-        entry = bounds_monitor(report, factor=10.0)
+        entry = bounds_monitor(report)
         assert entry.passed
 
     def test_corrupted_monitors_flagged(self, reflected_solution):
@@ -364,7 +364,7 @@ class TestBoundsMonitor:
         import copy
         bad = copy.deepcopy(report)
         bad.rows[-1].k_terminal_sq *= 100.0
-        entry = bounds_monitor(bad, factor=10.0)
+        entry = bounds_monitor(bad)
         assert not entry.passed
         assert entry.witness["monitor"] == "k_terminal_sq"
         assert entry.witness["level"] == bad.rows[-1].level
