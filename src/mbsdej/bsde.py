@@ -191,7 +191,9 @@ def _implicit_step(driver, t, state, target, z, q, dt, penalty):
     The penalty is resolved exactly per fixed-point sweep via the identity
     (I + dt*k_n)^{-1}(w) = w - dt*k_{n'}(w) with n' = n/(1 + dt*n); only the
     driver's own y-dependence iterates, with contraction factor dt*L < 1
-    enforced by automatic sub-stepping.
+    enforced by automatic sub-stepping.  A sweep whose w is bit-equal to the
+    previous sweep's ends the iteration without another resolvent call, so a
+    y-independent driver costs one resolvent call per sub-step.
 
     Returns the solved y, the integral of k_n(t, y) over the step (zero
     without a penalty) and the number of sub-steps.
@@ -214,19 +216,20 @@ def _implicit_step(driver, t, state, target, z, q, dt, penalty):
     for _ in range(nsub):
         right = y
         yy = np.array(right, copy=True)
-        w = right
-        for it in range(_FP_SWEEPS):
+        w_prev = None
+        for _ in range(_FP_SWEEPS):
             w = right + dts * np.asarray(driver.shape(t, state, yy, z, q), dtype=float)
             w = np.broadcast_to(w, yy.shape).astype(float)
+            if w_prev is not None and np.array_equal(w, w_prev):
+                break   # the sweep would repeat the last one: yy is its fixed point
+            w_prev = w
+            y_new = w
             if penalty is not None:
-                kv = resolvent_ordinate(penalty.family, t, w, slope)
-                y_new = w - dts * kv
-            else:
-                y_new = w
-            if np.max(np.abs(y_new - yy)) <= _FP_RTOL * (1.0 + np.max(np.abs(y_new))):
-                yy = y_new
-                break
+                y_new = w - dts * resolvent_ordinate(penalty.family, t, w, slope)
+            change = np.max(np.abs(y_new - yy))
             yy = y_new
+            if change <= _FP_RTOL * (1.0 + np.max(np.abs(yy))):
+                break
         else:
             raise ContractionFailure("implicit step did not converge")
         if penalty is not None:
@@ -380,8 +383,7 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
         K[:, i + 1] = k
     meta = {"backend": backend.kind, "max_substeps": max_substeps,
             "penalty_level": None if penalty is None else penalty.level,
-            "seed": getattr(scenario, "seed", None),
-            "y0_targets": Y[:, 1].copy()}
+            "seed": getattr(scenario, "seed", None)}
     return SolutionGrid(grid, marks, Y, Z, psi, K, weights, meta)
 
 

@@ -95,8 +95,9 @@ def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) ->
         with open(out_dir / "report.json", "w") as fh:
             json.dump({"levels": [rep.to_dict() for rep in record.level_reports],
                        "record": record.to_dict()}, fh, indent=2, sort_keys=True)
+        se = block_y0_se(scenario, lambda sub: solve_unbounded(
+            problem, schedule, sub, backend)[0].y0())
         levels_used = record.levels
-        se = _y0_se_of(sol)   # cheap spread estimate; block re-solves cost 2x here
 
     sol.write_csv(out_dir / "solution.csv")
     summary.update({"y0": sol.y0(), "y0_se": se,
@@ -108,14 +109,6 @@ def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) ->
           f"K_T mean = {sol.k_terminal_mean():.10g}, "
           f"levels = {list(map(int, levels_used))}")
     return code
-
-
-def _y0_se_of(sol) -> float:
-    targets = sol.meta.get("y0_targets")
-    if targets is None or sol.meta.get("backend") == "tree":
-        return 0.0
-    t = np.asarray(targets)
-    return float(t.std(ddof=1) / np.sqrt(t.size)) if t.size > 1 else 0.0
 
 
 # -- verify suites -------------------------------------------------------------

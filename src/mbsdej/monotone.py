@@ -6,9 +6,10 @@ The associated set-valued operator fills jumps with vertical segments and, when
 the boundary point belongs to the domain, attaches the ray ]-inf, k(t, a_t)] at
 x = a_t.  :class:`PenalizedOperator` produces the n-Lipschitz approximants
 k_n(t, .) (Yosida approximations) by intersecting that graph with lines of
-slope -n: a bracket walk and a bisection on the strictly increasing map
-u -> u + k(t, u)/n, both as whole-array ``np.where`` updates that neither
-gather nor scatter the points still moving.
+slope -n: a bracket walk and a safeguarded Illinois (regula falsi) search for
+the root of the strictly increasing map u -> u + k(t, u)/n, both as
+whole-array ``np.where`` updates that neither gather nor scatter the points
+still moving.
 """
 
 from __future__ import annotations
@@ -185,10 +186,11 @@ class GrowthEnvelope:
 
 # -- resolvent-line intersection ------------------------------------------
 
-_ROOT_WIDTH = 1e-10       # bisection stops once the bracket is this narrow
+_ROOT_WIDTH = 1e-10       # the root search stops once the bracket is this narrow
 _BRACKET_RADIUS = 1e6     # farthest the bracket search moves from x
 _DOUBLINGS = int(np.log2(_BRACKET_RADIUS))   # bracket widths 1, 2, ..., 2^19
-_HALVINGS = 200           # steps towards an open boundary; bisection steps
+_HALVINGS = 200           # steps towards an open boundary; root-search steps
+                          # before NoBracket (the bracket halves every 3 steps)
 _K_FLOOR = 2 * _NEG_INF_CUTOFF   # stands in for a non-finite k value
 
 
@@ -250,10 +252,22 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     intersection abscissa u solves u + k_t(u)/slope = x.  When the line passes
     below the graph's lower end at an attained boundary, the intersection lies
     on the vertical segment: v = slope*(x - a_t).  Other points are bracketed
-    by :func:`_walk` and bisected with masked whole-array updates; the ordinate
-    is pinned by the intersection of the line interval [slope*(x-hi),
-    slope*(x-lo)] with the graph interval [k(t,lo), k(t,hi)], which the
-    brackets shrink around.
+    by :func:`_walk`, and the bracket lo < hi with g(lo) < x <= g(hi) shrinks
+    by masked whole-array updates.  Each step evaluates the regula falsi point
+    of the residuals g - x at the ends, with the Illinois rule (Dowell and
+    Jarratt 1971) and clipped _ROOT_WIDTH/2 inside the bracket, or the
+    midpoint wherever the last two steps did not halve the bracket, so the
+    bracket halves at least every third step.  On piecewise-linear k the
+    secant lands on the root.  The ordinate is pinned by the intersection of
+    the line interval [slope*(x-hi), slope*(x-lo)] with the graph interval
+    [k(t,lo), k(t,hi)], which the brackets shrink around.
+
+    Raises
+    ------
+    NoBracket
+        If no bracket exists within the search range, if a point is still
+        unresolved after _HALVINGS steps, or if the final intervals are
+        inconsistent (a non-monotone evaluator).
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -278,16 +292,52 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
             upper = np.minimum(slope * (xi - lo), khi)
             active = (hi - lo > _ROOT_WIDTH) & \
                 (upper - lower > 1e-14 * (1 + np.abs(lower)))
-            if step == _HALVINGS or not active.any():
+            if step == _HALVINGS:
+                # a bracket one float apart is as narrow as it can get
+                ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+                unresolved = active & (hi - lo > ulp)
+                if unresolved.any():
+                    gap = np.where(unresolved, upper - lower, -np.inf)
+                    worst = int(np.argmax(gap))
+                    raise NoBracket(
+                        f"root search did not converge in {_HALVINGS} steps "
+                        f"at t={t:g}, slope={slope:g}, x={xi[worst]:.17g}")
                 break
-            mid = 0.5 * (lo + hi)
+            if not active.any():
+                break
+            if step == 0:
+                # secant state: residuals f = g - x at the ends (f_lo < 0 <=
+                # f_hi), which end moved last, and the widths one and two
+                # steps back
+                f_lo = lo + klo / slope - xi
+                f_hi = hi + khi / slope - xi
+                moved = np.zeros(xi.shape, dtype=np.int8)
+                width_1 = width_2 = np.full_like(xi, np.inf)
+            width = hi - lo
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                secant = lo - f_lo * (width / (f_hi - f_lo))
+            # fmax/fmin also replace a nan secant by a clip bound
+            secant = np.fmin(np.fmax(secant, lo + 0.5 * _ROOT_WIDTH),
+                             hi - 0.5 * _ROOT_WIDTH)
+            # a midpoint wherever the last two steps did not halve the bracket
+            bisect = width > 0.5 * width_2
+            mid = np.where(bisect, 0.5 * (lo + hi), secant)
+            width_2, width_1 = width_1, width
             kmid = _floored(family.k(t, mid))
-            below = mid + kmid / slope < xi
+            f_mid = mid + kmid / slope - xi
+            below = f_mid < 0
             up, down = active & below, active & ~below
+            # Illinois: halve the residual of an end kept twice in a row;
+            # midpoint steps leave the memory of the last secant step alone
+            f_hi = np.where(up & (moved == 1), 0.5 * f_hi, f_hi)
+            f_lo = np.where(down & (moved == -1), 0.5 * f_lo, f_lo)
+            moved = np.where(active & ~bisect, np.where(below, 1, -1), moved)
             lo, klo = np.where(up, mid, lo), np.where(up, kmid, klo)
             hi, khi = np.where(down, mid, hi), np.where(down, kmid, khi)
+            f_lo = np.where(up, f_mid, f_lo)
+            f_hi = np.where(down, f_mid, f_hi)
         if np.any(upper < lower - 1e-6 * (1.0 + np.abs(lower))):
-            raise NoBracket("inconsistent bisection state; "
+            raise NoBracket("inconsistent root-search state; "
                             "family evaluator is likely non-monotone")
         v[todo] = 0.5 * (lower + upper)
 

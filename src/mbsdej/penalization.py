@@ -370,8 +370,7 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     K = np.zeros((n_paths, n_steps + 1))
     np.cumsum(dK, axis=1, out=K[:, 1:])
 
-    meta = {"backend": backend.kind, "truncation_levels": levels,
-            "y0_targets": solutions[-1].meta.get("y0_targets")}
+    meta = {"backend": backend.kind, "truncation_levels": levels}
     concat = SolutionGrid(grid, problem.marks, Y, Z, psi, K,
                           solutions[0].weights, meta)
     return concat, record

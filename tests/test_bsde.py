@@ -3,7 +3,7 @@ import pytest
 
 from mbsdej import (CEBackend, ContractionFailure, DriverSpec, MarkSpace,
                     PenalizedOperator, RegressionRankDeficiency, TerminalSpec,
-                    TimeGrid, build_tree, condexp, residual_check,
+                    TimeGrid, bsde, build_tree, condexp, residual_check,
                     simulate_paths, solve_bsde)
 from mbsdej.registry import make_driver, make_family, make_terminal
 
@@ -101,6 +101,60 @@ class TestImplicitStep:
             solve_bsde(drv, term, tree, grid, marks, CEBackend(kind="tree"))
 
 
+def _count_resolvent_calls(monkeypatch):
+    calls = []
+    resolvent = bsde.resolvent_ordinate
+
+    def counted(*args):
+        calls.append(args[1])       # the time of the call
+        return resolvent(*args)
+
+    monkeypatch.setattr(bsde, "resolvent_ordinate", counted)
+    return calls
+
+
+class TestSweepReuse:
+    @pytest.mark.parametrize("name, params", [("zero", {}),
+                                              ("constant", {"c": 0.7})])
+    def test_y_independent_driver_one_resolvent_per_substep(
+            self, monkeypatch, grid6, no_marks, tree6, tree_backend, name,
+            params):
+        calls = _count_resolvent_calls(monkeypatch)
+        drv = make_driver(name, params, no_marks)
+        term = make_terminal("brownian", {}, no_marks, grid6)
+        penalty = PenalizedOperator(make_family("min_zero", {}, grid6), 64)
+        sol = solve_bsde(drv, term, tree6, grid6, no_marks, tree_backend,
+                         penalty)
+        assert sol.meta["max_substeps"] == 1
+        assert len(calls) == grid6.n_steps
+        assert np.abs(sol.K).max() > 0      # the penalty was active
+
+    @pytest.mark.parametrize("level", [None, 64])
+    def test_y_dependent_driver_with_zero_constant_iterates(
+            self, monkeypatch, grid6, level):
+        # h = 0.5 y declared with lipschitz_c = 0: w changes between sweeps,
+        # so the iteration must still run to its fixed point
+        calls = _count_resolvent_calls(monkeypatch)
+        drv = DriverSpec(lambda t, s, y, z, q: 0.5 * y, gamma=[],
+                         lipschitz_c=0.0)
+        family = make_family("min_zero", {}, grid6)
+        penalty = None if level is None else PenalizedOperator(family, level)
+        target = np.linspace(-2.0, 2.0, 41)
+        dt = grid6.steps[0]
+        zeros = np.zeros_like(target)
+        y, _, nsub = bsde._implicit_step(drv, 0.0, None, target, zeros, zeros,
+                                         dt, penalty)
+        assert nsub == 1
+        w = target + dt * 0.5 * y
+        if penalty is None:
+            want = target / (1.0 - 0.5 * dt)
+        else:
+            assert len(calls) > 1
+            slope = level / (1.0 + dt * level)
+            want = w - dt * bsde.resolvent_ordinate(family, 0.0, w, slope)
+        assert np.abs(y - want).max() <= bsde._FP_RTOL * (1.0 + np.abs(y).max())
+
+
 class TestCondexp:
     def test_constant_values_fixed_point(self, grid6, marks1, tree6_jumps,
                                          ensemble_small, tree_backend,
@@ -156,7 +210,7 @@ class TestBackendAgreement:
         exact = solve_bsde(drv, term, tree6_jumps, grid6, marks1, tree_backend)
         ens = simulate_paths(grid6, marks1, 20_000, seed=101)
         mc = solve_bsde(drv, term, ens, grid6, marks1, reg_backend)
-        targets = mc.meta["y0_targets"]
+        targets = mc.Y[:, 1]
         se = targets.std(ddof=1) / np.sqrt(targets.size)
         # tree carries its own O(dt) discretization bias versus the ensemble,
         # so allow the bias floor plus 4 standard errors

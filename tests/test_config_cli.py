@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from mbsdej import ParseError, UnknownName, ValidationError, bsde
+from mbsdej import (ParseError, UnknownName, ValidationError, bsde,
+                    simulate_paths, solve_unbounded)
 from mbsdej.cli import main
 from mbsdej.config import build_problem, parse_config, render_config
+from mbsdej.verification import block_y0_se
 
 REFLECTED_TREE = """
 # reflected benchmark on the exact tree
@@ -162,6 +164,18 @@ class TestBuildProblem:
             build_problem(parse_config(text))
 
 
+@pytest.fixture(scope="module")
+def unbounded_solve(tmp_path_factory):
+    """One CLI solve of UNBOUNDED_REG, with paths: (config path, out dir)."""
+    root = tmp_path_factory.mktemp("unbounded")
+    cfg = root / "problem.cfg"
+    cfg.write_text(UNBOUNDED_REG)
+    out = root / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out),
+                 "--dump-paths"]) == 0
+    return str(cfg), out
+
+
 class TestCli:
     def write(self, tmp_path, text, name="problem.cfg"):
         path = tmp_path / name
@@ -178,13 +192,23 @@ class TestCli:
         assert summary["mode"] == "mbsde"
         assert summary["y0"] == pytest.approx(0.35, abs=0.1)
 
-    def test_solve_deterministic_bytes(self, tmp_path):
-        cfg = self.write(tmp_path, UNBOUNDED_REG)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["solve", "--config", cfg, "--out", str(out_a)]) == 0
+    def test_solve_deterministic_bytes(self, tmp_path, unbounded_solve):
+        cfg, out_a = unbounded_solve
+        out_b = tmp_path / "b"
         assert main(["solve", "--config", cfg, "--out", str(out_b)]) == 0
         for name in ("solution.csv", "concatenation.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_unbounded_y0_se_is_batch_means(self, unbounded_solve):
+        _, out = unbounded_solve
+        summary = json.loads((out / "summary.json").read_text())
+        problem, backend, schedule, run = build_problem(parse_config(UNBOUNDED_REG))
+        ens = simulate_paths(problem.grid, problem.marks, run["n_paths"],
+                             run["seed"])
+        se = block_y0_se(ens, lambda sub: solve_unbounded(
+            problem, schedule, sub, backend)[0].y0())
+        assert se > 0
+        assert summary["y0_se"] == se
 
     def test_mode_mismatch_is_config_error(self, tmp_path):
         text = REFLECTED_TREE.replace("mode = mbsde", "mode = unbounded")
@@ -294,18 +318,14 @@ class TestCli:
         cfg = self.write(tmp_path, text)
         assert main(["validate", "--config", cfg]) == 2
 
-    def test_seed_override_changes_artifacts(self, tmp_path):
-        cfg = self.write(tmp_path, UNBOUNDED_REG)
-        out_a, out_b = tmp_path / "sa", tmp_path / "sb"
-        assert main(["solve", "--config", cfg, "--out", str(out_a)]) == 0
+    def test_seed_override_changes_artifacts(self, tmp_path, unbounded_solve):
+        cfg, out_a = unbounded_solve
+        out_b = tmp_path / "sb"
         assert main(["solve", "--config", cfg, "--out", str(out_b),
                      "--seed", "99"]) == 0
         assert (out_a / "solution.csv").read_bytes() != \
             (out_b / "solution.csv").read_bytes()
 
-    def test_dump_paths(self, tmp_path):
-        cfg = self.write(tmp_path, UNBOUNDED_REG)
-        out = tmp_path / "dp"
-        assert main(["solve", "--config", cfg, "--out", str(out),
-                     "--dump-paths"]) == 0
+    def test_dump_paths(self, unbounded_solve):
+        _, out = unbounded_solve
         assert (out / "paths.csv").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from mbsdej import (DomainViolation, GrowthEnvelope, MonotoneFamily, NoBracket,
                     PenalizedOperator, TimeGrid, resolvent_ordinate,
                     truncate_shift, validate_assumptions)
+from mbsdej import monotone
 from mbsdej.registry import FAMILIES, make_envelope, make_family
 
 
@@ -240,6 +243,17 @@ def _resolvent_cases():
             cases[f"{name}[real]^min{n}-{n}"] = truncate_shift(fam, n)
     cases["open_inverse"] = MonotoneFamily(body=lambda t, x: -1.0 / x,
                                            boundary=lambda t: 0.0)
+    # many jumps, and a root where g'(u) = 1 + 3u^2/slope tends to 1
+    cases["staircase"] = MonotoneFamily(
+        body=lambda t, x: np.minimum(np.floor(4.0 * x) / 4.0, 0.0),
+        boundary=lambda t: -np.inf)
+    cases["cube"] = MonotoneFamily(body=lambda t, x: np.minimum(x**3, 0.0),
+                                   boundary=lambda t: -np.inf)
+    # a jump far taller than the bracket: the secant steps alone stall on it
+    # and reach the step cap; the midpoint safeguard does not
+    cases["cliff"] = MonotoneFamily(
+        body=lambda t, x: np.where(x < 0.0, -1e6, 0.0),
+        boundary=lambda t: -np.inf)
     return cases
 
 
@@ -290,3 +304,58 @@ class TestResolventProperty:
         got = resolvent_ordinate(fam, t, np.array(xs), slope)
         want = [reference_ordinate(fam, t, x, slope) for x in xs]
         assert np.all(np.abs(got - want) <= slope * 2e-10 + 1e-12)
+
+
+def _counted(fam):
+    """The family with a counter of its k-evaluations (calls of ``body``)."""
+    calls = []
+
+    def body(t, x, _b=fam.body):
+        calls.append(t)
+        return _b(t, x)
+
+    return replace(fam, body=body), calls
+
+
+class TestResolventRootSearch:
+    # fixed inputs: 2,000 points, four times in [0, 0.9], slopes 0.5 ... 2^20
+    # (every third power of two)
+    XS = np.random.default_rng(7).uniform(-5.0, 5.0, 2000)
+    TIMES = (0.0, 0.3, 0.6, 0.9)
+    SLOPES = 2.0 ** np.arange(-1, 21, 3)
+
+    def evaluations_per_call(self, fam):
+        counted, calls = _counted(fam)
+        counts = []
+        for t in self.TIMES:
+            for slope in self.SLOPES:
+                before = len(calls)
+                resolvent_ordinate(counted, t, self.XS, slope)
+                counts.append(len(calls) - before)
+        return np.array(counts)
+
+    @pytest.mark.parametrize("name", ["min_zero", "linear_decay[real]^min1-1",
+                                      "linear_decay[real]^min4-4"])
+    def test_piecewise_linear_families_take_few_evaluations(self, name):
+        # bisection takes about 37 k-evaluations per call here
+        assert self.evaluations_per_call(RESOLVENT_CASES[name]).mean() <= 10
+
+    @pytest.mark.parametrize("name", sorted(RESOLVENT_CASES))
+    def test_no_case_reaches_the_step_cap(self, name):
+        # a call at the cap raises NoBracket; even with the bracket walk
+        # counted, every call stays under it
+        counts = self.evaluations_per_call(RESOLVENT_CASES[name])
+        assert counts.max() < monotone._HALVINGS
+
+    def test_bracket_at_float_resolution_is_converged(self):
+        # near u = 1e6 two floats are 1.16e-10 apart, wider than the root
+        # width, so only the step cap can end the search there
+        fam = MonotoneFamily(body=lambda t, x: np.minimum(x - 1e6, 0.0),
+                             boundary=lambda t: -np.inf)
+        v = resolvent_ordinate(fam, 0.0, 1e6 - 1e-3, 1.0)
+        assert v == pytest.approx(-5e-4, abs=1e-9)
+
+    def test_step_cap_raises_instead_of_returning(self, monkeypatch):
+        monkeypatch.setattr(monotone, "_HALVINGS", 2)
+        with pytest.raises(NoBracket, match="did not converge"):
+            resolvent_ordinate(MIN_ZERO, 0.5, np.linspace(-3.0, 3.0, 13), 8.0)
