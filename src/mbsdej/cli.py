@@ -60,6 +60,14 @@ def _check_mode(problem, mode: str) -> None:
             raise ValidationError("mode=unbounded needs an [envelope]")
 
 
+def _solve(problem, schedule, scenario, backend):
+    """(solution, ladder report): solve_bsde without a family (report None)."""
+    if problem.family is None:
+        return solve_bsde(problem.driver, problem.terminal, scenario,
+                          problem.grid, problem.marks, backend), None
+    return solve_mbsde(problem, schedule, scenario, backend)
+
+
 def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) -> int:
     problem, backend, schedule, run = build_problem(config)
     mode = run["mode"]
@@ -69,35 +77,27 @@ def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) ->
     if dump_paths and backend.kind == "regression":
         scenario.write_csv(out_dir / "paths.csv")
 
+    def solve(scn):
+        if mode == "unbounded":
+            return solve_unbounded(problem, schedule, scn, backend)
+        return _solve(problem, schedule, scn, backend)
+
     summary = {"mode": mode, "seed": run["seed"], "config": render_config(config)}
     code = 0
-    se = 0.0
-    if mode == "bsde":
-        sol = solve_bsde(problem.driver, problem.terminal, scenario,
-                         problem.grid, problem.marks, backend)
-        se = block_y0_se(scenario, lambda sub: solve_bsde(
-            problem.driver, problem.terminal, sub, problem.grid,
-            problem.marks, backend).y0())
-        levels_used = []
-    elif mode == "mbsde":
-        sol, report = solve_mbsde(problem, schedule, scenario, backend)
+    sol, report = solve(scenario)
+    levels_used = [] if report is None else report.levels
+    if mode == "mbsde":
         report.write_json(out_dir / "report.json")
-        se = block_y0_se(scenario, lambda sub: solve_mbsde(
-            problem, schedule, sub, backend)[0].y0())
-        levels_used = report.levels
         if not report.converged:
             print(f"warning: penalization did not converge ({report.reason})",
                   file=sys.stderr)
             code = 3
-    else:
-        sol, record = solve_unbounded(problem, schedule, scenario, backend)
-        record.write_csv(out_dir / "concatenation.csv")
+    elif mode == "unbounded":
+        report.write_csv(out_dir / "concatenation.csv")
         with open(out_dir / "report.json", "w") as fh:
-            json.dump({"levels": [rep.to_dict() for rep in record.level_reports],
-                       "record": record.to_dict()}, fh, indent=2, sort_keys=True)
-        se = block_y0_se(scenario, lambda sub: solve_unbounded(
-            problem, schedule, sub, backend)[0].y0())
-        levels_used = record.levels
+            json.dump({"levels": [rep.to_dict() for rep in report.level_reports],
+                       "record": report.to_dict()}, fh, indent=2, sort_keys=True)
+    se = block_y0_se(scenario, lambda sub: solve(sub)[0].y0())
 
     sol.write_csv(out_dir / "solution.csv")
     summary.update({"y0": sol.y0(), "y0_se": se,
@@ -112,12 +112,11 @@ def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) ->
 
 
 # -- verify suites -------------------------------------------------------------
+# run_verify solves each problem once.  Comparison and uniqueness pair
+# penalized solutions level by level, so they read full ladders.
 
 
-def _suite_core(problem, backend, schedule, scenario, report):
-    if problem.family is None or problem.family.sign != "negative":
-        raise ValidationError("suite 'core' needs a negative-valued family")
-    sol, pen_report = solve_mbsde(problem, schedule, scenario, backend)
+def _suite_core(problem, backend, scenario, sol, pen_report, report):
     report.add(check_constraint(sol, problem.family, tol=5e-2))
     selections = [GraphSelection.interior_constant(problem.family, problem.grid, 0.5)]
     if np.isfinite(problem.family.barriers(0.0)[0]):
@@ -159,58 +158,61 @@ def _lowered_family(problem, drop: float):
     return replace(problem, family=lowered)
 
 
-def _suite_comparison(problem, backend, schedule, scenario, report):
+def _suite_comparison(problem, backend, full, scenario, sol, report):
     variants = [
         ("comparison[shifted_terminal]", _lowered_terminal(problem, 0.5), problem),
         ("comparison[dominated_driver]",
          replace(problem, driver=problem.driver.shifted(1.0)), problem),
     ]
-    if problem.family is not None and problem.family.sign == "negative":
+    if problem.family is not None:
         variants.append(("comparison[ordered_k]",
                          problem, _lowered_family(problem, 0.5)))
     tol = 1e-8 if backend.kind == "tree" else 1e-6
+
+    def solution(p):
+        return sol if p is problem else _solve(p, full, scenario, backend)[0]
+
     for name, low, high in variants:
         try:
-            entry = check_comparison(low, high, scenario, backend, schedule,
-                                     tol=tol)
+            entry = check_comparison(low, solution(low), high, solution(high),
+                                     scenario, tol=tol)
             entry.check = name
         except HypothesisViolated as exc:
             entry = CheckResult(name, False, witness={"error": str(exc)})
         report.add(entry)
 
 
-def _suite_uniqueness(problem, backend, schedule, scenario, run, report):
-    if backend.kind == "tree":
-        report.add(check_uniqueness(problem, scenario, scenario, backend,
-                                    backend, schedule))
-    else:
-        other = simulate_paths(problem.grid, problem.marks, run["n_paths"],
-                               run["seed"] + 1)
-        report.add(check_uniqueness(problem, scenario, other, backend,
-                                    backend, schedule))
+def _suite_uniqueness(problem, backend, full, scenario, sol, run, report):
+    # a tree is solved afresh (a determinism check), an ensemble on new paths
+    other = scenario if backend.kind == "tree" else simulate_paths(
+        problem.grid, problem.marks, run["n_paths"], run["seed"] + 1)
+
+    def solve(scn):
+        return _solve(problem, full, scn, backend)[0]
+
+    se = np.hypot(*(block_y0_se(s, lambda sub: solve(sub).y0())
+                    for s in (scenario, other)))
+    report.add(check_uniqueness(sol, solve(other), se))
 
 
-def _suite_negative_controls(problem, backend, schedule, scenario, report):
+def _suite_negative_controls(problem, scenario, sol, report):
     # a corrupted solution must fail the residual check
-    if problem.family is not None and problem.family.sign == "negative":
-        sol, _ = solve_mbsde(problem, schedule, scenario, backend)
-    else:
-        sol = solve_bsde(problem.driver, problem.terminal, scenario,
-                         problem.grid, problem.marks, backend)
     mid = problem.grid.n_steps // 2
-    sol.Y[:, mid] += 1.0
-    resid = residual_check(sol, problem.driver, scenario, problem.grid,
+    corrupted = replace(sol, Y=sol.Y.copy())
+    corrupted.Y[:, mid] += 1.0
+    resid = residual_check(corrupted, problem.driver, scenario, problem.grid,
                            problem.marks)
     detected = not resid.passed()
     report.add(CheckResult("negative[corrupted_residual_detected]", detected,
                            float(resid.mean_abs[mid]), None,
                            None if detected else {"step": mid}))
 
-    # unordered terminals must trip the comparison hypothesis guard
+    # unordered terminals must trip the comparison hypothesis guard, which
+    # raises before either solution is read
     raised = False
     try:
-        check_comparison(_lowered_terminal(problem, -0.5), problem, scenario,
-                         backend, schedule)
+        check_comparison(_lowered_terminal(problem, -0.5), sol, problem, sol,
+                         scenario)
     except HypothesisViolated:
         raised = True
     report.add(CheckResult("negative[unordered_terminals_guarded]", raised))
@@ -229,15 +231,31 @@ def run_verify(config: ProblemConfig, suite: str, out_dir: Path) -> int:
     report = PropertyReport(meta={"suite": suite, "seed": run["seed"],
                                   "config": render_config(config)})
     out_dir.mkdir(parents=True, exist_ok=True)
+    wanted = set(SUITES) if suite == "all" else {suite}
+    sign = problem.family.sign if problem.family else None
     try:
-        if suite in ("core", "all"):
-            _suite_core(problem, backend, schedule, scenario, report)
-        if suite in ("comparison", "all"):
-            _suite_comparison(problem, backend, schedule, scenario, report)
-        if suite in ("uniqueness", "all"):
-            _suite_uniqueness(problem, backend, schedule, scenario, run, report)
-        if suite in ("negative-controls", "all"):
-            _suite_negative_controls(problem, backend, schedule, scenario, report)
+        if "core" in wanted and sign != "negative":
+            raise ValidationError("suite 'core' needs a negative-valued family")
+        if sign not in (None, "negative"):
+            raise ValidationError("verify needs a negative-valued family or none")
+        sol = ladder = None
+        if wanted & {"core", "negative-controls"}:
+            sol, ladder = _solve(problem, schedule, scenario, backend)
+            if "core" in wanted:
+                _suite_core(problem, backend, scenario, sol, ladder, report)
+        if wanted & {"comparison", "uniqueness"}:
+            full = replace(schedule, stop_tolerance=0.0)
+            # the given ladder is the full one unless it stopped early
+            if sol is None or (ladder and len(ladder.rows) < len(full.levels)):
+                sol = None      # release the early-stopped solution first
+                sol, _ = _solve(problem, full, scenario, backend)
+            if "comparison" in wanted:
+                _suite_comparison(problem, backend, full, scenario, sol, report)
+            if "uniqueness" in wanted:
+                _suite_uniqueness(problem, backend, full, scenario, sol, run,
+                                  report)
+        if "negative-controls" in wanted:
+            _suite_negative_controls(problem, scenario, sol, report)
     finally:
         report.write_json(out_dir / "verify.json")
     for entry in report.entries:

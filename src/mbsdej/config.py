@@ -215,6 +215,12 @@ def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
+def _reject_unknown(name: str, section: dict, allowed: set) -> None:
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise ValidationError(f"bad [{name}]: unknown key(s) {', '.join(unknown)}")
+
+
 def build_problem(config: ProblemConfig, validate: bool = True):
     """Construct (Problem, CEBackend, PenalizationSchedule, run-dict).
 
@@ -261,14 +267,13 @@ def build_problem(config: ProblemConfig, validate: bool = True):
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
+    _reject_unknown("backend", config.backend, {"kind", "degree", "ridge"})
     backend = CEBackend(kind=config.backend.get("kind", "tree"),
                         degree=int(config.backend.get("degree", 2)),
                         ridge=float(config.backend.get("ridge", 1e-8)))
 
     ssec = config.schedule
-    unknown = sorted(set(ssec) - {"levels", "stop_tolerance", "mono_tolerance"})
-    if unknown:
-        raise ValidationError(f"bad [schedule]: unknown key(s) {', '.join(unknown)}")
+    _reject_unknown("schedule", ssec, {"levels", "stop_tolerance", "mono_tolerance"})
     levels = tuple(int(n) for n in _as_list(ssec.get("levels",
                                                      list(default_levels()))))
     try:

@@ -255,10 +255,11 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     by :func:`_walk`, and the bracket lo < hi with g(lo) < x <= g(hi) shrinks
     by masked whole-array updates.  Each step evaluates the regula falsi point
     of the residuals g - x at the ends, with the Illinois rule (Dowell and
-    Jarratt 1971) and clipped _ROOT_WIDTH/2 inside the bracket, or the
-    midpoint wherever the last two steps did not halve the bracket, so the
-    bracket halves at least every third step.  On piecewise-linear k the
-    secant lands on the root.  The ordinate is pinned by the intersection of
+    Jarratt 1971) and clipped _ROOT_WIDTH/2, and at least one float, inside
+    the bracket, or the midpoint wherever the last two steps did not halve the
+    bracket, so the bracket halves at least every third step.  On
+    piecewise-linear k the secant lands on the root.  A point is resolved once
+    its bracket is _ROOT_WIDTH narrow or holds no float.  The ordinate is pinned by the intersection of
     the line interval [slope*(x-hi), slope*(x-lo)] with the graph interval
     [k(t,lo), k(t,hi)], which the brackets shrink around.
 
@@ -290,21 +291,18 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
         for step in range(_HALVINGS + 1):
             lower = np.maximum(slope * (xi - hi), klo)
             upper = np.minimum(slope * (xi - lo), khi)
-            active = (hi - lo > _ROOT_WIDTH) & \
+            # no float lies inside a bracket whose midpoint rounds onto an end
+            mid = 0.5 * (lo + hi)
+            active = (hi - lo > _ROOT_WIDTH) & (lo < mid) & (mid < hi) & \
                 (upper - lower > 1e-14 * (1 + np.abs(lower)))
-            if step == _HALVINGS:
-                # a bracket one float apart is as narrow as it can get
-                ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-                unresolved = active & (hi - lo > ulp)
-                if unresolved.any():
-                    gap = np.where(unresolved, upper - lower, -np.inf)
-                    worst = int(np.argmax(gap))
-                    raise NoBracket(
-                        f"root search did not converge in {_HALVINGS} steps "
-                        f"at t={t:g}, slope={slope:g}, x={xi[worst]:.17g}")
-                break
             if not active.any():
                 break
+            if step == _HALVINGS:
+                gap = np.where(active, upper - lower, -np.inf)
+                worst = int(np.argmax(gap))
+                raise NoBracket(
+                    f"root search did not converge in {_HALVINGS} steps "
+                    f"at t={t:g}, slope={slope:g}, x={xi[worst]:.17g}")
             if step == 0:
                 # secant state: residuals f = g - x at the ends (f_lo < 0 <=
                 # f_hi), which end moved last, and the widths one and two
@@ -319,9 +317,14 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
             # fmax/fmin also replace a nan secant by a clip bound
             secant = np.fmin(np.fmax(secant, lo + 0.5 * _ROOT_WIDTH),
                              hi - 0.5 * _ROOT_WIDTH)
+            # where floats are wider apart than the clip, one float inside
+            at_lo, at_hi = active & (secant <= lo), active & (secant >= hi)
+            if at_lo.any() or at_hi.any():
+                secant = np.where(at_lo, np.nextafter(lo, hi), np.where(
+                    at_hi, np.nextafter(hi, lo), secant))
             # a midpoint wherever the last two steps did not halve the bracket
             bisect = width > 0.5 * width_2
-            mid = np.where(bisect, 0.5 * (lo + hi), secant)
+            mid = np.where(bisect, mid, secant)
             width_2, width_1 = width_1, width
             kmid = _floored(family.k(t, mid))
             f_mid = mid + kmid / slope - xi

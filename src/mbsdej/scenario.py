@@ -12,7 +12,7 @@ Two interchangeable noise models:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -372,11 +372,11 @@ def build_tree(grid: TimeGrid, marks: MarkSpace,
 
 @dataclass
 class MartingaleReport:
-    """z-scores of the empirical means of dW and dN_tilde, per step/mark."""
+    """z-scores of the means of dW and dN_tilde and of the variance of dW."""
 
     z_brownian: np.ndarray          # (N,)
     z_jumps: np.ndarray             # (N, m)
-    z_variance: np.ndarray = field(default=None)  # (N,) variance-of-dW gate
+    z_variance: np.ndarray          # (N,)
     threshold: float = 4.0
 
     @property
@@ -386,14 +386,14 @@ class MartingaleReport:
 
     @property
     def worst_abs_z(self) -> float:
-        zs = [np.abs(self.z_brownian)]
-        if self.z_jumps.size:
-            zs.append(np.abs(self.z_jumps).ravel())
-        return float(max(z.max() for z in zs)) if zs else 0.0
+        zs = [np.abs(self.z_brownian), np.abs(self.z_variance),
+              np.abs(self.z_jumps).ravel()]
+        return float(max(z.max(initial=0.0) for z in zs))
 
 
 def martingale_check(ensemble: PathEnsemble, threshold: float = 4.0) -> MartingaleReport:
-    """Sanity gate: per step and mark, mean increments should be ~0.
+    """Sanity gate: per step and mark, mean increments should be ~0, and the
+    sample variance of dW per step should be dt.
 
     Standard errors use the model values (sd(dW_i) = sqrt(dt_i),
     sd(dNtilde_ij) = sqrt(lambda_j dt_i)), so the check stays meaningful when

@@ -1,13 +1,12 @@
 """Executable checks of the solution properties.
 
 Each check emits a :class:`CheckResult` with the measured statistic, the
-tolerance it was held to, and a witness when it fails.  Most consume immutable
-solver outputs on a shared scenario.  :func:`check_comparison`,
-:func:`check_uniqueness` and :func:`oracle_compare` solve internally and run
-every level of their ladder; :func:`lipschitz_remark_check` solves with the
-schedule as given, early stop included.  Almost-sure statements are tested
-pathwise at grid resolution; Monte Carlo quantities get 4-standard-error gates
-and tree-exact quantities 1e-10 gates unless stated otherwise.
+tolerance it was held to, and a witness when it fails.  Checks read solver
+outputs on a shared scenario; only :func:`oracle_compare` and
+:func:`lipschitz_remark_check` solve, as they compare the solver with an
+independent computation.  Almost-sure statements are tested pathwise at grid
+resolution; Monte Carlo quantities get 4-standard-error gates and tree-exact
+quantities 1e-10 gates unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -239,35 +238,22 @@ def _verify_comparison_hypotheses(p1: Problem, p2: Problem, scenario) -> None:
                     f"operator ordering fails at t={t:g}, x={xs[j]:g}")
 
 
-def _solve_for_comparison(problem, scenario, backend, schedule):
-    if problem.family is None:
-        return solve_bsde(problem.driver, problem.terminal, scenario,
-                          problem.grid, problem.marks, backend)
-    # run the full level ladder: ordering statements pair solutions at the
-    # same penalization level, so early stopping must not desynchronize them
-    sol, _ = solve_mbsde(problem, replace(schedule, stop_tolerance=0.0),
-                         scenario, backend)
-    return sol
-
-
-def check_comparison(problem1: Problem, problem2: Problem, scenario,
-                     backend: CEBackend,
-                     schedule: PenalizationSchedule = PenalizationSchedule(),
+def check_comparison(problem1: Problem, sol1: SolutionGrid, problem2: Problem,
+                     sol2: SolutionGrid, scenario,
                      tol: float = 1e-8) -> CheckResult:
     """Ordered data must give ordered solutions on the shared scenario.
 
     The hypothesis triple (xi1 <= xi2, f1 <= f2, a1 <= a2 with k1 >= k2) is
-    verified on samples first; a failure raises :class:`HypothesisViolated`.
-    The pass gate is zero violating (path, step) cells for the exact tree
-    backend and at most 1% for regression.
+    verified on samples first; a failure raises :class:`HypothesisViolated`
+    before a solution is read.  Penalized solutions must share their levels
+    (full ladders).  The pass gate is zero violating (path, step) cells on an
+    exact tree and at most 1% on an ensemble.
     """
     _verify_comparison_hypotheses(problem1, problem2, scenario)
-    sol1 = _solve_for_comparison(problem1, scenario, backend, schedule)
-    sol2 = _solve_for_comparison(problem2, scenario, backend, schedule)
     excess = sol1.Y - sol2.Y
     violating = excess > tol
     frac = float(violating.mean())
-    limit = 0.0 if backend.kind == "tree" else 0.01
+    limit = 0.0 if isinstance(scenario, ScenarioTree) else 0.01
     passed = frac <= limit
     witness = None
     if not passed:
@@ -296,28 +282,16 @@ def block_y0_se(scenario, solve_fn) -> float:
     return float(np.std(y0s, ddof=1) / np.sqrt(nb))
 
 
-def check_uniqueness(problem: Problem, scenario_a, scenario_b,
-                     backend_a: CEBackend, backend_b: CEBackend,
-                     schedule: PenalizationSchedule = PenalizationSchedule(),
-                     tol: float | None = None) -> CheckResult:
-    """Two independent solves of the same problem must agree on Y_0.
-
-    Default tolerance: 1e-10 for exact-vs-exact, otherwise 4 combined
-    standard errors (batch means over path blocks).
-    """
-    sol_a = _solve_for_comparison(problem, scenario_a, backend_a, schedule)
-    sol_b = _solve_for_comparison(problem, scenario_b, backend_b, schedule)
+def check_uniqueness(sol_a: SolutionGrid, sol_b: SolutionGrid,
+                     se: float) -> CheckResult:
+    """Two independent solutions of the same problem must agree on Y_0 within
+    4 combined standard errors ``se`` (:func:`block_y0_se`), or within 1e-10
+    when ``se`` is 0 (exact solves)."""
     diff = abs(sol_a.y0() - sol_b.y0())
-    if tol is None:
-        def y0_of(backend):
-            return lambda sub: _solve_for_comparison(
-                problem, sub, backend, schedule).y0()
-        se = np.hypot(block_y0_se(scenario_a, y0_of(backend_a)),
-                      block_y0_se(scenario_b, y0_of(backend_b)))
-        tol = 1e-10 if se == 0.0 else 4.0 * se
+    tol = 1e-10 if se == 0.0 else 4.0 * float(se)
     passed = diff <= tol
     witness = None if passed else {"y0_a": sol_a.y0(), "y0_b": sol_b.y0()}
-    return CheckResult("uniqueness", passed, float(diff), float(tol), witness)
+    return CheckResult("uniqueness", passed, float(diff), tol, witness)
 
 
 # -- independent tree oracle --------------------------------------------------

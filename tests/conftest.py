@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
-                    TimeGrid, build_tree, default_levels, simulate_paths)
+                    TimeGrid, build_tree, default_levels, simulate_paths,
+                    solve_bsde, solve_mbsde)
 from mbsdej.registry import make_driver, make_family, make_terminal
+from mbsdej.verification import block_y0_se, check_uniqueness
 
 
 @pytest.fixture(scope="session")
@@ -76,3 +80,29 @@ def projection_value(tree, terminal_values, barrier=0.0):
     for i in reversed(range(tree.grid.n_steps)):
         v = np.maximum(barrier, v.reshape(-1, tree.branching) @ tree.probs[i])
     return float(v[0])
+
+
+def full_solution(problem, scenario, backend,
+                  schedule=PenalizationSchedule()):
+    """Solution at every level of the schedule, or the plain BSDE solution
+    of a problem without a family."""
+    if problem.family is None:
+        return solve_bsde(problem.driver, problem.terminal, scenario,
+                          problem.grid, problem.marks, backend)
+    sol, _ = solve_mbsde(problem, replace(schedule, stop_tolerance=0.0),
+                         scenario, backend)
+    return sol
+
+
+def uniqueness_entry(problem, scenario_a, scenario_b, backend_a, backend_b,
+                     schedule=PenalizationSchedule()):
+    """check_uniqueness of two full-ladder solutions, gated by their combined
+    batch-means standard error."""
+    def y0_se(scenario, backend):
+        return block_y0_se(scenario, lambda sub: full_solution(
+            problem, sub, backend, schedule).y0())
+
+    se = np.hypot(y0_se(scenario_a, backend_a), y0_se(scenario_b, backend_b))
+    return check_uniqueness(
+        full_solution(problem, scenario_a, backend_a, schedule),
+        full_solution(problem, scenario_b, backend_b, schedule), se)

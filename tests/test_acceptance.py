@@ -20,10 +20,9 @@ from mbsdej.registry import (make_driver, make_envelope, make_family,
                              make_terminal)
 from mbsdej.verification import (GraphSelection, check_comparison,
                                  check_constraint, check_skorokhod,
-                                 check_uniqueness, lemma1_pairing_stat,
-                                 oracle_compare)
+                                 lemma1_pairing_stat, oracle_compare)
 
-from conftest import projection_value
+from conftest import full_solution, projection_value, uniqueness_entry
 
 
 @contextmanager
@@ -203,15 +202,19 @@ def test_06_comparison_suite():
         schedule = PenalizationSchedule(levels=(1, 4, 16, 64),
                                         stop_tolerance=1e-4)
         tree = build_tree(grid, marks)
+        tb = CEBackend(kind="tree")
         for low, high in _comparison_variations(problem):
-            entry = check_comparison(low, high, tree, CEBackend(kind="tree"),
-                                     schedule, tol=1e-8)
+            entry = check_comparison(
+                low, full_solution(low, tree, tb, schedule),
+                high, full_solution(high, tree, tb, schedule), tree, tol=1e-8)
             assert entry.passed and entry.statistic == 0.0
         ens = simulate_paths(grid, marks, 10_000, seed=606)
         backend = CEBackend(kind="regression", degree=3)
         for low, high in _comparison_variations(problem):
-            entry = check_comparison(low, high, ens, backend, schedule,
-                                     tol=1e-2)
+            entry = check_comparison(
+                low, full_solution(low, ens, backend, schedule),
+                high, full_solution(high, ens, backend, schedule), ens,
+                tol=1e-2)
             assert entry.passed
             assert entry.statistic <= 0.01
 
@@ -229,12 +232,12 @@ def test_07_uniqueness():
                                         stop_tolerance=1e-4)
         tree = build_tree(grid, marks)
         tb = CEBackend(kind="tree")
-        entry = check_uniqueness(problem, tree, tree, tb, tb, schedule)
+        entry = uniqueness_entry(problem, tree, tree, tb, tb, schedule)
         assert entry.passed and entry.statistic == 0.0
         rb = CEBackend(kind="regression", degree=2)
         ens_a = simulate_paths(grid, marks, 10_000, seed=1001)
         ens_b = simulate_paths(grid, marks, 10_000, seed=1002)
-        entry = check_uniqueness(problem, ens_a, ens_b, rb, rb, schedule)
+        entry = uniqueness_entry(problem, ens_a, ens_b, rb, rb, schedule)
         assert entry.passed
         assert entry.statistic <= entry.tolerance
 
@@ -319,7 +322,7 @@ def test_10_negative_controls():
         higher = replace(problem, terminal=TerminalSpec(lambda s: s.w + 0.5,
                                                         name="w+0.5"))
         with pytest.raises(HypothesisViolated):
-            check_comparison(higher, problem, tree, backend, schedule)
+            check_comparison(higher, sol, problem, sol, tree)
         bad = make_family("blowup_near_terminal", {}, grid)
         report = validate_assumptions(bad, None, grid, [1.0, 2.0])
         assert not report.item("B2").passed

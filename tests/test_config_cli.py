@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from mbsdej import (ParseError, UnknownName, ValidationError, bsde,
-                    simulate_paths, solve_unbounded)
+from mbsdej import (ParseError, UnknownName, ValidationError, bsde, cli,
+                    simulate_paths, solve_unbounded, verification)
 from mbsdej.cli import main
 from mbsdej.config import build_problem, parse_config, render_config
 from mbsdej.verification import block_y0_se
@@ -156,6 +156,16 @@ class TestBuildProblem:
         assert main(["sweep", "--config", str(cfg), "--out",
                      str(tmp_path / "x")]) == 2
 
+    def test_unknown_backend_key_rejected(self, tmp_path):
+        # a misspelt degree used to be ignored, leaving the default degree 2
+        text = UNBOUNDED_REG.replace("degree = 2", "degre = 3")
+        with pytest.raises(ValidationError, match="degre"):
+            build_problem(parse_config(text))
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")]) == 2
+
     def test_validation_runs_before_solve(self):
         text = REFLECTED_TREE.replace("name = reflect_at",
                                       "name = blowup_near_terminal")
@@ -279,6 +289,24 @@ class TestCli:
         out = tmp_path / "nc"
         assert main(["verify", "--config", cfg,
                      "--suite", "negative-controls", "--out", str(out)]) == 0
+
+    def test_verify_all_solves_each_problem_once(self, tmp_path, monkeypatch):
+        # the configured ladder as given (it stops early), its full ladder,
+        # the three comparison variants and one fresh uniqueness solve
+        schedules = []
+        solve = cli.solve_mbsde
+
+        def counted(problem, schedule, scenario, backend):
+            schedules.append(schedule)
+            return solve(problem, schedule, scenario, backend)
+
+        for module in (cli, verification):
+            monkeypatch.setattr(module, "solve_mbsde", counted)
+        cfg = self.write(tmp_path, REFLECTED_TREE)
+        assert main(["verify", "--config", cfg, "--suite", "all",
+                     "--out", str(tmp_path / "v")]) == 0
+        assert len(schedules) == 6
+        assert [s.stop_tolerance for s in schedules] == [5e-3] + [0.0] * 5
 
     def test_verify_comparison_hypothesis_violation_exit(self, tmp_path):
         # an increasing-driver variation is constructed internally, so a

@@ -355,6 +355,16 @@ class TestResolventRootSearch:
         v = resolvent_ordinate(fam, 0.0, 1e6 - 1e-3, 1.0)
         assert v == pytest.approx(-5e-4, abs=1e-9)
 
+    def test_bracket_one_float_apart_ends_the_search(self):
+        # the same root: the search stops once no float lies inside the
+        # bracket, not at the step cap
+        fam, calls = _counted(MonotoneFamily(
+            body=lambda t, x: np.minimum(x - 1e6, 0.0),
+            boundary=lambda t: -np.inf))
+        v = resolvent_ordinate(fam, 0.0, 1e6 - 1e-3, 1.0)
+        assert v == pytest.approx(-5e-4, abs=np.spacing(1e6))
+        assert len(calls) <= 10
+
     def test_step_cap_raises_instead_of_returning(self, monkeypatch):
         monkeypatch.setattr(monotone, "_HALVINGS", 2)
         with pytest.raises(NoBracket, match="did not converge"):

@@ -121,6 +121,18 @@ class TestMartingaleCheck:
         assert not report.passed
         assert report.worst_abs_z == pytest.approx(316.2, rel=0.05)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_doubled_brownian_increments_fail(self, seed):
+        # 2 dW keeps the mean at 0 but has variance 4 dt: with 5,000 paths the
+        # variance z-score is 3 / sqrt(2 / 4999) ~ 150
+        grid = TimeGrid.uniform(1.0, 4)
+        marks = MarkSpace([1.0], [1.0])
+        ens = simulate_paths(grid, marks, 5_000, seed=seed)
+        ens.dW *= 2.0
+        report = martingale_check(ens)
+        assert not report.passed
+        assert np.abs(report.z_variance).min() > 100.0
+
     def test_single_path_trivially_passes(self):
         grid = TimeGrid.uniform(1.0, 3)
         ens = simulate_paths(grid, MarkSpace([1.0], [1.0]), 1, seed=2)

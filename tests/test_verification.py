@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbsdej import (CEBackend, HypothesisViolated, InvalidSelection,
                     MarkSpace, PenalizationSchedule, Problem, TerminalSpec,
@@ -12,9 +14,11 @@ from mbsdej import bsde
 from mbsdej.registry import make_driver, make_family, make_terminal
 from mbsdej.verification import (GraphSelection, PropertyReport, bounds_monitor,
                                  check_comparison, check_constraint,
-                                 check_skorokhod, check_uniqueness,
-                                 corollary1_ordering_stat, lemma1_pairing_stat,
-                                 lipschitz_remark_check, oracle_compare)
+                                 check_skorokhod, corollary1_ordering_stat,
+                                 lemma1_pairing_stat, lipschitz_remark_check,
+                                 oracle_compare)
+
+from conftest import full_solution, uniqueness_entry
 
 
 
@@ -128,8 +132,10 @@ class TestComparison:
     def test_tree_zero_violations(self, reflected_problem, tree6, tree_backend,
                                   full_schedule):
         for low, high in self.variations(reflected_problem):
-            entry = check_comparison(low, high, tree6, tree_backend,
-                                     full_schedule, tol=1e-8)
+            entry = check_comparison(
+                low, full_solution(low, tree6, tree_backend, full_schedule),
+                high, full_solution(high, tree6, tree_backend, full_schedule),
+                tree6, tol=1e-8)
             assert entry.passed and entry.statistic == 0.0
 
     def test_ordered_k_strict_gap(self, reflected_problem, tree6, tree_backend,
@@ -141,8 +147,10 @@ class TestComparison:
                        body=lambda t, x: np.full_like(x, -1.0),
                        left_body=None, name="reflect_minus_one")
         p2 = replace(p1, family=fam2)
-        entry = check_comparison(p1, p2, tree6, tree_backend, full_schedule,
-                                 tol=1e-8)
+        entry = check_comparison(
+            p1, full_solution(p1, tree6, tree_backend, full_schedule),
+            p2, full_solution(p2, tree6, tree_backend, full_schedule),
+            tree6, tol=1e-8)
         assert entry.passed
         sol1, _ = solve_mbsde(p1, full_schedule, tree6, tree_backend)
         sol2, _ = solve_mbsde(p2, full_schedule, tree6, tree_backend)
@@ -156,33 +164,91 @@ class TestComparison:
         backend = CEBackend(kind="regression", degree=3)
         sched = PenalizationSchedule(levels=(1, 4, 16, 64), stop_tolerance=1e-3)
         low, high = self.variations(reflected_problem)[0]
-        entry = check_comparison(low, high, ens, backend, sched, tol=1e-2)
+        entry = check_comparison(low, full_solution(low, ens, backend, sched),
+                                 high, full_solution(high, ens, backend, sched),
+                                 ens, tol=1e-2)
         assert entry.passed
         assert entry.statistic <= 0.01
 
     def test_unordered_terminals_guarded(self, reflected_problem, tree6,
-                                         tree_backend, full_schedule):
+                                         reflected_solution):
+        # the guard raises before either solution is read
         higher = replace(
             reflected_problem,
             terminal=TerminalSpec(lambda s: s.w + 0.5, name="w+0.5"))
+        sol, _ = reflected_solution
         with pytest.raises(HypothesisViolated):
-            check_comparison(higher, reflected_problem, tree6, tree_backend,
-                             full_schedule)
+            check_comparison(higher, sol, reflected_problem, sol, tree6)
 
     def test_unordered_family_guarded(self, reflected_problem, tree6,
-                                      tree_backend, full_schedule):
+                                      reflected_solution):
         raised_fam = replace(reflected_problem.family,
                              boundary=lambda t: 0.5, name="higher_barrier")
         p_high_barrier = replace(reflected_problem, family=raised_fam)
+        sol, _ = reflected_solution
         with pytest.raises(HypothesisViolated):
-            check_comparison(p_high_barrier, reflected_problem, tree6,
-                             tree_backend, full_schedule)
+            check_comparison(p_high_barrier, sol, reflected_problem, sol,
+                             tree6)
+
+
+class TestComparisonProperty:
+    """The comparison theorem on random ordered triples, on a 4-step tree."""
+
+    GRID = TimeGrid.uniform(1.0, 4)
+    MARKS = MarkSpace([1.0], [1.0])
+    TREE = build_tree(GRID, MARKS)
+    SCHEDULE = PenalizationSchedule(levels=(1, 4, 16, 64))
+
+    def scheme_weights(self, bz, qc, gamma):
+        """Child weights 1 + bz dW + qc gamma lambda dt (dN - p)/Var(dN) of
+        the tree scheme, which is monotone when they are nonnegative."""
+        tree, lam = self.TREE, self.MARKS.intensities[0]
+        out = []
+        for i, dt in enumerate(self.GRID.steps):
+            p = tree.probs[i]
+            dn = tree.dN[i][:, 0] - p @ tree.dN[i][:, 0]
+            out.append(1.0 + bz * tree.dW[i]
+                       + qc * gamma * lam * dt * dn / (p @ dn**2))
+        return np.concatenate(out)
+
+    @given(family=st.sampled_from(["reflect_at", "min_zero"]),
+           a=st.floats(-0.5, 0.5), shift=st.floats(-1.0, 1.0),
+           jump_w=st.floats(-1.0, 1.0), drift=st.floats(-1.0, 1.0),
+           bz=st.floats(-1.0, 1.0), qc=st.floats(0.0, 1.0),
+           gamma=st.floats(-0.4, 0.4), c=st.floats(0.0, 1.0),
+           d=st.floats(0.0, 1.0), e=st.floats(0.0, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_ordered_triples_give_ordered_solutions(
+            self, family, a, shift, jump_w, drift, bz, qc, gamma, c, d, e):
+        assert self.scheme_weights(bz, qc, gamma).min() >= 0.0
+        grid, marks, tree = self.GRID, self.MARKS, self.TREE
+        fam1 = make_family(family, {"a": a} if family == "reflect_at" else {},
+                           grid)
+        driver1 = make_driver("mixed", {"a": drift, "bz": bz, "qc": qc,
+                                        "gamma": gamma}, marks)
+        p1 = Problem(grid, marks, driver1,
+                     TerminalSpec(lambda s: s.w + shift + s.ntilde[:, 0] * jump_w,
+                                  name="xi1"),
+                     family=fam1)
+        # xi2 = xi1 + c, f2 = f1 + d, k2 = k1 - e
+        p2 = replace(p1,
+                     terminal=TerminalSpec(
+                         lambda s: p1.terminal(s) + c, name="xi1+c"),
+                     driver=driver1.shifted(-d),
+                     family=replace(fam1,
+                                    body=lambda t, x: fam1.body(t, x) - e,
+                                    left_body=None, name="k1-e"))
+        backend = CEBackend(kind="tree")
+        entry = check_comparison(
+            p1, full_solution(p1, tree, backend, self.SCHEDULE),
+            p2, full_solution(p2, tree, backend, self.SCHEDULE), tree)
+        assert entry.passed and entry.statistic == 0.0
 
 
 class TestUniqueness:
     def test_tree_deterministic(self, reflected_problem, tree6, tree_backend,
                                 full_schedule):
-        entry = check_uniqueness(reflected_problem, tree6, tree6, tree_backend,
+        entry = uniqueness_entry(reflected_problem, tree6, tree6, tree_backend,
                                  tree_backend, full_schedule)
         assert entry.passed and entry.statistic == 0.0
 
@@ -195,7 +261,7 @@ class TestUniqueness:
                        make_driver("linear", {"a": 0.5, "b": -0.2}, no_marks),
                        make_terminal("brownian", {}, no_marks, grid6))
         ens = simulate_paths(grid6, no_marks, 8000, seed=5)
-        entry = check_uniqueness(prob, tree6, ens, tree_backend, reg_backend)
+        entry = uniqueness_entry(prob, tree6, ens, tree_backend, reg_backend)
         assert entry.passed
 
     def test_two_regression_seeds(self, reflected_problem, grid6, no_marks,
@@ -204,7 +270,7 @@ class TestUniqueness:
         b = simulate_paths(grid6, no_marks, 8000, seed=8)
         sched = PenalizationSchedule(levels=(1, 4, 16, 64, 256),
                                      stop_tolerance=1e-4)
-        entry = check_uniqueness(reflected_problem, a, b, reg_backend,
+        entry = uniqueness_entry(reflected_problem, a, b, reg_backend,
                                  reg_backend, sched)
         assert entry.passed
         assert entry.tolerance > 0
