@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import artifacts
 from .errors import ContractionFailure, RegressionRankDeficiency
 from .monotone import PenalizedOperator, resolvent_ordinate
 from .scenario import (ForwardState, MarkSpace, PathEnsemble, ScenarioTree,
@@ -52,14 +53,11 @@ class DriverSpec:
     shape: Callable
     gamma: np.ndarray
     lipschitz_c: float
-    monotone_in_q: bool = True
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "gamma",
                            np.atleast_1d(np.asarray(self.gamma, dtype=float)))
-        if not self.monotone_in_q:
-            raise ValueError("drivers must be nondecreasing in the jump aggregate")
         if self.lipschitz_c < 0:
             raise ValueError("lipschitz_c must be nonnegative")
 
@@ -162,20 +160,10 @@ class SolutionGrid:
 
     def write_csv(self, path) -> None:
         """One row per (path, step); terminal row pads controls with 0."""
-        m = self.marks.n_marks
-        n_steps = self.grid.n_steps
-        with open(path, "w", newline="") as fh:
-            cols = ["path", "step", "Y", "Z"] + \
-                [f"psi_{j + 1}" for j in range(m)] + ["K"]
-            fh.write(",".join(cols) + "\n")
-            for p in range(self.n_paths):
-                for i in range(n_steps + 1):
-                    z = self.Z[p, i] if i < n_steps else 0.0
-                    psis = self.psi[p, i] if i < n_steps else np.zeros(m)
-                    cells = [str(p), str(i), f"{self.Y[p, i]:.17g}", f"{z:.17g}"]
-                    cells += [f"{v:.17g}" for v in psis]
-                    cells.append(f"{self.K[p, i]:.17g}")
-                    fh.write(",".join(cells) + "\n")
+        psis = [f"psi_{j + 1}" for j in range(self.marks.n_marks)]
+        artifacts.write_csv(path, ["path", "step", "Y", "Z", *psis, "K"],
+                            artifacts.path_step_rows(self.grid.n_steps + 1, self.Y,
+                                                     self.Z, self.psi, self.K))
 
 
 # -- implicit step -----------------------------------------------------------

@@ -2,21 +2,20 @@
 
 Commands: ``solve``, ``verify``, ``sweep``, ``validate``.  Exit codes:
 0 pass, 1 check failure, 2 config error, 3 solver error.  Artifacts (solution
-CSV, report JSON, sweep CSV) land in ``--out`` and are byte-identical for
-identical configs.
+CSV, report JSON, sweep CSV) land in ``--out``; :mod:`mbsdej.artifacts`
+writes every one of them, byte-identical for identical configs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifacts
 from .bsde import residual_check, solve_bsde
 from .config import ProblemConfig, build_problem, parse_config, render_config
 from .errors import (HypothesisViolated, MbsdejError, ParseError, UnknownName,
@@ -94,17 +93,16 @@ def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) ->
             code = 3
     elif mode == "unbounded":
         report.write_csv(out_dir / "concatenation.csv")
-        with open(out_dir / "report.json", "w") as fh:
-            json.dump({"levels": [rep.to_dict() for rep in report.level_reports],
-                       "record": report.to_dict()}, fh, indent=2, sort_keys=True)
+        artifacts.write_json(out_dir / "report.json", {
+            "levels": [rep.to_dict() for rep in report.level_reports],
+            "record": report.to_dict()})
     se = block_y0_se(scenario, lambda sub: solve(sub)[0].y0())
 
     sol.write_csv(out_dir / "solution.csv")
     summary.update({"y0": sol.y0(), "y0_se": se,
                     "k_terminal_mean": sol.k_terminal_mean(),
                     "levels": list(map(int, levels_used))})
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    artifacts.write_json(out_dir / "summary.json", summary)
     print(f"Y0 = {sol.y0():.10g} +- {se:.3g}, "
           f"K_T mean = {sol.k_terminal_mean():.10g}, "
           f"levels = {list(map(int, levels_used))}")
@@ -277,10 +275,9 @@ def run_sweep(config: ProblemConfig, out_dir: Path) -> int:
     deltas = [np.nan] + [abs(b - a) for a, b in zip(y0s, y0s[1:])]
     rows = [(r.level, r.y0, d, r.min_constraint_slack, r.k_terminal_mean)
             for r, d in zip(report.rows, deltas)]
-    with open(out_dir / "sweep.csv", "w") as fh:
-        fh.write("level,y0,delta_prev,min_constraint_slack,k_terminal_mean\n")
-        for level, y0, delta, slack, kt in rows:
-            fh.write(f"{level},{y0:.17g},{delta:.17g},{slack:.17g},{kt:.17g}\n")
+    artifacts.write_csv(out_dir / "sweep.csv",
+                        ["level", "y0", "delta_prev", "min_constraint_slack",
+                         "k_terminal_mean"], [np.array(rows, dtype=float)])
     for row in rows:
         print("level {:>6d}  Y0 = {: .8g}  delta = {: .3g}  "
               "slack = {: .3g}  K_T = {: .6g}".format(*row))

@@ -273,15 +273,13 @@ def build_problem(config: ProblemConfig, validate: bool = True):
                         ridge=float(config.backend.get("ridge", 1e-8)))
 
     ssec = config.schedule
-    _reject_unknown("schedule", ssec, {"levels", "stop_tolerance", "mono_tolerance"})
+    _reject_unknown("schedule", ssec, {"levels", "stop_tolerance"})
     levels = tuple(int(n) for n in _as_list(ssec.get("levels",
                                                      list(default_levels()))))
     try:
         schedule = PenalizationSchedule(
             levels=levels,
-            stop_tolerance=float(ssec.get("stop_tolerance", 1e-4)),
-            mono_tolerance=(float(ssec["mono_tolerance"])
-                            if "mono_tolerance" in ssec else None))
+            stop_tolerance=float(ssec.get("stop_tolerance", 1e-4)))
     except ValueError as exc:
         raise ValidationError(f"bad [schedule]: {exc}") from exc
 

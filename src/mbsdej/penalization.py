@@ -10,12 +10,12 @@ per-level solutions along envelope stopping times.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
+from . import artifacts
 from .bsde import CEBackend, DriverSpec, SolutionGrid, TerminalSpec, solve_bsde
 from .errors import MonotonicityBreach, SegmentMismatch, ValidationError
 from .monotone import GrowthEnvelope, MonotoneFamily, PenalizedOperator, truncate_shift
@@ -48,8 +48,11 @@ class Problem:
     envelope: Optional[GrowthEnvelope] = None
 
 
-def default_levels(max_exponent: int = 10) -> tuple[int, ...]:
-    return tuple(2**k for k in range(max_exponent + 1))
+_MONO_TOL = {"tree": 1e-9, "regression": 5e-2}   # largest Y decrease per level
+
+
+def default_levels() -> tuple[int, ...]:
+    return tuple(2**k for k in range(11))
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,6 @@ class PenalizationSchedule:
 
     levels: tuple = default_levels()
     stop_tolerance: float = 1e-4
-    mono_tolerance: Optional[float] = None  # None -> backend-dependent default
 
     def __post_init__(self):
         levels = tuple(int(n) for n in self.levels)
@@ -89,9 +91,6 @@ class LevelStats:
     control_energy: float             # E[sum_i (Z_i^2 + ||psi_i||_pi^2) dt_i]
     k_terminal_sq: float              # E[K_T^2]
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class PenalizationReport:
@@ -112,11 +111,10 @@ class PenalizationReport:
 
     def to_dict(self) -> dict:
         return {"converged": self.converged, "reason": self.reason,
-                "rows": [r.to_dict() for r in self.rows]}
+                "rows": [asdict(r) for r in self.rows]}
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        artifacts.write_json(path, self.to_dict())
 
 
 def constraint_slack(Y: np.ndarray, family: MonotoneFamily,
@@ -193,9 +191,7 @@ def solve_mbsde(problem: Problem, schedule: PenalizationSchedule, scenario,
     ``report.converged = False`` (the report is still complete), as with
     ``stop_tolerance = 0``, which runs every level.
     """
-    mono_tol = schedule.mono_tolerance
-    if mono_tol is None:
-        mono_tol = 1e-9 if backend.kind == "tree" else 5e-2
+    mono_tol = _MONO_TOL[backend.kind]
 
     report = PenalizationReport()
     prev = None
@@ -242,9 +238,6 @@ class OverlapStats:
     max_y_diff: float
     max_dk_diff: float
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class ConcatenationRecord:
@@ -269,16 +262,18 @@ class ConcatenationRecord:
                 "tau": self.tau.tolist(),
                 "level_y0": self.level_y0,
                 "uncovered_cells": self.uncovered_cells,
-                "overlaps": [o.to_dict() for o in self.overlaps]}
+                "overlaps": [asdict(o) for o in self.overlaps]}
 
     def write_csv(self, path) -> None:
         """Rows (path, level, tau_index); level 0 is the tau_0 = T anchor."""
-        with open(path, "w", newline="") as fh:
-            fh.write("path,level,tau_index\n")
-            levels = [0] + list(self.levels)
-            for row, lev in enumerate(levels):
-                for p in range(self.tau.shape[1]):
-                    fh.write(f"{p},{lev},{self.tau[row, p]}\n")
+        def blocks():
+            for lev, taus in zip([0, *self.levels], self.tau):
+                for p in range(0, taus.size, artifacts.CHUNK_PATHS):
+                    chunk = taus[p:p + artifacts.CHUNK_PATHS]
+                    yield np.column_stack([np.arange(p, p + chunk.size),
+                                           np.full(chunk.size, lev), chunk])
+
+        artifacts.write_csv(path, ["path", "level", "tau_index"], blocks())
 
 
 def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,

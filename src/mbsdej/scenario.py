@@ -11,12 +11,12 @@ Two interchangeable noise models:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import artifacts
 from .errors import BudgetExceeded
 
 __all__ = [
@@ -66,13 +66,12 @@ class TimeGrid:
     def steps(self) -> np.ndarray:
         return np.diff(self.times)
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        """Grid with each step split into `factor` equal substeps."""
-        pieces = [
-            np.linspace(self.times[i], self.times[i + 1], factor, endpoint=False)
-            for i in range(self.n_steps)
-        ]
-        return TimeGrid(np.append(np.concatenate(pieces), self.horizon))
+    def refined(self) -> "TimeGrid":
+        """Grid with each step split into two equal substeps."""
+        fine = np.empty(2 * self.n_steps + 1)
+        fine[::2] = self.times
+        fine[1::2] = self.times[:-1] + self.steps / 2
+        return TimeGrid(fine)
 
 
 @dataclass(frozen=True)
@@ -199,15 +198,10 @@ class PathEnsemble:
 
     def write_csv(self, path) -> None:
         """Debug export: one row per (path, step) with dW and dN_1..dN_m."""
-        m = self.marks.n_marks
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "step", "dW"] + [f"dN_{j + 1}" for j in range(m)])
-            for p in range(self.n_paths):
-                for i in range(self.grid.n_steps):
-                    row = [p, i, f"{self.dW[p, i]:.17g}"]
-                    row += [str(int(self.dN[p, i, j])) for j in range(m)]
-                    writer.writerow(row)
+        dns = [f"dN_{j + 1}" for j in range(self.marks.n_marks)]
+        artifacts.write_csv(path, ["path", "step", "dW", *dns],
+                            artifacts.path_step_rows(self.grid.n_steps, self.dW,
+                                                     self.dN))
 
 
 def simulate_paths(grid: TimeGrid, marks: MarkSpace, n_paths: int,
@@ -370,6 +364,9 @@ def build_tree(grid: TimeGrid, marks: MarkSpace,
     return ScenarioTree(grid, marks)
 
 
+_MARTINGALE_Z = 4.0   # largest |z-score| martingale_check passes
+
+
 @dataclass
 class MartingaleReport:
     """z-scores of the means of dW and dN_tilde and of the variance of dW."""
@@ -377,12 +374,10 @@ class MartingaleReport:
     z_brownian: np.ndarray          # (N,)
     z_jumps: np.ndarray             # (N, m)
     z_variance: np.ndarray          # (N,)
-    threshold: float = 4.0
 
     @property
     def passed(self) -> bool:
-        worst = self.worst_abs_z
-        return bool(worst <= self.threshold)
+        return bool(self.worst_abs_z <= _MARTINGALE_Z)
 
     @property
     def worst_abs_z(self) -> float:
@@ -391,7 +386,7 @@ class MartingaleReport:
         return float(max(z.max(initial=0.0) for z in zs))
 
 
-def martingale_check(ensemble: PathEnsemble, threshold: float = 4.0) -> MartingaleReport:
+def martingale_check(ensemble: PathEnsemble) -> MartingaleReport:
     """Sanity gate: per step and mark, mean increments should be ~0, and the
     sample variance of dW per step should be dt.
 
@@ -405,7 +400,7 @@ def martingale_check(ensemble: PathEnsemble, threshold: float = 4.0) -> Martinga
     if n < 2:
         m = ensemble.marks.n_marks
         zeros = np.zeros_like(dt)
-        return MartingaleReport(zeros, np.zeros((dt.size, m)), zeros, threshold)
+        return MartingaleReport(zeros, np.zeros((dt.size, m)), zeros)
 
     se_w = np.sqrt(dt / n)
     z_w = ensemble.dW.mean(axis=0) / se_w
@@ -419,4 +414,4 @@ def martingale_check(ensemble: PathEnsemble, threshold: float = 4.0) -> Martinga
     # Gaussian sample is dt*sqrt(2/(n-1))
     var_w = ensemble.dW.var(axis=0, ddof=1)
     z_var = (var_w - dt) / (dt * np.sqrt(2.0 / (n - 1)))
-    return MartingaleReport(z_w, z_n, z_var, threshold)
+    return MartingaleReport(z_w, z_n, z_var)

@@ -11,11 +11,11 @@ quantities 1e-10 gates unless stated otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import artifacts
 from .bsde import CEBackend, SolutionGrid, solve_bsde
 from .errors import HypothesisViolated, InvalidSelection
 from .monotone import MonotoneFamily, _integrability_item
@@ -81,8 +81,7 @@ class PropertyReport:
                 "checks": [e.to_dict() for e in self.entries]}
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        artifacts.write_json(path, self.to_dict())
 
 
 # -- graph selections ---------------------------------------------------------

@@ -66,7 +66,7 @@ def slack_problem(grid6, no_marks):
 
 @pytest.fixture(scope="session")
 def full_schedule():
-    return PenalizationSchedule(levels=default_levels(10), stop_tolerance=1e-9)
+    return PenalizationSchedule(levels=default_levels(), stop_tolerance=1e-9)
 
 
 @pytest.fixture(scope="session")

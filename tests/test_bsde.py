@@ -322,11 +322,6 @@ class TestSpecs:
             DriverSpec(shape=lambda t, s, y, z, q: y, gamma=[5.0],
                        lipschitz_c=1.0).check_against(marks1)
 
-    def test_driver_must_be_monotone_in_q(self):
-        with pytest.raises(ValueError):
-            DriverSpec(shape=lambda t, s, y, z, q: y, gamma=[],
-                       lipschitz_c=0.0, monotone_in_q=False)
-
     def test_terminal_rejects_non_finite(self, grid6, marks1, tree6_jumps,
                                          tree_backend):
         drv = make_driver("zero", {}, marks1)

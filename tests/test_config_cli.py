@@ -145,7 +145,8 @@ class TestBuildProblem:
         assert schedule.levels == (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
         assert run["mode"] == "mbsde"
 
-    @pytest.mark.parametrize("line", ["max_level = 4", "stop_tol = 1e-4"])
+    @pytest.mark.parametrize("line", ["max_level = 4", "stop_tol = 1e-4",
+                                      "mono_tolerance = 1e-3"])
     def test_unknown_schedule_key_rejected(self, line, tmp_path):
         text = REFLECTED_TREE.replace("stop_tolerance = 5e-3",
                                       f"stop_tolerance = 5e-3\n{line}")

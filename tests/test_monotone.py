@@ -365,6 +365,18 @@ class TestResolventRootSearch:
         assert v == pytest.approx(-5e-4, abs=np.spacing(1e6))
         assert len(calls) <= 10
 
+    @pytest.mark.parametrize("exponent", [14, 17, 20])
+    def test_large_slope_near_a_large_root(self, exponent):
+        # u is resolved to about one float spacing near 1e6, and the line
+        # interval scales that by the slope (1.5e-5 at 2^17)
+        fam = MonotoneFamily(body=lambda t, x: np.minimum(x - 1e6, 0.0),
+                             boundary=lambda t: -np.inf)
+        slope = 2.0**exponent
+        x = 1e6 + self.XS
+        v = resolvent_ordinate(fam, 0.0, x, slope)
+        want = np.minimum(x - 1e6, 0.0) * slope / (slope + 1.0)
+        assert np.abs(v - want).max() <= 2 * slope * np.spacing(1e6)
+
     def test_step_cap_raises_instead_of_returning(self, monkeypatch):
         monkeypatch.setattr(monotone, "_HALVINGS", 2)
         with pytest.raises(NoBracket, match="did not converge"):

@@ -22,7 +22,7 @@ class TestTimeGrid:
 
     def test_refined_keeps_endpoints(self):
         grid = TimeGrid([0.0, 0.25, 1.0])
-        fine = grid.refined(2)
+        fine = grid.refined()
         assert fine.n_steps == 4
         assert fine.horizon == 1.0
         assert set(grid.times).issubset(set(fine.times))
@@ -99,7 +99,9 @@ class TestSimulatePaths:
         ens = simulate_paths(grid, marks, 3, seed=5)
         out = tmp_path / "paths.csv"
         ens.write_csv(out)
-        lines = out.read_text().strip().splitlines()
+        data = out.read_bytes()
+        assert b"\r" not in data
+        lines = data.decode().strip().split("\n")
         assert lines[0] == "path,step,dW,dN_1"
         assert len(lines) == 1 + 3 * 2
 
