@@ -13,13 +13,11 @@ truncation-concatenation gluing) into executable checks.
 __version__ = "0.1.0"
 
 from .bsde import (CEBackend, DriverSpec, ForwardState, ResidualReport,
-                   SolutionGrid, TerminalSpec, condexp, residual_check,
-                   solve_bsde)
+                   SolutionGrid, TerminalSpec, residual_check, solve_bsde)
 from .errors import (BudgetExceeded, ContractionFailure, DomainViolation,
                      HypothesisViolated, InvalidSelection, MbsdejError,
                      MonotonicityBreach, NoBracket, ParseError,
-                     RegressionRankDeficiency, SegmentMismatch, UnknownName,
-                     ValidationError)
+                     SegmentMismatch, UnknownName, ValidationError)
 from .monotone import (GrowthEnvelope, MonotoneFamily, PenalizedOperator,
                        ValidationReport, resolvent_ordinate, truncate_shift,
                        validate_assumptions)

@@ -4,7 +4,7 @@ The scheme is implicit in y and explicit in (z, psi).  One backward recursion
 serves both scenario types; only the conditional projection of Y_{i+1} onto
 (E_i[Y_{i+1}], Z_i, psi_i) depends on the backend: exact weighted sums over
 the children of each node of a :class:`~mbsdej.scenario.ScenarioTree`, or
-ridge-regularized polynomial least squares on a
+polynomial least squares with a fixed small ridge on a
 :class:`~mbsdej.scenario.PathEnsemble` (Longstaff-Schwartz style).  The tree
 recursion runs on node arrays and spreads each step's values onto the leaf
 paths only when storing them.  An optional structured penalty term
@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import artifacts
-from .errors import ContractionFailure, RegressionRankDeficiency
+from .errors import ContractionFailure
 from .monotone import PenalizedOperator, resolvent_ordinate
 from .scenario import (ForwardState, MarkSpace, PathEnsemble, ScenarioTree,
                        TimeGrid)
@@ -35,7 +35,6 @@ __all__ = [
     "SolutionGrid",
     "ResidualReport",
     "solve_bsde",
-    "condexp",
     "residual_check",
 ]
 
@@ -108,17 +107,17 @@ class TerminalSpec:
 
 @dataclass(frozen=True)
 class CEBackend:
-    """Conditional-expectation backend spec."""
+    """Conditional-expectation backend: exact sums on a tree, or least squares
+    on the monomials of total degree <= ``degree`` in the forward state."""
 
     kind: str = "tree"
     degree: int = 2
-    ridge: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("tree", "regression"):
             raise ValueError("backend kind must be 'tree' or 'regression'")
-        if self.degree < 0 or self.ridge < 0:
-            raise ValueError("degree and ridge must be nonnegative")
+        if self.degree < 0:
+            raise ValueError("degree must be nonnegative")
 
 
 @dataclass
@@ -253,22 +252,22 @@ def _design_matrix(w: np.ndarray, counts: np.ndarray, degree: int) -> np.ndarray
     return A
 
 
-def _ridge_predict(A: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
-    """Fitted values of a ridge LS projection, one column per target."""
+_RIDGE = 1e-8   # ridge weight, relative to the mean eigenvalue of the Gram matrix
+
+
+def _ridge_predict(A: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Fitted values of a ridge LS projection, one column per target.
+
+    The constant column keeps tr(G) >= n, so M = G + lam I with lam > 0 has
+    cond(M) <= 1 + p/_RIDGE, even at step 0 where every state column is 0.
+    """
     scale = np.sqrt(np.mean(A**2, axis=0))
     scale[scale == 0] = 1.0
     As = A / scale
     G = As.T @ As
-    lam = ridge * np.trace(G) / G.shape[0]
+    lam = _RIDGE * np.trace(G) / G.shape[0]
     M = G + lam * np.eye(G.shape[0])
-    if np.linalg.cond(M) > 1e14:
-        raise RegressionRankDeficiency(
-            "normal equations numerically singular; raise ridge or shrink basis")
-    try:
-        coef = np.linalg.solve(M, As.T @ targets)
-    except np.linalg.LinAlgError as exc:
-        raise RegressionRankDeficiency(str(exc)) from exc
-    return As @ coef
+    return As @ np.linalg.solve(M, As.T @ targets)
 
 
 # -- conditional projections -------------------------------------------------
@@ -300,7 +299,7 @@ def _regression_projection(ensemble: PathEnsemble, backend: CEBackend, i: int,
     targets[:, 1] = y_next * ensemble.dW[:, i]
     for j in range(m):
         targets[:, 2 + j] = y_next * ensemble.dN_tilde[:, i, j]
-    preds = _ridge_predict(A, targets, backend.ridge)
+    preds = _ridge_predict(A, targets)
     dt = ensemble.grid.steps[i]
     psi = preds[:, 2:] / (dt * ensemble.marks.intensities) if m else np.zeros((n, 0))
     return preds[:, 0], preds[:, 1] / dt, psi
@@ -373,22 +372,6 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
             "penalty_level": None if penalty is None else penalty.level,
             "seed": getattr(scenario, "seed", None)}
     return SolutionGrid(grid, marks, Y, Z, psi, K, weights, meta)
-
-
-def condexp(backend: CEBackend, scenario, i: int, values: np.ndarray) -> np.ndarray:
-    """E[values | F_{t_i}] under the chosen backend, returned per path.
-
-    Tree: exact probability-weighted sums over the subtree below each time-i
-    node.  Regression: ridge LS projection onto the polynomial basis in the
-    time-i forward state.
-    """
-    _projection(scenario, backend)   # rejects a backend/scenario mismatch
-    values = np.asarray(values, dtype=float)
-    if backend.kind == "tree":
-        return scenario.condexp_leaves(i, values)
-    state = scenario.state(i)
-    A = _design_matrix(state.w, state.counts, backend.degree)
-    return _ridge_predict(A, values[:, None], backend.ridge)[:, 0]
 
 
 # -- residuals ----------------------------------------------------------------

@@ -34,8 +34,7 @@ SUITES = ("core", "comparison", "uniqueness", "negative-controls", "all")
 def _load_config(path: str, args) -> ProblemConfig:
     text = Path(path).read_text()
     config = parse_config(text)
-    return config.with_overrides(seed=args.seed, n_paths=args.paths,
-                                 mode=getattr(args, "mode", None))
+    return config.with_overrides(seed=args.seed, n_paths=args.paths)
 
 
 def _make_scenario(problem, backend, run):
@@ -43,20 +42,6 @@ def _make_scenario(problem, backend, run):
         return build_tree(problem.grid, problem.marks)
     return simulate_paths(problem.grid, problem.marks, run["n_paths"],
                           run["seed"])
-
-
-def _check_mode(problem, mode: str) -> None:
-    family = problem.family
-    if mode == "bsde" and family is not None:
-        raise ValidationError("mode=bsde must not declare a [family]")
-    if mode == "mbsde":
-        if family is None or family.sign != "negative":
-            raise ValidationError("mode=mbsde needs a negative-valued family")
-    if mode == "unbounded":
-        if family is None or family.sign != "real":
-            raise ValidationError("mode=unbounded needs a real-valued family")
-        if problem.envelope is None:
-            raise ValidationError("mode=unbounded needs an [envelope]")
 
 
 def _solve(problem, schedule, scenario, backend):
@@ -70,7 +55,6 @@ def _solve(problem, schedule, scenario, backend):
 def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) -> int:
     problem, backend, schedule, run = build_problem(config)
     mode = run["mode"]
-    _check_mode(problem, mode)
     scenario = _make_scenario(problem, backend, run)
     out_dir.mkdir(parents=True, exist_ok=True)
     if dump_paths and backend.kind == "regression":
@@ -316,8 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one solve and write artifacts")
     common(p_solve)
-    p_solve.add_argument("--mode", choices=("bsde", "mbsde", "unbounded"),
-                         default=None, help="override run.mode")
     p_solve.add_argument("--dump-paths", action="store_true",
                          help="also export the simulated ensemble as CSV")
 

@@ -31,9 +31,14 @@ with ``#``.  Example::
     stop_tolerance = 1e-4
 
     [run]
-    mode = mbsde
     seed = 1234
     n_paths = 10000
+
+Every key is checked: an unread key, a non-integral ``steps``, ``degree``,
+``levels``, ``seed`` or ``n_paths``, or ``times`` next to ``T``/``steps``
+raises :class:`ValidationError`.  The family fixes the mode: none gives
+``bsde``, a negative-valued one ``mbsde`` and a real-valued one, which needs
+an ``[envelope]``, ``unbounded``.  ``[run] mode`` is optional and must match.
 
 Configs render back to canonical text; ``parse_config(render_config(c)) == c``
 for every valid config.
@@ -58,7 +63,6 @@ __all__ = ["ProblemConfig", "parse_config", "render_config", "build_problem"]
 _SECTIONS = ("grid", "marks", "family", "envelope", "driver", "terminal",
              "backend", "schedule", "run")
 _REQUIRED = ("grid", "driver", "terminal", "backend", "run")
-_MODES = ("bsde", "mbsde", "unbounded")
 
 
 @dataclass(frozen=True)
@@ -75,10 +79,9 @@ class ProblemConfig:
     envelope: dict | None = None
     schedule: dict = field(default_factory=dict)
 
-    def with_overrides(self, seed=None, n_paths=None,
-                       mode=None) -> "ProblemConfig":
+    def with_overrides(self, seed=None, n_paths=None) -> "ProblemConfig":
         run = dict(self.run)
-        for key, val in (("seed", seed), ("n_paths", n_paths), ("mode", mode)):
+        for key, val in (("seed", seed), ("n_paths", n_paths)):
             if val is not None:
                 run[key] = val
         return replace(self, run=run)
@@ -176,9 +179,6 @@ def _check_names(config: ProblemConfig) -> None:
     need_name(config.terminal, "terminal", TERMINALS)
     need_name(config.family, "family", FAMILIES)
     need_name(config.envelope, "envelope", ENVELOPES)
-    mode = config.run.get("mode")
-    if mode is not None and mode not in _MODES:
-        raise ParseError(f"run.mode must be one of {', '.join(_MODES)}")
     kind = config.backend.get("kind", "tree")
     if kind not in ("tree", "regression"):
         raise ParseError("backend.kind must be 'tree' or 'regression'")
@@ -221,22 +221,58 @@ def _reject_unknown(name: str, section: dict, allowed: set) -> None:
         raise ValidationError(f"bad [{name}]: unknown key(s) {', '.join(unknown)}")
 
 
+def _integer(value, key: str) -> int:
+    """An integral number as int (1e4 is 10000); 5.5, true or a word raise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{key} must be an integer, got {value!r}")
+
+
+def _registry_object(name: str, make, section: dict, *context):
+    """Registry object of a ``[name]`` section; bad values are config errors."""
+    params = {k: v for k, v in section.items() if k != "name"}
+    try:
+        return make(section["name"], params, *context)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad [{name}]: {exc}") from exc
+
+
+def _mode(family, envelope, declared) -> str:
+    """The mode the family fixes; a declared ``[run] mode`` must name it."""
+    mode = ("bsde" if family is None else
+            "mbsde" if family.sign == "negative" else "unbounded")
+    if mode == "unbounded" and envelope is None:
+        raise ValidationError("a real-valued family needs an [envelope]")
+    if declared not in (None, mode):
+        raise ValidationError(f"[run] mode = {declared} does not match the "
+                              f"family, which fixes mode {mode}")
+    return mode
+
+
 def build_problem(config: ProblemConfig, validate: bool = True):
     """Construct (Problem, CEBackend, PenalizationSchedule, run-dict).
 
-    Numeric invariants (positive intensities, grid shape, positive horizon)
+    Unread keys, bad values, numeric invariants (positive intensities, grid
+    shape, positive horizon) and a ``[run] mode`` the family does not fix
     raise :class:`ValidationError`, as does a failed assumption validation of
     the family when ``validate`` is set.
     """
     gsec = config.grid
+    _reject_unknown("grid", gsec, {"T", "steps", "times"})
+    if "times" in gsec and ("T" in gsec or "steps" in gsec):
+        raise ValidationError("bad [grid]: give either times or T and steps")
     try:
         if "times" in gsec:
             grid = TimeGrid(np.asarray(_as_list(gsec["times"]), dtype=float))
         else:
-            grid = TimeGrid.uniform(float(gsec["T"]), int(gsec["steps"]))
-    except (KeyError, ValueError) as exc:
+            grid = TimeGrid.uniform(float(gsec["T"]),
+                                    _integer(gsec["steps"], "[grid] steps"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad [grid]: {exc}") from exc
 
+    _reject_unknown("marks", config.marks, {"values", "intensities", "vartheta"})
     try:
         if config.marks:
             marks = MarkSpace(
@@ -249,33 +285,30 @@ def build_problem(config: ProblemConfig, validate: bool = True):
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"bad [marks]: {exc}") from exc
 
-    family = None
+    family = envelope = None
     if config.family is not None:
-        params = {k: v for k, v in config.family.items() if k != "name"}
-        family = make_family(config.family["name"], params, grid)
-    envelope = None
+        family = _registry_object("family", make_family, config.family, grid)
     if config.envelope is not None:
-        params = {k: v for k, v in config.envelope.items() if k != "name"}
-        envelope = make_envelope(config.envelope["name"], params, grid)
-
+        envelope = _registry_object("envelope", make_envelope, config.envelope, grid)
+    driver = _registry_object("driver", make_driver, config.driver, marks)
+    terminal = _registry_object("terminal", make_terminal, config.terminal, marks, grid)
     try:
-        dparams = {k: v for k, v in config.driver.items() if k != "name"}
-        driver = make_driver(config.driver["name"], dparams, marks)
         driver.check_against(marks)
-        tparams = {k: v for k, v in config.terminal.items() if k != "name"}
-        terminal = make_terminal(config.terminal["name"], tparams, marks, grid)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValidationError(f"bad [driver]: {exc}") from exc
 
-    _reject_unknown("backend", config.backend, {"kind", "degree", "ridge"})
-    backend = CEBackend(kind=config.backend.get("kind", "tree"),
-                        degree=int(config.backend.get("degree", 2)),
-                        ridge=float(config.backend.get("ridge", 1e-8)))
+    _reject_unknown("backend", config.backend, {"kind", "degree"})
+    try:
+        backend = CEBackend(kind=config.backend.get("kind", "tree"),
+                            degree=_integer(config.backend.get("degree", 2),
+                                            "[backend] degree"))
+    except ValueError as exc:
+        raise ValidationError(f"bad [backend]: {exc}") from exc
 
     ssec = config.schedule
     _reject_unknown("schedule", ssec, {"levels", "stop_tolerance"})
-    levels = tuple(int(n) for n in _as_list(ssec.get("levels",
-                                                     list(default_levels()))))
+    levels = tuple(_integer(n, "[schedule] levels")
+                   for n in _as_list(ssec.get("levels", list(default_levels()))))
     try:
         schedule = PenalizationSchedule(
             levels=levels,
@@ -283,9 +316,10 @@ def build_problem(config: ProblemConfig, validate: bool = True):
     except ValueError as exc:
         raise ValidationError(f"bad [schedule]: {exc}") from exc
 
-    run = {"seed": int(config.run.get("seed", 0)),
-           "n_paths": int(config.run.get("n_paths", 10_000)),
-           "mode": config.run.get("mode", "bsde")}
+    _reject_unknown("run", config.run, {"seed", "n_paths", "mode"})
+    run = {"seed": _integer(config.run.get("seed", 0), "[run] seed"),
+           "n_paths": _integer(config.run.get("n_paths", 10_000), "[run] n_paths"),
+           "mode": _mode(family, envelope, config.run.get("mode"))}
 
     problem = Problem(grid=grid, marks=marks, driver=driver,
                       terminal=terminal, family=family, envelope=envelope)

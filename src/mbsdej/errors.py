@@ -24,10 +24,6 @@ class ContractionFailure(MbsdejError):
     """Implicit step could not be made contractive within the substep budget."""
 
 
-class RegressionRankDeficiency(MbsdejError):
-    """Ridge-regularized normal equations are numerically singular."""
-
-
 class MonotonicityBreach(MbsdejError):
     """Penalized values decreased across levels beyond tolerance."""
 

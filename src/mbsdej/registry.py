@@ -2,6 +2,8 @@
 
 Every entry is a builder taking a parameter dict (already typed) plus the
 context it needs (grid or mark space) and returning the constructed object.
+It pops each parameter it reads; ``make_*`` passes it a copy and refuses any
+key left over, so a misspelt parameter cannot fall back to its default.
 Registered items carry the Lipschitz/monotonicity metadata the validators
 need, which is why the config layer points at this registry instead of
 parsing expressions.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bsde import DriverSpec, TerminalSpec
-from .errors import UnknownName
+from .errors import UnknownName, ValidationError
 from .monotone import GrowthEnvelope, MonotoneFamily
 from .scenario import MarkSpace, TimeGrid
 
@@ -26,7 +28,7 @@ __all__ = [
 
 
 def _family_reflect_at(params: dict, grid: TimeGrid) -> MonotoneFamily:
-    a = float(params.get("a", 0.0))
+    a = float(params.pop("a", 0.0))
     return MonotoneFamily(
         body=lambda t, x: np.zeros_like(x),
         boundary=lambda t: a,
@@ -37,7 +39,7 @@ def _family_reflect_at(params: dict, grid: TimeGrid) -> MonotoneFamily:
 
 
 def _family_constant(params: dict, grid: TimeGrid) -> MonotoneFamily:
-    c = float(params.get("c", -1.0))
+    c = float(params.pop("c", -1.0))
     sign = "negative" if c <= 0 else "real"
     return MonotoneFamily(
         body=lambda t, x: np.full_like(x, c),
@@ -66,9 +68,9 @@ def _family_neg_exp(params: dict, grid: TimeGrid) -> MonotoneFamily:
 
 
 def _family_step(params: dict, grid: TimeGrid) -> MonotoneFamily:
-    at = float(params.get("at", 1.0))
-    lo = float(params.get("lo", -1.0))
-    hi = float(params.get("hi", 0.0))
+    at = float(params.pop("at", 1.0))
+    lo = float(params.pop("lo", -1.0))
+    hi = float(params.pop("hi", 0.0))
     if lo > hi:
         raise ValueError("step family needs lo <= hi")
     sign = "negative" if hi <= 0 else "real"
@@ -87,7 +89,7 @@ def _family_step(params: dict, grid: TimeGrid) -> MonotoneFamily:
 def _family_linear_decay(params: dict, grid: TimeGrid) -> MonotoneFamily:
     """k(t, x) = (T - t) x, the real-valued example with envelope (T-t)(1+x+)."""
     horizon = grid.horizon
-    scale = float(params.get("scale", 1.0))
+    scale = float(params.pop("scale", 1.0))
 
     def body(t, x):
         return scale * (horizon - t) * x
@@ -126,7 +128,7 @@ FAMILIES = {
 def _envelope_linear_decay(params: dict, grid: TimeGrid) -> GrowthEnvelope:
     """ell(t, x) = (T - t)(1 + x+)."""
     horizon = grid.horizon
-    scale = float(params.get("scale", 1.0))
+    scale = float(params.pop("scale", 1.0))
 
     def ell(t, x):
         return scale * (horizon - t) * (1.0 + np.maximum(x, 0.0))
@@ -151,7 +153,7 @@ ENVELOPES = {
 
 
 def _gamma_of(params: dict, marks: MarkSpace) -> np.ndarray:
-    gamma = params.get("gamma")
+    gamma = params.pop("gamma", None)
     if gamma is None:
         return np.zeros(marks.n_marks)
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
@@ -167,15 +169,15 @@ def _driver_zero(params: dict, marks: MarkSpace) -> DriverSpec:
 
 
 def _driver_constant(params: dict, marks: MarkSpace) -> DriverSpec:
-    c = float(params.get("c", 1.0))
+    c = float(params.pop("c", 1.0))
     return DriverSpec(shape=lambda t, s, y, z, q: np.full_like(y, c),
                       gamma=_gamma_of(params, marks), lipschitz_c=0.0,
                       name=f"constant(c={c:g})")
 
 
 def _driver_linear(params: dict, marks: MarkSpace) -> DriverSpec:
-    a = float(params.get("a", 0.0))
-    b = float(params.get("b", 0.0))
+    a = float(params.pop("a", 0.0))
+    b = float(params.pop("b", 0.0))
     return DriverSpec(shape=lambda t, s, y, z, q: a * y + b,
                       gamma=_gamma_of(params, marks), lipschitz_c=abs(a),
                       name=f"linear(a={a:g},b={b:g})")
@@ -183,9 +185,9 @@ def _driver_linear(params: dict, marks: MarkSpace) -> DriverSpec:
 
 def _driver_mixed(params: dict, marks: MarkSpace) -> DriverSpec:
     """h = a y + bz z + qc q with qc >= 0 (nondecreasing in the aggregate)."""
-    a = float(params.get("a", 0.0))
-    bz = float(params.get("bz", 0.0))
-    qc = float(params.get("qc", 1.0))
+    a = float(params.pop("a", 0.0))
+    bz = float(params.pop("bz", 0.0))
+    qc = float(params.pop("qc", 1.0))
     if qc < 0:
         raise ValueError("mixed driver needs qc >= 0 for monotonicity in q")
 
@@ -209,23 +211,23 @@ DRIVERS = {
 
 
 def _terminal_brownian(params, marks, grid) -> TerminalSpec:
-    shift = float(params.get("shift", 0.0))
+    shift = float(params.pop("shift", 0.0))
     return TerminalSpec(lambda state: state.w + shift,
-                        lower_bound_check=bool(params.get("lower_bound_check", False)),
+                        lower_bound_check=bool(params.pop("lower_bound_check", False)),
                         name=f"brownian(shift={shift:g})")
 
 
 def _terminal_brownian_positive(params, marks, grid) -> TerminalSpec:
     """(W_T)+ + shift; with shift >= 1 the reflected-at-0 constraint is slack."""
-    shift = float(params.get("shift", 1.0))
+    shift = float(params.pop("shift", 1.0))
     return TerminalSpec(lambda state: np.maximum(state.w, 0.0) + shift,
-                        lower_bound_check=bool(params.get("lower_bound_check", False)),
+                        lower_bound_check=bool(params.pop("lower_bound_check", False)),
                         name=f"brownian_positive(shift={shift:g})")
 
 
 def _terminal_compensated_jumps(params, marks, grid) -> TerminalSpec:
     """xi = sum_j weight_j * (N_T(e_j) - lambda_j T)."""
-    weights = params.get("weights")
+    weights = params.pop("weights", None)
     if weights is None:
         w = np.ones(marks.n_marks)
     else:
@@ -241,7 +243,7 @@ def _terminal_zero(params, marks, grid) -> TerminalSpec:
 
 
 def _terminal_call(params, marks, grid) -> TerminalSpec:
-    strike = float(params.get("strike", 0.0))
+    strike = float(params.pop("strike", 0.0))
     return TerminalSpec(lambda state: np.maximum(state.w - strike, 0.0),
                         name=f"call(strike={strike:g})")
 
@@ -255,26 +257,32 @@ TERMINALS = {
 }
 
 
-def _lookup(table: dict, kind: str, name: str):
+def _build(table: dict, kind: str, name: str, params: dict, *context):
     try:
-        return table[name]
+        builder = table[name]
     except KeyError:
         raise UnknownName(f"unknown {kind} '{name}'; "
                           f"known: {', '.join(sorted(table))}") from None
+    params = dict(params)
+    built = builder(params, *context)
+    if params:
+        raise ValidationError(f"unknown {kind} parameter(s) "
+                              f"{', '.join(sorted(params))} for '{name}'")
+    return built
 
 
 def make_family(name: str, params: dict, grid: TimeGrid) -> MonotoneFamily:
-    return _lookup(FAMILIES, "family", name)(params, grid)
+    return _build(FAMILIES, "family", name, params, grid)
 
 
 def make_envelope(name: str, params: dict, grid: TimeGrid) -> GrowthEnvelope:
-    return _lookup(ENVELOPES, "envelope", name)(params, grid)
+    return _build(ENVELOPES, "envelope", name, params, grid)
 
 
 def make_driver(name: str, params: dict, marks: MarkSpace) -> DriverSpec:
-    return _lookup(DRIVERS, "driver", name)(params, marks)
+    return _build(DRIVERS, "driver", name, params, marks)
 
 
 def make_terminal(name: str, params: dict, marks: MarkSpace,
                   grid: TimeGrid) -> TerminalSpec:
-    return _lookup(TERMINALS, "terminal", name)(params, marks, grid)
+    return _build(TERMINALS, "terminal", name, params, marks, grid)

@@ -325,10 +325,6 @@ class ScenarioTree:
         tail = self.tail_weights(i)
         return leaf_values.reshape(self.level_size(i), tail.size) @ tail
 
-    def condexp_leaves(self, i: int, leaf_values: np.ndarray) -> np.ndarray:
-        """E[. | F_{t_i}] of a leaf function, returned per leaf."""
-        return self.expand_to_leaves(i, self.condexp_nodes(i, leaf_values))
-
     def expand_to_leaves(self, i: int, node_values: np.ndarray) -> np.ndarray:
         """Broadcast level-i node values onto all leaf paths."""
         reps = self.branching ** (self.grid.n_steps - i)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mbsdej import (CEBackend, ContractionFailure, DriverSpec, MarkSpace,
-                    PenalizedOperator, RegressionRankDeficiency, TerminalSpec,
-                    TimeGrid, bsde, build_tree, condexp, residual_check,
-                    simulate_paths, solve_bsde)
+                    PenalizedOperator, TerminalSpec, TimeGrid, bsde,
+                    build_tree, residual_check, simulate_paths, solve_bsde)
 from mbsdej.registry import make_driver, make_family, make_terminal
 
 
@@ -155,11 +154,17 @@ class TestSweepReuse:
         assert np.abs(y - want).max() <= bsde._FP_RTOL * (1.0 + np.abs(y).max())
 
 
+def condexp(backend, scenario, i, y_next):
+    """E_i[y_next] under the backend's projection: per level-i node on a
+    tree (y_next per level-(i+1) node), per path on an ensemble."""
+    return bsde._projection(scenario, backend)(i, y_next)[0]
+
+
 class TestCondexp:
     def test_constant_values_fixed_point(self, grid6, marks1, tree6_jumps,
                                          ensemble_small, tree_backend,
                                          reg_backend):
-        v_tree = np.full(tree6_jumps.n_leaves, 3.25)
+        v_tree = np.full(tree6_jumps.level_size(3), 3.25)
         out = condexp(tree_backend, tree6_jumps, 2, v_tree)
         assert np.allclose(out, 3.25, atol=1e-14)
         v_reg = np.full(ensemble_small.n_paths, 3.25)
@@ -188,12 +193,13 @@ class TestCondexp:
         full, *_ = np.linalg.lstsq(A2, y, rcond=None)
         assert np.abs(preds - A2 @ full).max() <= 1e-6
 
-    def test_rank_deficiency_without_ridge(self, grid6, marks1):
-        # at step 0 every state column is identically zero
+    def test_degenerate_design_projects_onto_sample_mean(self, grid6, marks1):
+        # at step 0 every state column is identically zero; the fixed ridge
+        # keeps the normal equations solvable and shrinks the mean by ~1e-8
         ens = simulate_paths(grid6, marks1, 200, seed=3)
-        with pytest.raises(RegressionRankDeficiency):
-            condexp(CEBackend(kind="regression", degree=2, ridge=0.0),
-                    ens, 0, np.ones(200))
+        y = np.random.default_rng(3).normal(1.0, 2.0, 200)
+        out = condexp(CEBackend(kind="regression", degree=2), ens, 0, y)
+        assert np.abs(out - y.mean()).max() <= 1e-7
 
     def test_backend_scenario_mismatch(self, tree6_jumps):
         with pytest.raises(ValueError):

@@ -1,11 +1,16 @@
 import json
+import re
 
 import pytest
 
-from mbsdej import (ParseError, UnknownName, ValidationError, bsde, cli,
-                    simulate_paths, solve_unbounded, verification)
+from mbsdej import (MarkSpace, ParseError, TimeGrid, UnknownName,
+                    ValidationError, bsde, cli, simulate_paths,
+                    solve_unbounded, verification)
 from mbsdej.cli import main
 from mbsdej.config import build_problem, parse_config, render_config
+from mbsdej.registry import (DRIVERS, ENVELOPES, FAMILIES, TERMINALS,
+                             make_driver, make_envelope, make_family,
+                             make_terminal)
 from mbsdej.verification import block_y0_se
 
 REFLECTED_TREE = """
@@ -136,6 +141,28 @@ class TestRoundTrip:
         assert config.run["seed"] == 7  # original untouched
 
 
+# keys no code reads; each one used to solve as if it were not there
+UNREAD_KEYS = [("grid", "stepz = 50"), ("family", "aa = 0.7"),
+               ("driver", "b_z = 1.0"), ("terminal", "shfit = 3"),
+               ("run", "n_path = 7"), ("run", "workers = 4")]
+
+
+def with_lines(text, lines):
+    """``text`` with each (section, line) added under its section header."""
+    for section, line in lines:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+    return text
+
+
+def config_error(text, tmp_path, capsys, command="solve"):
+    """stderr of a CLI run of ``text`` that must exit 2."""
+    cfg = tmp_path / "problem.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "x")]) == 2
+    return capsys.readouterr().err
+
+
 class TestBuildProblem:
     def test_tree_problem(self):
         problem, backend, schedule, run = build_problem(
@@ -167,12 +194,99 @@ class TestBuildProblem:
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("section, line", UNREAD_KEYS)
+    def test_unread_key_exits_2_and_names_itself(self, section, line,
+                                                 tmp_path, capsys):
+        key = line.split(" = ")[0]
+        err = config_error(with_lines(REFLECTED_TREE, [(section, line)]),
+                           tmp_path, capsys)
+        assert key in err
+
+    def test_all_unread_keys_together(self, tmp_path, capsys):
+        err = config_error(with_lines(REFLECTED_TREE, UNREAD_KEYS), tmp_path,
+                           capsys)
+        assert any(line.split(" = ")[0] in err for _, line in UNREAD_KEYS)
+
+    @pytest.mark.parametrize("key, old, new", [
+        ("steps", "steps = 5", "steps = 5.5"),
+        ("degree", "kind = tree", "kind = tree\ndegree = 2.5"),
+        ("seed", "seed = 7", "seed = true"),
+        ("n_paths", "n_paths = 1000", "n_paths = 1000.5"),
+        ("levels", "levels = 1,2,4,8,16,32,64,128,256,512,1024",
+         "levels = 1,2,4.5"),
+    ], ids=["steps", "degree", "seed", "n_paths", "levels"])
+    def test_integer_keys_refuse_non_integers(self, key, old, new, tmp_path,
+                                              capsys):
+        # int() used to truncate 5.5 to 5 and turn true into 1
+        text = REFLECTED_TREE.replace(old, new)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build_problem(parse_config(text))
+        assert key in config_error(text, tmp_path, capsys)
+
+    def test_integral_float_is_an_integer(self):
+        text = REFLECTED_TREE.replace("n_paths = 1000", "n_paths = 1e4")
+        run = build_problem(parse_config(text))[3]
+        assert run["n_paths"] == 10_000 and type(run["n_paths"]) is int
+
+    def test_grid_times_excludes_t_and_steps(self, tmp_path, capsys):
+        # times used to win silently over T and steps
+        text = REFLECTED_TREE.replace("steps = 5", "steps = 5\ntimes = 0,0.5,1")
+        assert "times" in config_error(text, tmp_path, capsys)
+
+    @pytest.mark.parametrize("text", [
+        REFLECTED_TREE.replace("a = 0.0", "a = zero"),
+        REFLECTED_TREE.replace("name = reflect_at\na = 0.0",
+                               "name = step\nlo = 0.5\nhi = -1"),
+        UNBOUNDED_REG.replace("[envelope]\nname = linear_decay",
+                              "[envelope]\nname = linear_decay\nscale = big"),
+        REFLECTED_TREE.replace("T = 1.0", "T = 1.0,2.0"),
+        REFLECTED_TREE.replace("kind = tree", "kind = tree\ndegree = -1"),
+    ], ids=["family-a-zero", "family-step-lo-above-hi", "envelope-scale-big",
+            "grid-T-list", "backend-degree-negative"])
+    def test_bad_value_is_config_error(self, text, tmp_path, capsys):
+        # these used to escape build_problem as a traceback (exit 1)
+        assert "bad [" in config_error(text, tmp_path, capsys)
+
+    @pytest.mark.parametrize("text, mode", [
+        (REFLECTED_TREE, "mbsde"),
+        (UNBOUNDED_REG, "unbounded"),
+        (REFLECTED_TREE.replace("[family]\nname = reflect_at\na = 0.0\n", ""),
+         "bsde"),
+    ], ids=["mbsde", "unbounded", "bsde"])
+    def test_family_fixes_the_mode(self, text, mode):
+        bare = re.sub(r"mode = \w+\n", "", text)
+        declared = bare.replace("[run]\n", f"[run]\nmode = {mode}\n")
+        for config in (bare, declared):
+            assert build_problem(parse_config(config))[3]["mode"] == mode
+
+    def test_real_family_needs_envelope(self, tmp_path, capsys):
+        text = UNBOUNDED_REG.replace("[envelope]\nname = linear_decay\n", "")
+        assert "[envelope]" in config_error(text, tmp_path, capsys)
+        text = text.replace("mode = unbounded\n", "")
+        assert "[envelope]" in config_error(text, tmp_path, capsys)
+
     def test_validation_runs_before_solve(self):
         text = REFLECTED_TREE.replace("name = reflect_at",
                                       "name = blowup_near_terminal")
         text = text.replace("a = 0.0", "")
         with pytest.raises(ValidationError):
             build_problem(parse_config(text))
+
+
+_GRID = TimeGrid.uniform(1.0, 5)
+_MARKS = MarkSpace([1.0], [1.0])
+_BUILDERS = ([(make_family, name, (_GRID,)) for name in FAMILIES]
+             + [(make_envelope, name, (_GRID,)) for name in ENVELOPES]
+             + [(make_driver, name, (_MARKS,)) for name in DRIVERS]
+             + [(make_terminal, name, (_MARKS, _GRID)) for name in TERMINALS])
+
+
+@pytest.mark.parametrize("make, name, context", _BUILDERS,
+                         ids=[f"{m.__name__}-{n}" for m, n, _ in _BUILDERS])
+def test_builder_refuses_a_key_it_does_not_read(make, name, context):
+    make(name, {}, *context)
+    with pytest.raises(ValidationError, match=f"bogus for '{name}'"):
+        make(name, {"bogus": 1}, *context)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +346,32 @@ class TestCli:
         cfg = self.write(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "x")]) == 2
+
+    def test_mode_line_changes_no_artifact(self, tmp_path, capsys):
+        stdout = {}
+        for tag, text in (("with", REFLECTED_TREE),
+                          ("without", REFLECTED_TREE.replace("mode = mbsde\n",
+                                                             ""))):
+            cfg = self.write(tmp_path, text, f"{tag}.cfg")
+            assert main(["solve", "--config", cfg, "--out",
+                         str(tmp_path / tag)]) == 0
+            stdout[tag] = capsys.readouterr().out
+        assert stdout["with"] == stdout["without"]
+        for name in ("solution.csv", "report.json"):
+            assert (tmp_path / "with" / name).read_bytes() == \
+                (tmp_path / "without" / name).read_bytes()
+        # the summary echoes the config text it was given, and only that
+        with_, without = (json.loads((tmp_path / tag / "summary.json")
+                                     .read_text()) for tag in stdout)
+        assert with_.pop("config") != without.pop("config")
+        assert with_ == without
+
+    def test_solve_has_no_mode_flag(self, tmp_path):
+        cfg = self.write(tmp_path, REFLECTED_TREE)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", cfg, "--mode", "mbsde", "--out",
+                  str(tmp_path / "x")])
+        assert exc.value.code == 2
 
     def test_budget_exceeded_is_solver_error(self, tmp_path):
         text = REFLECTED_TREE.replace("steps = 5", "steps = 25")

@@ -5,6 +5,11 @@ from mbsdej import (BudgetExceeded, MarkSpace, TimeGrid, build_tree,
                     martingale_check, simulate_paths)
 
 
+def condexp_leaves(tree, i, leaf_values):
+    """E[. | F_{t_i}] of a leaf function, returned per leaf."""
+    return tree.expand_to_leaves(i, tree.condexp_nodes(i, leaf_values))
+
+
 class TestTimeGrid:
     def test_uniform(self):
         grid = TimeGrid.uniform(2.0, 4)
@@ -182,10 +187,10 @@ class TestScenarioTree:
         values = np.zeros(tree.n_leaves)
         values[13] = 1.0
         # conditioning on F_0 gives the unconditional leaf probability
-        cond0 = tree.condexp_leaves(0, values)
+        cond0 = condexp_leaves(tree, 0, values)
         assert cond0[0] == pytest.approx(tree.leaf_probs[13], abs=1e-15)
         # conditioning at the last level divides by the node probability
-        cond2 = tree.condexp_leaves(2, values)
+        cond2 = condexp_leaves(tree, 2, values)
         parent = 13 // tree.branching
         branch_prob = tree.probs[2][13 % tree.branching]
         assert cond2[13] == pytest.approx(branch_prob, abs=1e-15)
@@ -196,8 +201,8 @@ class TestScenarioTree:
         tree = build_tree(grid, MarkSpace([1.0], [1.0]))
         rng = np.random.default_rng(0)
         values = rng.normal(size=tree.n_leaves)
-        e0 = tree.condexp_leaves(0, values)[0]
-        e_nested = tree.condexp_leaves(0, tree.condexp_leaves(2, values))[0]
+        e0 = condexp_leaves(tree, 0, values)[0]
+        e_nested = condexp_leaves(tree, 0, condexp_leaves(tree, 2, values))[0]
         assert e_nested == pytest.approx(e0, abs=1e-14)
         assert e0 == pytest.approx(tree.leaf_probs @ values, abs=1e-14)
 
