@@ -100,7 +100,10 @@ def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) ->
 
 def _suite_core(problem, backend, scenario, sol, pen_report, report):
     report.add(check_constraint(sol, problem.family, tol=5e-2))
-    selections = [GraphSelection.interior_constant(problem.family, problem.grid, 0.5)]
+    # 0.5 above sup_t a_t, so the selection stays inside every domain
+    x_star = default_probes(problem.family, problem.grid)[0]
+    selections = [GraphSelection.interior_constant(problem.family, problem.grid,
+                                                   x_star)]
     if np.isfinite(problem.family.barriers(0.0)[0]):
         selections.append(GraphSelection.boundary_offset(problem.family,
                                                          problem.grid, 1e-3))
@@ -132,12 +135,8 @@ def _lowered_terminal(problem, shift: float):
 
 def _lowered_family(problem, drop: float):
     fam = problem.family
-    body = fam.body
-    lowered = replace(fam,
-                      body=lambda t, x, _b=body, _d=drop: _b(t, x) - _d,
-                      left_body=None,
-                      name=f"{fam.name}-{drop:g}")
-    return replace(problem, family=lowered)
+    return replace(problem, family=fam.map_values(
+        lambda v: v - drop, name=f"{fam.name}-{drop:g}"))
 
 
 def _suite_comparison(problem, backend, full, scenario, sol, report):
@@ -238,6 +237,11 @@ def run_verify(config: ProblemConfig, suite: str, out_dir: Path) -> int:
                                   report)
         if "negative-controls" in wanted:
             _suite_negative_controls(problem, scenario, sol, report)
+    except Exception as exc:
+        # the file must not read as a pass when the run did not finish
+        report.add(CheckResult("error", False, witness={
+            "type": type(exc).__name__, "message": str(exc)}))
+        raise
     finally:
         report.write_json(out_dir / "verify.json")
     for entry in report.entries:

@@ -35,10 +35,12 @@ with ``#``.  Example::
     n_paths = 10000
 
 Every key is checked: an unread key, a non-integral ``steps``, ``degree``,
-``levels``, ``seed`` or ``n_paths``, or ``times`` next to ``T``/``steps``
-raises :class:`ValidationError`.  The family fixes the mode: none gives
-``bsde``, a negative-valued one ``mbsde`` and a real-valued one, which needs
-an ``[envelope]``, ``unbounded``.  ``[run] mode`` is optional and must match.
+``levels``, ``seed`` or ``n_paths``, true/false where a number is read
+(``T``, ``stop_tolerance``, registry parameters), or ``times`` next to
+``T``/``steps`` raises :class:`ValidationError`.  The family fixes the mode:
+none gives ``bsde``, a negative-valued one ``mbsde`` and a real-valued one,
+which needs an ``[envelope]``, ``unbounded``.  ``[run] mode`` is optional and
+must match.
 
 Configs render back to canonical text; ``parse_config(render_config(c)) == c``
 for every valid config.
@@ -54,8 +56,8 @@ from .bsde import CEBackend
 from .errors import ParseError, UnknownName, ValidationError
 from .monotone import default_probes, validate_assumptions
 from .penalization import PenalizationSchedule, Problem, default_levels
-from .registry import (DRIVERS, ENVELOPES, FAMILIES, TERMINALS, make_driver,
-                       make_envelope, make_family, make_terminal)
+from .registry import (DRIVERS, ENVELOPES, FAMILIES, TERMINALS, _real,
+                       make_driver, make_envelope, make_family, make_terminal)
 from .scenario import MarkSpace, TimeGrid
 
 __all__ = ["ProblemConfig", "parse_config", "render_config", "build_problem"]
@@ -267,7 +269,7 @@ def build_problem(config: ProblemConfig, validate: bool = True):
         if "times" in gsec:
             grid = TimeGrid(np.asarray(_as_list(gsec["times"]), dtype=float))
         else:
-            grid = TimeGrid.uniform(float(gsec["T"]),
+            grid = TimeGrid.uniform(_real(gsec["T"], "T"),
                                     _integer(gsec["steps"], "[grid] steps"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad [grid]: {exc}") from exc
@@ -312,7 +314,8 @@ def build_problem(config: ProblemConfig, validate: bool = True):
     try:
         schedule = PenalizationSchedule(
             levels=levels,
-            stop_tolerance=float(ssec.get("stop_tolerance", 1e-4)))
+            stop_tolerance=_real(ssec.get("stop_tolerance", 1e-4),
+                                 "stop_tolerance"))
     except ValueError as exc:
         raise ValidationError(f"bad [schedule]: {exc}") from exc
 

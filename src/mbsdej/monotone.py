@@ -1,15 +1,16 @@
 """Time-indexed increasing families and their penalization approximants.
 
 A :class:`MonotoneFamily` wraps pointwise evaluators of an increasing,
-right-continuous map x -> k(t, x) on a moving domain with lower boundary a_t.
-The associated set-valued operator fills jumps with vertical segments and, when
-the boundary point belongs to the domain, attaches the ray ]-inf, k(t, a_t)] at
-x = a_t.  :class:`PenalizedOperator` produces the n-Lipschitz approximants
-k_n(t, .) (Yosida approximations) by intersecting that graph with lines of
-slope -n: a bracket walk and a safeguarded Illinois (regula falsi) search for
-the root of the strictly increasing map u -> u + k(t, u)/n, both as
-whole-array ``np.where`` updates that neither gather nor scatter the points
-still moving.
+right-continuous map x -> k(t, x) on a moving domain with lower boundary a_t,
+and declares its left limits and whether a_t is attained.  The associated
+set-valued operator fills jumps with vertical segments and, at a closed
+boundary, attaches the ray ]-inf, k(t, a_t)] at x = a_t; at an open one k
+tends to -inf and k is never evaluated at a_t.  :class:`PenalizedOperator`
+produces the n-Lipschitz approximants k_n(t, .) (Yosida approximations) by
+intersecting that graph with lines of slope -n: a bracket walk and a
+safeguarded Illinois (regula falsi) search for the root of the strictly
+increasing map u -> u + k(t, u)/n, both as whole-array ``np.where`` updates
+that neither gather nor scatter the points still moving.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ __all__ = [
     "default_probes",
 ]
 
-_NEG_INF_CUTOFF = -1e12  # body values at or below this count as -inf limits
-
 
 @dataclass(frozen=True)
 class MonotoneFamily:
     """Evaluators for k(t, .), its left limits and its moving boundary.
+
+    The family declares the facts of the operator that no finite number of
+    evaluations can settle: where k(t, .) jumps (through ``left_body``) and
+    whether a_t is attained (``closed``).
 
     Parameters
     ----------
@@ -48,13 +51,15 @@ class MonotoneFamily:
         nondecreasing and right-continuous in x for each t.
     boundary : callable
         ``boundary(t)`` -> a_t, may return ``-inf`` for full-line domains.
+        Only :meth:`barriers` calls it.
     left_body : callable, optional
-        ``left_body(t, x)`` -> k_-(t, x).  When omitted, left limits are
-        approximated by k(t, x - delta) with a shrinking-delta refinement.
-    boundary_in_domain : callable, optional
-        ``boundary_in_domain(t)`` -> bool.  When omitted the membership
-        criterion (a_t finite and lim k(t, a_t + 0) finite) is probed
-        numerically.
+        ``left_body(t, x)`` -> k_-(t, x) at interior points.  None declares
+        k(t, .) continuous, so that k_- = k.
+    closed : bool
+        True declares a finite a_t part of the domain: k(t, a_t) is finite
+        and the ray ]-inf, k(t, a_t)] is attached at x = a_t.  False declares
+        the boundary open: k(t, x) -> -inf as x decreases to a_t, and k is
+        never evaluated at a_t.
     sign : str
         ``"negative"`` for graphs in R x R_- (penalization setting) or
         ``"real"`` for the general truncation-concatenation setting.
@@ -63,7 +68,7 @@ class MonotoneFamily:
     body: Callable[[float, np.ndarray], np.ndarray]
     boundary: Callable[[float], float]
     left_body: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    boundary_in_domain: Optional[Callable[[float], bool]] = None
+    closed: bool = False
     sign: str = "negative"
     name: str = ""
 
@@ -77,30 +82,10 @@ class MonotoneFamily:
         return np.asarray(self.body(t, np.asarray(x, dtype=float)), dtype=float)
 
     def barriers(self, times) -> np.ndarray:
-        """Boundary points a_t per time, -inf where a_t is not finite.
-
-        Unlike :meth:`boundary_at` this does not probe whether a_t belongs to
-        the domain.
-        """
+        """Boundary points a_t per time, -inf where a_t is not finite."""
         a = np.array([float(self.boundary(float(t))) for t in np.atleast_1d(times)])
         a[~np.isfinite(a)] = -np.inf
         return a
-
-    def boundary_at(self, t: float) -> tuple[float, bool]:
-        """Boundary point a_t and whether it belongs to the domain."""
-        a = float(self.boundary(t))
-        if not np.isfinite(a):
-            return -np.inf, False
-        if self.boundary_in_domain is not None:
-            return a, bool(self.boundary_in_domain(t))
-        # probe the limit from inside the domain at two offsets: a diverging
-        # magnitude ratio or a huge value means lim k = -inf
-        scale = max(1.0, abs(a))
-        v1 = float(self.k(t, [a + 1e-8 * scale])[0])
-        v2 = float(self.k(t, [a + 1e-10 * scale])[0])
-        finite = (np.isfinite(v2) and v2 > _NEG_INF_CUTOFF
-                  and abs(v2) <= 4.0 * abs(v1) + 1.0)
-        return a, bool(finite)
 
     def eval(self, t: float, x: float, side: str = "right") -> float:
         """k(t, x) or its left limit k_-(t, x).
@@ -108,13 +93,13 @@ class MonotoneFamily:
         Raises
         ------
         DomainViolation
-            If x < a_t, if x = a_t with a_t outside the domain, or on a
-            left-eval at x = a_t (no left limit exists at the boundary).
+            If x < a_t, if x = a_t with an open boundary, or on a left-eval
+            at x = a_t (no left limit exists at the boundary).
         """
-        a, in_dom = self.boundary_at(t)
+        a = float(self.barriers(t)[0])
         if x < a:
             raise DomainViolation(f"x={x} below boundary a_t={a}")
-        if x == a and not in_dom:
+        if x == a and not self.closed:
             raise DomainViolation(f"boundary point a_t={a} not in the domain")
         if side == "right":
             return float(self.k(t, [x])[0])
@@ -122,26 +107,23 @@ class MonotoneFamily:
             raise ValueError("side must be 'right' or 'left'")
         if x == a:
             raise DomainViolation("no left limit at the boundary point")
-        return float(self.left(t, np.array([x]), boundary=a)[0])
+        return float(self.left(t, np.array([x]))[0])
 
-    def left(self, t: float, x: np.ndarray, boundary: float | None = None) -> np.ndarray:
+    def left(self, t: float, x: np.ndarray) -> np.ndarray:
         """Vectorized left limits at interior points."""
-        x = np.asarray(x, dtype=float)
-        if self.left_body is not None:
-            return np.asarray(self.left_body(t, x), dtype=float)
-        a = self.boundary_at(t)[0] if boundary is None else boundary
-        scale = np.maximum(1.0, np.abs(x))
-        delta = 1e-4 * scale
-        if np.isfinite(a):
-            delta = np.minimum(delta, 0.5 * (x - a))
-        val = self.k(t, x - delta)
-        for _ in range(12):
-            delta = delta / 8.0
-            new = self.k(t, x - delta)
-            if np.all(np.abs(new - val) <= 1e-10 * (1.0 + np.abs(new))):
-                return new
-            val = new
-        return val
+        if self.left_body is None:
+            return self.k(t, x)
+        return np.asarray(self.left_body(t, np.asarray(x, dtype=float)),
+                          dtype=float)
+
+    def map_values(self, fn, **changes) -> "MonotoneFamily":
+        """This family with the nondecreasing ``fn`` applied to every value of
+        k and k_-; ``changes`` replace other fields."""
+        body, left = self.body, self.left_body
+        return replace(
+            self, body=lambda t, x: fn(body(t, x)),
+            left_body=None if left is None else lambda t, x: fn(left(t, x)),
+            **changes)
 
     def graph_contains(self, t: float, x: float, y: float, atol: float = 1e-12) -> bool:
         """Whether (x, y) lies in Gr(k_t), including fill-ins and boundary ray."""
@@ -151,15 +133,15 @@ class MonotoneFamily:
                             atol: float = 1e-12) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        a, in_dom = self.boundary_at(t)
+        a = float(self.barriers(t)[0])
         out = np.zeros(x.shape, dtype=bool)
         interior = x > a
         if interior.any():
             xi = x[interior]
             hi = self.k(t, xi)
-            lo = self.left(t, xi, boundary=a)
+            lo = self.left(t, xi)
             out[interior] = (y[interior] >= lo - atol) & (y[interior] <= hi + atol)
-        if np.isfinite(a) and in_dom:
+        if np.isfinite(a) and self.closed:
             at_boundary = x == a
             if at_boundary.any():
                 cap = float(self.k(t, [a])[0])
@@ -191,7 +173,7 @@ _BRACKET_RADIUS = 1e6     # farthest the bracket search moves from x
 _DOUBLINGS = int(np.log2(_BRACKET_RADIUS))   # bracket widths 1, 2, ..., 2^19
 _HALVINGS = 200           # steps towards an open boundary; root-search steps
                           # before NoBracket (the bracket halves every 3 steps)
-_K_FLOOR = 2 * _NEG_INF_CUTOFF   # stands in for a non-finite k value
+_K_FLOOR = -2e12          # stands in for a non-finite k value
 
 
 def _floored(kv: np.ndarray) -> np.ndarray:
@@ -217,14 +199,15 @@ def _walk(k, x, slope, candidate, steps, upper, a=None):
                             "within the search range; is k monotone?")
         cand = candidate(j)
         if a is not None and np.any(need & (cand <= a)):
-            raise NoBracket("boundary limit of k appears finite although "
-                            "the boundary point is outside the domain")
+            raise NoBracket("no lower bracket above the open boundary: the "
+                            "root is closer to it than the search reaches, "
+                            "or k stays finite there (a closed boundary)")
         u = np.where(need, cand, u)
         ku = np.where(need, k(u), ku)
 
 
 def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
-             a: float, in_dom: bool):
+             a: float):
     """Find lo < hi with g(lo) < x <= g(hi) for g(u) = u + k(t,u)/slope."""
     def k(u):
         return family.k(t, u)
@@ -234,7 +217,7 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
     hi, khi = _walk(k, x, slope, lambda j: base + 2.0**j, _DOUBLINGS, True)
     if not np.isfinite(a):
         lo, klo = _walk(k, x, slope, lambda j: x - 2.0**j, _DOUBLINGS, False)
-    elif in_dom:
+    elif family.closed:
         # callers exclude the vertical segment, so g(a) < x holds here
         lo, klo = np.full_like(x, a), k(np.full_like(x, a))
     else:
@@ -259,9 +242,11 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     the bracket, or the midpoint wherever the last two steps did not halve the
     bracket, so the bracket halves at least every third step.  On
     piecewise-linear k the secant lands on the root.  A point is resolved once
-    its bracket is _ROOT_WIDTH narrow or holds no float.  The ordinate is pinned by the intersection of
-    the line interval [slope*(x-hi), slope*(x-lo)] with the graph interval
-    [k(t,lo), k(t,hi)], which the brackets shrink around.
+    its bracket is _ROOT_WIDTH narrow or holds no float.  The ordinate is
+    pinned by the intersection of the line interval [slope*(x-hi),
+    slope*(x-lo)] with the graph interval [k(t,lo), k(t,hi)], which the
+    brackets shrink around.  a_t is read once per call, and k is evaluated at
+    a_t only when the family declares it ``closed``.
 
     Raises
     ------
@@ -277,9 +262,9 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     xs = np.atleast_1d(arr).astype(float)
     v = np.empty_like(xs)
 
-    a, in_dom = family.boundary_at(t)
+    a = float(family.barriers(t)[0])
     todo = np.ones(xs.shape, dtype=bool)
-    if np.isfinite(a) and in_dom:
+    if np.isfinite(a) and family.closed:
         k_at_a = float(family.k(t, [a])[0])
         on_segment = xs <= a + k_at_a / slope
         v[on_segment] = slope * (xs[on_segment] - a)
@@ -287,7 +272,7 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
 
     if todo.any():
         xi = xs[todo]
-        lo, klo, hi, khi = _bracket(family, t, xi, slope, a, in_dom)
+        lo, klo, hi, khi = _bracket(family, t, xi, slope, a)
         for step in range(_HALVINGS + 1):
             lower = np.maximum(slope * (xi - hi), klo)
             upper = np.minimum(slope * (xi - lo), khi)
@@ -375,20 +360,10 @@ def truncate_shift(family: MonotoneFamily, n: int) -> MonotoneFamily:
         raise ValueError("truncate_shift applies to real-valued families")
     if n < 1:
         raise ValueError("truncation level must be >= 1")
-    body = family.body
-    left = family.left_body
-
-    def trunc_body(t, x, _b=body, _n=float(n)):
-        return np.minimum(_b(t, x), _n) - _n
-
-    trunc_left = None
-    if left is not None:
-        def trunc_left(t, x, _l=left, _n=float(n)):
-            return np.minimum(_l(t, x), _n) - _n
-
-    return replace(family, body=trunc_body, left_body=trunc_left,
-                   sign="negative",
-                   name=f"{family.name or 'family'}^min{n}-{n}")
+    cap = float(n)
+    return family.map_values(lambda v: np.minimum(v, cap) - cap,
+                             sign="negative",
+                             name=f"{family.name or 'family'}^min{n}-{n}")
 
 
 # -- assumption validation --------------------------------------------------

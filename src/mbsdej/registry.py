@@ -24,27 +24,33 @@ __all__ = [
 ]
 
 
+def _real(value, key: str) -> float:
+    """A number as float; true/false raise ValueError instead of reading as
+    1.0/0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {str(value).lower()}")
+    return float(value)
+
+
 # -- families -----------------------------------------------------------------
 
 
 def _family_reflect_at(params: dict, grid: TimeGrid) -> MonotoneFamily:
-    a = float(params.pop("a", 0.0))
+    a = _real(params.pop("a", 0.0), "a")
     return MonotoneFamily(
         body=lambda t, x: np.zeros_like(x),
         boundary=lambda t: a,
-        boundary_in_domain=lambda t: True,
-        left_body=lambda t, x: np.zeros_like(x),
+        closed=True,
         sign="negative",
         name=f"reflect_at(a={a:g})")
 
 
 def _family_constant(params: dict, grid: TimeGrid) -> MonotoneFamily:
-    c = float(params.pop("c", -1.0))
+    c = _real(params.pop("c", -1.0), "c")
     sign = "negative" if c <= 0 else "real"
     return MonotoneFamily(
         body=lambda t, x: np.full_like(x, c),
         boundary=lambda t: -np.inf,
-        left_body=lambda t, x: np.full_like(x, c),
         sign=sign,
         name=f"constant(c={c:g})")
 
@@ -53,7 +59,6 @@ def _family_min_zero(params: dict, grid: TimeGrid) -> MonotoneFamily:
     return MonotoneFamily(
         body=lambda t, x: np.minimum(x, 0.0),
         boundary=lambda t: -np.inf,
-        left_body=lambda t, x: np.minimum(x, 0.0),
         sign="negative",
         name="min_zero")
 
@@ -62,15 +67,14 @@ def _family_neg_exp(params: dict, grid: TimeGrid) -> MonotoneFamily:
     return MonotoneFamily(
         body=lambda t, x: -np.exp(-x),
         boundary=lambda t: -np.inf,
-        left_body=lambda t, x: -np.exp(-x),
         sign="negative",
         name="neg_exp")
 
 
 def _family_step(params: dict, grid: TimeGrid) -> MonotoneFamily:
-    at = float(params.pop("at", 1.0))
-    lo = float(params.pop("lo", -1.0))
-    hi = float(params.pop("hi", 0.0))
+    at = _real(params.pop("at", 1.0), "at")
+    lo = _real(params.pop("lo", -1.0), "lo")
+    hi = _real(params.pop("hi", 0.0), "hi")
     if lo > hi:
         raise ValueError("step family needs lo <= hi")
     sign = "negative" if hi <= 0 else "real"
@@ -89,13 +93,12 @@ def _family_step(params: dict, grid: TimeGrid) -> MonotoneFamily:
 def _family_linear_decay(params: dict, grid: TimeGrid) -> MonotoneFamily:
     """k(t, x) = (T - t) x, the real-valued example with envelope (T-t)(1+x+)."""
     horizon = grid.horizon
-    scale = float(params.pop("scale", 1.0))
+    scale = _real(params.pop("scale", 1.0), "scale")
 
     def body(t, x):
         return scale * (horizon - t) * x
 
-    return MonotoneFamily(body=body, boundary=lambda t: -np.inf,
-                          left_body=body, sign="real",
+    return MonotoneFamily(body=body, boundary=lambda t: -np.inf, sign="real",
                           name=f"linear_decay(scale={scale:g})")
 
 
@@ -107,8 +110,7 @@ def _family_blowup_near_terminal(params: dict, grid: TimeGrid) -> MonotoneFamily
         return np.full_like(x, -1.0 / max(horizon - t, 1e-300))
 
     return MonotoneFamily(body=body, boundary=lambda t: -np.inf,
-                          left_body=body, sign="negative",
-                          name="blowup_near_terminal")
+                          sign="negative", name="blowup_near_terminal")
 
 
 FAMILIES = {
@@ -128,7 +130,7 @@ FAMILIES = {
 def _envelope_linear_decay(params: dict, grid: TimeGrid) -> GrowthEnvelope:
     """ell(t, x) = (T - t)(1 + x+)."""
     horizon = grid.horizon
-    scale = float(params.pop("scale", 1.0))
+    scale = _real(params.pop("scale", 1.0), "scale")
 
     def ell(t, x):
         return scale * (horizon - t) * (1.0 + np.maximum(x, 0.0))
@@ -169,15 +171,15 @@ def _driver_zero(params: dict, marks: MarkSpace) -> DriverSpec:
 
 
 def _driver_constant(params: dict, marks: MarkSpace) -> DriverSpec:
-    c = float(params.pop("c", 1.0))
+    c = _real(params.pop("c", 1.0), "c")
     return DriverSpec(shape=lambda t, s, y, z, q: np.full_like(y, c),
                       gamma=_gamma_of(params, marks), lipschitz_c=0.0,
                       name=f"constant(c={c:g})")
 
 
 def _driver_linear(params: dict, marks: MarkSpace) -> DriverSpec:
-    a = float(params.pop("a", 0.0))
-    b = float(params.pop("b", 0.0))
+    a = _real(params.pop("a", 0.0), "a")
+    b = _real(params.pop("b", 0.0), "b")
     return DriverSpec(shape=lambda t, s, y, z, q: a * y + b,
                       gamma=_gamma_of(params, marks), lipschitz_c=abs(a),
                       name=f"linear(a={a:g},b={b:g})")
@@ -185,9 +187,9 @@ def _driver_linear(params: dict, marks: MarkSpace) -> DriverSpec:
 
 def _driver_mixed(params: dict, marks: MarkSpace) -> DriverSpec:
     """h = a y + bz z + qc q with qc >= 0 (nondecreasing in the aggregate)."""
-    a = float(params.pop("a", 0.0))
-    bz = float(params.pop("bz", 0.0))
-    qc = float(params.pop("qc", 1.0))
+    a = _real(params.pop("a", 0.0), "a")
+    bz = _real(params.pop("bz", 0.0), "bz")
+    qc = _real(params.pop("qc", 1.0), "qc")
     if qc < 0:
         raise ValueError("mixed driver needs qc >= 0 for monotonicity in q")
 
@@ -211,7 +213,7 @@ DRIVERS = {
 
 
 def _terminal_brownian(params, marks, grid) -> TerminalSpec:
-    shift = float(params.pop("shift", 0.0))
+    shift = _real(params.pop("shift", 0.0), "shift")
     return TerminalSpec(lambda state: state.w + shift,
                         lower_bound_check=bool(params.pop("lower_bound_check", False)),
                         name=f"brownian(shift={shift:g})")
@@ -219,7 +221,7 @@ def _terminal_brownian(params, marks, grid) -> TerminalSpec:
 
 def _terminal_brownian_positive(params, marks, grid) -> TerminalSpec:
     """(W_T)+ + shift; with shift >= 1 the reflected-at-0 constraint is slack."""
-    shift = float(params.pop("shift", 1.0))
+    shift = _real(params.pop("shift", 1.0), "shift")
     return TerminalSpec(lambda state: np.maximum(state.w, 0.0) + shift,
                         lower_bound_check=bool(params.pop("lower_bound_check", False)),
                         name=f"brownian_positive(shift={shift:g})")
@@ -243,7 +245,7 @@ def _terminal_zero(params, marks, grid) -> TerminalSpec:
 
 
 def _terminal_call(params, marks, grid) -> TerminalSpec:
-    strike = float(params.pop("strike", 0.0))
+    strike = _real(params.pop("strike", 0.0), "strike")
     return TerminalSpec(lambda state: np.maximum(state.w - strike, 0.0),
                         name=f"call(strike={strike:g})")
 

@@ -302,10 +302,10 @@ def _reflection_barrier(problem: Problem) -> float:
     if family is None:
         raise ValueError("oracle_compare needs a reflection family")
     grid = problem.grid
-    a0 = family.boundary_at(0.0)[0]
-    for t in grid.times:
-        a, in_dom = family.boundary_at(float(t))
-        if not np.isfinite(a) or abs(a - a0) > 1e-12 or not in_dom:
+    barriers = family.barriers(grid.times)
+    a0 = barriers[0]
+    for t, a in zip(grid.times, barriers):
+        if not np.isfinite(a) or abs(a - a0) > 1e-12 or not family.closed:
             raise ValueError("oracle_compare supports constant finite barriers")
         probe = family.k(float(t), a0 + np.array([0.0, 0.5, 2.0, 5.0]))
         if np.any(np.abs(probe) > 1e-12):

@@ -49,3 +49,38 @@ def test_only_the_artifact_module_writes_files():
     assert offenders == {}
     assert _file_writes("import csv\nwith Path('x').open('w') as fh:\n"
                         "    json.dump({}, fh)\nopen('y')\n") == [1, 2, 3, 4]
+
+
+def _boundary_readers(source: str) -> list:
+    """Qualified names of the functions that call x.boundary(...)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "boundary"):
+                found.append(scope or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_only_barriers_reads_the_boundary():
+    # a_t has one reader, so every caller sees it through barriers(), and
+    # whether it is attained through the declared ``closed``
+    readers = {}
+    for path in sorted(Path(mbsdej.__file__).parent.glob("*.py")):
+        names = _boundary_readers(path.read_text())
+        if names:
+            readers[path.name] = names
+    assert readers == {"monotone.py": ["MonotoneFamily.barriers"]}
+    assert _boundary_readers("def f(fam):\n    return fam.boundary(0.0)\n"
+                             "class C:\n    def g(self):\n"
+                             "        return [self.boundary(t) for t in ()]\n"
+                             "x = y.boundary(1)\n") == ["<module>", "C.g", "f"]

@@ -3,8 +3,8 @@ import re
 
 import pytest
 
-from mbsdej import (MarkSpace, ParseError, TimeGrid, UnknownName,
-                    ValidationError, bsde, cli, simulate_paths,
+from mbsdej import (InvalidSelection, MarkSpace, ParseError, TimeGrid,
+                    UnknownName, ValidationError, bsde, cli, simulate_paths,
                     solve_unbounded, verification)
 from mbsdej.cli import main
 from mbsdej.config import build_problem, parse_config, render_config
@@ -247,6 +247,20 @@ class TestBuildProblem:
         # these used to escape build_problem as a traceback (exit 1)
         assert "bad [" in config_error(text, tmp_path, capsys)
 
+    @pytest.mark.parametrize("key, old, new", [
+        ("T", "T = 1.0", "T = true"),
+        ("stop_tolerance", "stop_tolerance = 5e-3", "stop_tolerance = true"),
+        ("a", "a = 0.0", "a = true"),
+        ("shift", "name = brownian", "name = brownian\nshift = false"),
+    ], ids=["grid-T", "schedule-stop_tolerance", "family-a", "terminal-shift"])
+    def test_number_keys_refuse_booleans(self, key, old, new, tmp_path,
+                                         capsys):
+        # float() used to read true as 1.0 and false as 0.0
+        text = REFLECTED_TREE.replace(old, new)
+        with pytest.raises(ValidationError, match="must be a number"):
+            build_problem(parse_config(text))
+        assert key in config_error(text, tmp_path, capsys)
+
     @pytest.mark.parametrize("text, mode", [
         (REFLECTED_TREE, "mbsde"),
         (UNBOUNDED_REG, "unbounded"),
@@ -287,6 +301,32 @@ def test_builder_refuses_a_key_it_does_not_read(make, name, context):
     make(name, {}, *context)
     with pytest.raises(ValidationError, match=f"bogus for '{name}'"):
         make(name, {"bogus": 1}, *context)
+
+
+# every number a registry builder reads
+_NUMBER_PARAMS = [
+    (make_family, "reflect_at", (_GRID,), "a"),
+    (make_family, "constant", (_GRID,), "c"),
+    *[(make_family, "step", (_GRID,), key) for key in ("at", "lo", "hi")],
+    (make_family, "linear_decay", (_GRID,), "scale"),
+    (make_envelope, "linear_decay", (_GRID,), "scale"),
+    (make_driver, "constant", (_MARKS,), "c"),
+    *[(make_driver, "linear", (_MARKS,), key) for key in ("a", "b")],
+    *[(make_driver, "mixed", (_MARKS,), key) for key in ("a", "bz", "qc")],
+    (make_terminal, "brownian", (_MARKS, _GRID), "shift"),
+    (make_terminal, "brownian_positive", (_MARKS, _GRID), "shift"),
+    (make_terminal, "call", (_MARKS, _GRID), "strike"),
+]
+
+
+@pytest.mark.parametrize("make, name, context, key", _NUMBER_PARAMS,
+                         ids=[f"{m.__name__}-{n}-{k}"
+                              for m, n, _, k in _NUMBER_PARAMS])
+def test_builder_refuses_a_boolean_number(make, name, context, key):
+    make(name, {key: 0}, *context)
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            make(name, {key: value}, *context)
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +432,38 @@ class TestCli:
         assert report["pass"] is True
         names = [c["check"] for c in report["checks"]]
         assert "constraint" in names and "skorokhod" in names
+
+    def test_verify_core_suite_above_a_raised_barrier(self, tmp_path):
+        # the interior selection sits 0.5 above sup a_t; a fixed x* = 0.5
+        # left the graph at a = 1 and crashed the suite (exit 3)
+        cfg = self.write(tmp_path, REFLECTED_TREE.replace("a = 0.0", "a = 1.0"))
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--suite", "core",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "verify.json").read_text())
+        assert report["pass"] is True and len(report["checks"]) == 4
+
+    def test_verify_error_is_a_failing_entry(self, tmp_path, monkeypatch):
+        # verify.json is written however the run ends; one that raised
+        # must not read as a pass
+        def broken(*args, **kwargs):
+            raise InvalidSelection("selection left the graph")
+
+        monkeypatch.setattr(cli, "check_skorokhod", broken)
+        no_family = REFLECTED_TREE.replace(
+            "[family]\nname = reflect_at\na = 0.0\n", "").replace(
+            "mode = mbsde\n", "")
+        for text, code, error in ((REFLECTED_TREE, 3, "InvalidSelection"),
+                                  (no_family, 2, "ValidationError")):
+            out = tmp_path / error
+            assert main(["verify", "--config", self.write(tmp_path, text),
+                         "--suite", "core", "--out", str(out)]) == code
+            report = json.loads((out / "verify.json").read_text())
+            assert report["pass"] is False
+            last = report["checks"][-1]
+            assert last["check"] == "error" and last["pass"] is False
+            assert last["witness"]["type"] == error
+            assert last["witness"]["message"]
 
     def test_verify_residual_reports_what_it_gates(self, tmp_path, monkeypatch):
         # a tripled Z keeps the conditional mean of the residual at zero, so

@@ -20,8 +20,20 @@ def constant_family(c=-1.0):
 def step_family():
     """k = -1 for x < 1, 0 for x >= 1, on all of R."""
     return MonotoneFamily(body=lambda t, x: np.where(x < 1.0, -1.0, 0.0),
+                          left_body=lambda t, x: np.where(x <= 1.0, -1.0, 0.0),
                           boundary=lambda t: -np.inf, sign="negative")
 
+
+def a_t(t):
+    """A moving boundary, below 0 before t = 0.5 and above it after."""
+    return 0.6 * t - 0.3
+
+
+# open moving boundaries: k -> -inf as x decreases to a_t
+LOG_OPEN = MonotoneFamily(
+    body=lambda t, x: np.minimum(np.log(x - a_t(t)), 0.0), boundary=a_t)
+INVERSE_OPEN = MonotoneFamily(body=lambda t, x: -1.0 / (x - a_t(t)),
+                              boundary=a_t)
 
 GRID = TimeGrid.uniform(1.0, 4)
 REFLECT = make_family("reflect_at", {"a": 0.0}, GRID)
@@ -55,27 +67,39 @@ class TestEval:
         with pytest.raises(DomainViolation):
             fam.eval(0.3, 0.0, "right")
 
-    def test_left_limit_refinement_matches_supplied(self):
-        # same step family with and without an explicit left evaluator
-        fam = step_family()
-        explicit = make_family("step", {"at": 1.0, "lo": -1.0, "hi": 0.0}, GRID)
-        for x in (0.3, 1.0, 1.7):
-            assert fam.eval(0.0, x, "left") == explicit.eval(0.0, x, "left")
+    def test_continuous_family_left_limit_is_k(self):
+        # no left_body declares k continuous: k_- is k, at one evaluation
+        fam, calls = _counted(MIN_ZERO)
+        xs = np.linspace(-2.0, 2.0, 9)
+        assert fam.left_body is None
+        assert np.array_equal(fam.left(0.0, xs), fam.k(0.0, xs))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 0.9])
+    def test_open_moving_boundary_is_never_evaluated(self, t):
+        # log 0 would raise under errstate(all="raise")
+        a = a_t(t)
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainViolation):
+                LOG_OPEN.eval(t, a)
+            assert not LOG_OPEN.graph_contains(t, a, -1.0)
+            assert not LOG_OPEN.graph_contains(t, a, -1e300)
+            assert LOG_OPEN.graph_contains(t, a + 0.5, np.log(0.5))
 
 
 class TestBoundary:
     def test_reflection_boundary_in_domain(self):
-        assert REFLECT.boundary_at(0.3) == (0.0, True)
+        assert REFLECT.closed and REFLECT.barriers(0.3)[0] == 0.0
+        assert REFLECT.graph_contains(0.3, 0.0, -5.0)
 
     def test_infinite_limit_excludes_boundary(self):
         fam = MonotoneFamily(body=lambda t, x: -1.0 / x,
                              boundary=lambda t: 0.0, sign="negative")
-        a, in_dom = fam.boundary_at(0.3)
-        assert a == 0.0 and not in_dom
+        assert not fam.closed and fam.barriers(0.3)[0] == 0.0
+        assert not fam.graph_contains(0.3, 0.0, -5.0)
 
     def test_full_line(self):
-        a, in_dom = MIN_ZERO.boundary_at(0.3)
-        assert a == -np.inf and not in_dom
+        assert MIN_ZERO.barriers(0.3)[0] == -np.inf and not MIN_ZERO.closed
 
 
 class TestGraphContains:
@@ -243,6 +267,7 @@ def _resolvent_cases():
             cases[f"{name}[real]^min{n}-{n}"] = truncate_shift(fam, n)
     cases["open_inverse"] = MonotoneFamily(body=lambda t, x: -1.0 / x,
                                            boundary=lambda t: 0.0)
+    cases["open_inverse_moving"] = INVERSE_OPEN
     # many jumps, and a root where g'(u) = 1 + 3u^2/slope tends to 1
     cases["staircase"] = MonotoneFamily(
         body=lambda t, x: np.minimum(np.floor(4.0 * x) / 4.0, 0.0),
@@ -265,8 +290,8 @@ def reference_ordinate(fam, t, x, slope):
     def g(u):
         return u + float(fam.k(t, np.array([u]))[0]) / slope
 
-    a, in_dom = fam.boundary_at(t)
-    if np.isfinite(a) and in_dom and g(a) >= x:
+    a = float(fam.barriers(t)[0])
+    if np.isfinite(a) and fam.closed and g(a) >= x:
         u = a
     else:
         start = max(x, a)
@@ -303,6 +328,19 @@ class TestResolventProperty:
         fam = RESOLVENT_CASES[name]
         got = resolvent_ordinate(fam, t, np.array(xs), slope)
         want = [reference_ordinate(fam, t, x, slope) for x in xs]
+        assert np.all(np.abs(got - want) <= slope * 2e-10 + 1e-12)
+
+
+class TestOpenMovingBoundary:
+    # the root lies about exp(-slope (a_t - x)) above a_t; at slope 16 and
+    # x = a_t - 1 that is 1e-7, well inside the open-boundary walk
+    @pytest.mark.parametrize("t", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("slope", [0.5, 16.0])
+    def test_log_family_matches_scalar_bisection(self, t, slope):
+        xs = a_t(t) + np.array([-1.0, 0.0, 2.0])
+        with np.errstate(all="raise"):
+            got = resolvent_ordinate(LOG_OPEN, t, xs, slope)
+            want = [reference_ordinate(LOG_OPEN, t, x, slope) for x in xs]
         assert np.all(np.abs(got - want) <= slope * 2e-10 + 1e-12)
 
 
