@@ -119,6 +119,12 @@ class CEBackend:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
 
+    def min_paths(self, n_marks: int) -> int:
+        """Fewest paths a solve accepts: 10 per regression basis function."""
+        if self.kind == "tree":
+            return 1
+        return 10 * basis_size(1 + n_marks, self.degree)
+
 
 @dataclass
 class SolutionGrid:
@@ -314,10 +320,10 @@ def _projection(scenario, backend: CEBackend) -> Callable:
     if isinstance(scenario, ScenarioTree) and backend.kind == "tree":
         return partial(_tree_projection, scenario)
     if isinstance(scenario, PathEnsemble) and backend.kind == "regression":
-        p_basis = basis_size(1 + scenario.marks.n_marks, backend.degree)
-        if scenario.n_paths < 10 * p_basis:
+        fewest = backend.min_paths(scenario.marks.n_marks)
+        if scenario.n_paths < fewest:
             raise ValueError(f"regression needs n_paths >= 10 x basis size "
-                             f"({10 * p_basis}), got {scenario.n_paths}")
+                             f"({fewest}), got {scenario.n_paths}")
         return partial(_regression_projection, scenario, backend)
     raise ValueError("backend kind does not match the scenario type "
                      f"({backend.kind} vs {type(scenario).__name__})")

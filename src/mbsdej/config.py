@@ -35,12 +35,13 @@ with ``#``.  Example::
     n_paths = 10000
 
 Every key is checked: an unread key, a non-integral ``steps``, ``degree``,
-``levels``, ``seed`` or ``n_paths``, true/false where a number is read
-(``T``, ``stop_tolerance``, registry parameters), or ``times`` next to
-``T``/``steps`` raises :class:`ValidationError`.  The family fixes the mode:
-none gives ``bsde``, a negative-valued one ``mbsde`` and a real-valued one,
-which needs an ``[envelope]``, ``unbounded``.  ``[run] mode`` is optional and
-must match.
+``levels``, ``seed`` or ``n_paths``, true/false where numbers are read (``T``,
+``times``, mark lists, ``stop_tolerance``, registry parameters), a non-boolean
+``lower_bound_check``, a negative ``seed``, too few ``n_paths`` for the
+backend, or ``times`` next to ``T``/``steps`` raises :class:`ValidationError`.
+The family fixes the mode: none gives ``bsde``, a negative-valued one
+``mbsde`` and a real-valued one, which needs an ``[envelope]``, ``unbounded``.
+``[run] mode`` is optional and must match.
 
 Configs render back to canonical text; ``parse_config(render_config(c)) == c``
 for every valid config.
@@ -50,13 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .bsde import CEBackend
 from .errors import ParseError, UnknownName, ValidationError
 from .monotone import default_probes, validate_assumptions
 from .penalization import PenalizationSchedule, Problem, default_levels
-from .registry import (DRIVERS, ENVELOPES, FAMILIES, TERMINALS, _real,
+from .registry import (DRIVERS, ENVELOPES, FAMILIES, TERMINALS, _real, _reals,
                        make_driver, make_envelope, make_family, make_terminal)
 from .scenario import MarkSpace, TimeGrid
 
@@ -257,9 +256,9 @@ def build_problem(config: ProblemConfig, validate: bool = True):
     """Construct (Problem, CEBackend, PenalizationSchedule, run-dict).
 
     Unread keys, bad values, numeric invariants (positive intensities, grid
-    shape, positive horizon) and a ``[run] mode`` the family does not fix
-    raise :class:`ValidationError`, as does a failed assumption validation of
-    the family when ``validate`` is set.
+    shape, positive horizon, run sizes) and a ``[run] mode`` the family does
+    not fix raise :class:`ValidationError`, as does a failed assumption
+    validation of the family when ``validate`` is set.
     """
     gsec = config.grid
     _reject_unknown("grid", gsec, {"T", "steps", "times"})
@@ -267,7 +266,7 @@ def build_problem(config: ProblemConfig, validate: bool = True):
         raise ValidationError("bad [grid]: give either times or T and steps")
     try:
         if "times" in gsec:
-            grid = TimeGrid(np.asarray(_as_list(gsec["times"]), dtype=float))
+            grid = TimeGrid(_reals(gsec["times"], "times"))
         else:
             grid = TimeGrid.uniform(_real(gsec["T"], "T"),
                                     _integer(gsec["steps"], "[grid] steps"))
@@ -278,10 +277,10 @@ def build_problem(config: ProblemConfig, validate: bool = True):
     try:
         if config.marks:
             marks = MarkSpace(
-                np.asarray(_as_list(config.marks["values"]), dtype=float),
-                np.asarray(_as_list(config.marks["intensities"]), dtype=float),
+                _reals(config.marks["values"], "values"),
+                _reals(config.marks["intensities"], "intensities"),
                 None if "vartheta" not in config.marks else
-                np.asarray(_as_list(config.marks["vartheta"]), dtype=float))
+                _reals(config.marks["vartheta"], "vartheta"))
         else:
             marks = MarkSpace.empty()
     except (KeyError, ValueError) as exc:
@@ -323,6 +322,10 @@ def build_problem(config: ProblemConfig, validate: bool = True):
     run = {"seed": _integer(config.run.get("seed", 0), "[run] seed"),
            "n_paths": _integer(config.run.get("n_paths", 10_000), "[run] n_paths"),
            "mode": _mode(family, envelope, config.run.get("mode"))}
+    for key, low in (("seed", 0), ("n_paths", backend.min_paths(marks.n_marks))):
+        if run[key] < low:
+            raise ValidationError(f"bad [run]: {key} must be >= {low}, "
+                                  f"got {run[key]}")
 
     problem = Problem(grid=grid, marks=marks, driver=driver,
                       terminal=terminal, family=family, envelope=envelope)

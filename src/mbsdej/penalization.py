@@ -4,8 +4,8 @@
 increasing process K accumulated from the penalty), :func:`solve_mbsde`
 iterates levels monotonically until the Y-deltas stall, and
 :func:`solve_unbounded` lifts real-valued operator families to the
-negative-valued setting by the clamp-and-shift transform, then glues the
-per-level solutions along envelope stopping times.
+negative-valued setting by the clamp-and-shift transform, then glues each
+level in along envelope stopping times as soon as it is solved.
 """
 
 from __future__ import annotations
@@ -219,14 +219,13 @@ def stopping_times(solution: SolutionGrid, envelope: GrowthEnvelope,
                    level: int, grid: TimeGrid) -> np.ndarray:
     """First grid index where ell(t_i, Y_i) <= level, per path.
 
-    The condition always holds at the terminal index since ell(T, .) = 0.
+    Filled by a backward pass from the terminal index, where the condition
+    always holds since ell(T, .) = 0.
     """
-    n_steps = grid.n_steps
-    hit = np.zeros((solution.n_paths, n_steps + 1), dtype=bool)
-    for i in range(n_steps + 1):
-        hit[:, i] = envelope(float(grid.times[i]), solution.Y[:, i]) <= level
-    hit[:, n_steps] = True
-    return np.argmax(hit, axis=1)
+    tau = np.full(solution.n_paths, grid.n_steps, dtype=int)
+    for i in reversed(range(grid.n_steps)):
+        tau[envelope(float(grid.times[i]), solution.Y[:, i]) <= level] = i
+    return tau
 
 
 @dataclass
@@ -245,13 +244,12 @@ class ConcatenationRecord:
 
     ``tau`` has one row per level starting with the anchor tau_0 = T (index
     N); rows are per-path stopping indices, nonincreasing down the rows.
-    ``owner`` maps each (path, interval) to the level whose solution the
-    concatenated process follows there.
+    ``uncovered_cells`` counts the (path, interval) cells that no level's
+    segment reaches; the last level fills them.
     """
 
     levels: list
     tau: np.ndarray               # (n_levels + 1, n_paths) int indices
-    owner: np.ndarray             # (n_paths, N) level values per interval
     overlaps: list = field(default_factory=list)
     level_y0: list = field(default_factory=list)
     uncovered_cells: int = 0
@@ -287,8 +285,10 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     penalization, and K is recovered as K-hat_t - n t.  Stopping times
     tau_n = first time ell(t, Y^n_t) <= n cut the horizon into segments
     [tau_n, tau_{n-1}]; consecutive levels must agree on the overlap
-    [tau_{n-1}, T], and the concatenated quadruple follows level n on its
-    segment (K accumulated from level-owned increments so K_0 = 0).
+    [tau_{n-1}, T].  Each level is glued in once solved: cell (path, i)
+    takes level n's Y, Z, psi and dK when tau_n <= i and no earlier level
+    claimed it, the last level takes the rest, and K sums the glued
+    increments (K_0 = 0).  Only the previous level's solution is kept.
     """
     family = problem.family
     envelope = problem.envelope
@@ -303,29 +303,29 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
 
     grid = problem.grid
     n_steps = grid.n_steps
+    n_paths = scenario.weights.size
     levels = list(range(1, max_truncation + 1))
+    tau = np.full((max_truncation + 1, n_paths), n_steps, dtype=int)
+    record = ConcatenationRecord(levels=levels, tau=tau)
 
-    solutions = []
-    record = ConcatenationRecord(levels=levels, tau=None, owner=None)
-    taus = []
-    prev_sol = None
-    for n in levels:
+    Y = np.empty((n_paths, n_steps + 1))
+    Z = np.empty((n_paths, n_steps))
+    psi = np.empty((n_paths, n_steps, problem.marks.n_marks))
+    K = np.zeros((n_paths, n_steps + 1))             # dK until the final cumsum
+    free = np.ones((n_paths, n_steps), dtype=bool)   # cells no level claimed
+    prev = None
+    for n in levels:                                 # row n of tau is level n
         fam_n = truncate_shift(family, n)
         prob_n = replace(problem, family=fam_n, driver=problem.driver.shifted(n))
-        sol_hat, rep = solve_mbsde(prob_n, schedule, scenario, backend)
+        sol, rep = solve_mbsde(prob_n, schedule, scenario, backend)
         # undo the shift: K^n_t = K-hat^n_t - n t (bounded variation)
-        sol_n = SolutionGrid(grid, problem.marks, sol_hat.Y, sol_hat.Z,
-                             sol_hat.psi,
-                             sol_hat.K - n * grid.times[None, :],
-                             sol_hat.weights, dict(sol_hat.meta))
-        tau_n = stopping_times(sol_n, envelope, n, grid)
-        solutions.append(sol_n)
-        taus.append(tau_n)
+        sol.K = sol.K - n * grid.times[None, :]
+        tau[n] = stopping_times(sol, envelope, n, grid)
         record.level_reports.append(rep)
-        record.level_y0.append(sol_n.y0())
+        record.level_y0.append(sol.y0())
 
-        if prev_sol is not None:
-            stats = _overlap_stats(n, prev_sol, sol_n, taus[-2], problem)
+        if prev is not None:
+            stats = _overlap_stats(n, prev, sol, tau[n - 1], problem)
             record.overlaps.append(stats)
             tol = overlap_floor + 4.0 * stats.se_y_diff
             if stats.cells and abs(stats.mean_y_diff) > tol:
@@ -333,42 +333,24 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
                     f"levels {n - 1}/{n} disagree on the overlap: "
                     f"|mean dY| = {abs(stats.mean_y_diff):.3g} > {tol:.3g} "
                     f"(max |dY| = {stats.max_y_diff:.3g})")
-        prev_sol = sol_n
 
-    tau = np.vstack([np.full(solutions[0].n_paths, n_steps, dtype=int)] + taus)
-    record.tau = tau
+        claim = free & (tau[n][:, None] <= np.arange(n_steps))
+        if n == max_truncation:                  # the last level takes the rest
+            record.uncovered_cells = int((free & ~claim).sum())
+            claim = free
+        Y[:, :-1][claim] = sol.Y[:, :-1][claim]
+        Z[claim] = sol.Z[claim]
+        psi[claim] = sol.psi[claim]
+        K[:, 1:][claim] = np.diff(sol.K, axis=1)[claim]
+        free &= ~claim
+        prev = sol
 
-    # interval i follows the smallest level whose segment has started
-    n_paths = tau.shape[1]
-    owner = np.full((n_paths, n_steps), levels[-1], dtype=int)
-    covered = np.zeros((n_paths, n_steps), dtype=bool)
-    steps_idx = np.arange(n_steps)[None, :]
-    for row, n in reversed(list(enumerate(levels, start=1))):
-        started = tau[row][:, None] <= steps_idx
-        owner[started] = n
-        covered |= started
-    record.uncovered_cells = int((~covered).sum())
-    record.owner = owner
-
-    Y = np.empty((n_paths, n_steps + 1))
-    Z = np.empty((n_paths, n_steps))
-    psi = np.empty((n_paths, n_steps, problem.marks.n_marks))
-    dK = np.empty((n_paths, n_steps))
-    for row, n in enumerate(levels, start=1):
-        sol_n = solutions[row - 1]
-        mask = owner == n
-        Y[:, :-1][mask] = sol_n.Y[:, :-1][mask]
-        Z[mask] = sol_n.Z[mask]
-        psi[mask] = sol_n.psi[:, :, :][mask]
-        dK[mask] = np.diff(sol_n.K, axis=1)[mask]
-    Y[:, -1] = solutions[0].Y[:, -1]
-    K = np.zeros((n_paths, n_steps + 1))
-    np.cumsum(dK, axis=1, out=K[:, 1:])
+    Y[:, -1] = prev.Y[:, -1]                         # xi, the same on every level
+    np.cumsum(K[:, 1:], axis=1, out=K[:, 1:])
 
     meta = {"backend": backend.kind, "truncation_levels": levels}
-    concat = SolutionGrid(grid, problem.marks, Y, Z, psi, K,
-                          solutions[0].weights, meta)
-    return concat, record
+    return SolutionGrid(grid, problem.marks, Y, Z, psi, K, prev.weights,
+                        meta), record
 
 
 def _overlap_stats(level: int, prev: SolutionGrid, cur: SolutionGrid,

@@ -32,6 +32,30 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _reals(value, key: str) -> np.ndarray:
+    """A number or a list of numbers as a 1-D float array, read by _real."""
+    items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+    return np.array([_real(v, key) for v in items], dtype=float)
+
+
+def _per_mark(params, key: str, default: float, marks) -> np.ndarray:
+    """One value per mark from ``key``; a single number serves every mark."""
+    if key not in params:
+        return np.full(marks.n_marks, default)
+    values = _reals(params.pop(key), key)
+    if values.size == 1 and marks.n_marks > 1:
+        values = np.full(marks.n_marks, values[0])
+    return values
+
+
+def _flag(params, key: str) -> bool:
+    """``key`` as true/false (default false); other values raise ValueError."""
+    value = params.pop(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 # -- families -----------------------------------------------------------------
 
 
@@ -154,35 +178,25 @@ ENVELOPES = {
 # -- drivers ------------------------------------------------------------------
 
 
-def _gamma_of(params: dict, marks: MarkSpace) -> np.ndarray:
-    gamma = params.pop("gamma", None)
-    if gamma is None:
-        return np.zeros(marks.n_marks)
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if gamma.size == 1 and marks.n_marks > 1:
-        gamma = np.full(marks.n_marks, gamma[0])
-    return gamma
-
-
 def _driver_zero(params: dict, marks: MarkSpace) -> DriverSpec:
     return DriverSpec(shape=lambda t, s, y, z, q: np.zeros_like(y),
-                      gamma=_gamma_of(params, marks), lipschitz_c=0.0,
-                      name="zero")
+                      gamma=_per_mark(params, "gamma", 0.0, marks),
+                      lipschitz_c=0.0, name="zero")
 
 
 def _driver_constant(params: dict, marks: MarkSpace) -> DriverSpec:
     c = _real(params.pop("c", 1.0), "c")
     return DriverSpec(shape=lambda t, s, y, z, q: np.full_like(y, c),
-                      gamma=_gamma_of(params, marks), lipschitz_c=0.0,
-                      name=f"constant(c={c:g})")
+                      gamma=_per_mark(params, "gamma", 0.0, marks),
+                      lipschitz_c=0.0, name=f"constant(c={c:g})")
 
 
 def _driver_linear(params: dict, marks: MarkSpace) -> DriverSpec:
     a = _real(params.pop("a", 0.0), "a")
     b = _real(params.pop("b", 0.0), "b")
     return DriverSpec(shape=lambda t, s, y, z, q: a * y + b,
-                      gamma=_gamma_of(params, marks), lipschitz_c=abs(a),
-                      name=f"linear(a={a:g},b={b:g})")
+                      gamma=_per_mark(params, "gamma", 0.0, marks),
+                      lipschitz_c=abs(a), name=f"linear(a={a:g},b={b:g})")
 
 
 def _driver_mixed(params: dict, marks: MarkSpace) -> DriverSpec:
@@ -196,7 +210,8 @@ def _driver_mixed(params: dict, marks: MarkSpace) -> DriverSpec:
     def shape(t, s, y, z, q):
         return a * y + bz * z + qc * q
 
-    return DriverSpec(shape=shape, gamma=_gamma_of(params, marks),
+    return DriverSpec(shape=shape,
+                      gamma=_per_mark(params, "gamma", 0.0, marks),
                       lipschitz_c=abs(a) + abs(bz),
                       name=f"mixed(a={a:g},bz={bz:g},qc={qc:g})")
 
@@ -215,7 +230,7 @@ DRIVERS = {
 def _terminal_brownian(params, marks, grid) -> TerminalSpec:
     shift = _real(params.pop("shift", 0.0), "shift")
     return TerminalSpec(lambda state: state.w + shift,
-                        lower_bound_check=bool(params.pop("lower_bound_check", False)),
+                        lower_bound_check=_flag(params, "lower_bound_check"),
                         name=f"brownian(shift={shift:g})")
 
 
@@ -223,19 +238,13 @@ def _terminal_brownian_positive(params, marks, grid) -> TerminalSpec:
     """(W_T)+ + shift; with shift >= 1 the reflected-at-0 constraint is slack."""
     shift = _real(params.pop("shift", 1.0), "shift")
     return TerminalSpec(lambda state: np.maximum(state.w, 0.0) + shift,
-                        lower_bound_check=bool(params.pop("lower_bound_check", False)),
+                        lower_bound_check=_flag(params, "lower_bound_check"),
                         name=f"brownian_positive(shift={shift:g})")
 
 
 def _terminal_compensated_jumps(params, marks, grid) -> TerminalSpec:
     """xi = sum_j weight_j * (N_T(e_j) - lambda_j T)."""
-    weights = params.pop("weights", None)
-    if weights is None:
-        w = np.ones(marks.n_marks)
-    else:
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if w.size == 1 and marks.n_marks > 1:
-            w = np.full(marks.n_marks, w[0])
+    w = _per_mark(params, "weights", 1.0, marks)
     return TerminalSpec(lambda state: state.ntilde @ w,
                         name="compensated_jumps")
 

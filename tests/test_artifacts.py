@@ -95,8 +95,7 @@ def concatenation_case(rng, m, out, monkeypatch):
     path = out / "concatenation.csv"
     levels = [1, 4, 16]
     tau = rng.integers(0, GRID.n_steps + 1, (len(levels) + 1, N_PATHS))
-    record = ConcatenationRecord(levels, tau,
-                                 np.zeros((N_PATHS, GRID.n_steps)))
+    record = ConcatenationRecord(levels, tau)
     record.write_csv(path)
     rows = [["path", "level", "tau_index"]]
     for row, lev in enumerate([0] + levels):

@@ -261,6 +261,75 @@ class TestBuildProblem:
             build_problem(parse_config(text))
         assert key in config_error(text, tmp_path, capsys)
 
+    @pytest.mark.parametrize("key, text", [
+        ("times", REFLECTED_TREE.replace("T = 1.0\nsteps = 5",
+                                         "times = 0, 0.5, true")),
+        ("values", UNBOUNDED_REG.replace("values = 1.0", "values = true")),
+        ("intensities", UNBOUNDED_REG.replace("intensities = 1.0",
+                                              "intensities = true")),
+        ("vartheta", UNBOUNDED_REG.replace("vartheta = 2.0",
+                                           "vartheta = false")),
+        ("gamma", UNBOUNDED_REG.replace("[driver]\nname = zero",
+                                        "[driver]\nname = constant\n"
+                                        "gamma = true")),
+        ("weights", UNBOUNDED_REG.replace("[terminal]\nname = brownian",
+                                          "[terminal]\n"
+                                          "name = compensated_jumps\n"
+                                          "weights = true")),
+    ], ids=["grid-times", "marks-values", "marks-intensities",
+            "marks-vartheta", "driver-gamma", "terminal-weights"])
+    def test_list_keys_refuse_booleans(self, key, text, tmp_path, capsys):
+        # each used to solve with true read as 1.0
+        with pytest.raises(ValidationError, match=f"{key} must be a number"):
+            build_problem(parse_config(text))
+        assert key in config_error(text, tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["no", "yes", "0.5", "1"])
+    def test_lower_bound_check_takes_only_booleans(self, value, tmp_path,
+                                                   capsys):
+        # any non-empty word used to switch the check on
+        text = REFLECTED_TREE.replace(
+            "name = brownian", f"name = brownian\nlower_bound_check = {value}")
+        with pytest.raises(ValidationError, match="must be true or false"):
+            build_problem(parse_config(text))
+        assert "lower_bound_check" in config_error(text, tmp_path, capsys)
+        for flag in (True, False):
+            checked = text.replace(f"lower_bound_check = {value}",
+                                   f"lower_bound_check = {str(flag).lower()}")
+            terminal = build_problem(parse_config(checked))[0].terminal
+            assert terminal.lower_bound_check is flag
+
+    @pytest.mark.parametrize("key, old, new", [
+        ("n_paths", "n_paths = 1500", "n_paths = 0"),
+        ("seed", "seed = 3", "seed = -1"),
+        ("n_paths", "n_paths = 1500", "n_paths = 20"),
+        ("n_paths", "n_paths = 1500", "n_paths = 59"),
+    ], ids=["no-paths", "negative-seed", "too-few-for-regression",
+            "one-short-of-regression"])
+    def test_bad_run_size_is_config_error(self, key, old, new, tmp_path,
+                                          capsys):
+        # these used to exit 1 with a ValueError traceback from the solve
+        text = UNBOUNDED_REG.replace(old, new)
+        with pytest.raises(ValidationError, match=f"bad \\[run\\]: {key}"):
+            build_problem(parse_config(text))
+        assert key in config_error(text, tmp_path, capsys)
+
+    def test_regression_path_minimum_is_the_solver_minimum(self):
+        # degree 2 in (W, N) has 6 basis functions: 60 paths build
+        text = UNBOUNDED_REG.replace("n_paths = 1500", "n_paths = 60")
+        problem, backend, _, run = build_problem(parse_config(text))
+        assert run["n_paths"] == backend.min_paths(problem.marks.n_marks) == 60
+
+    @pytest.mark.parametrize("flag, value", [("--paths", "0"),
+                                             ("--seed", "-1")])
+    def test_bad_run_size_flag_is_config_error(self, flag, value, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(UNBOUNDED_REG)
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "x"), flag, value]) == 2
+        assert "bad [run]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, mode", [
         (REFLECTED_TREE, "mbsde"),
         (UNBOUNDED_REG, "unbounded"),

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from mbsdej import (MarkSpace, PenalizationSchedule, Problem, TimeGrid,
-                    build_tree, residual_check, simulate_paths, solve_mbsde,
-                    solve_penalized, solve_unbounded, stopping_times)
+from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
+                    TimeGrid, build_tree, residual_check, simulate_paths,
+                    solve_mbsde, solve_penalized, solve_unbounded,
+                    stopping_times, truncate_shift)
 from mbsdej.registry import (make_driver, make_envelope, make_family,
                              make_terminal)
 
@@ -248,3 +251,81 @@ class TestSolveUnbounded:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "path,level,tau_index"
         assert len(lines) == 1 + 3 * tree.n_leaves  # anchor + 2 levels
+
+
+def _uncovered_case(scenario_kind):
+    """5-step one-mark problems whose segments leave cells uncovered."""
+    grid = TimeGrid.uniform(1.0, 5)
+    marks = MarkSpace([1.0], [1.0])
+    shift = 3.0 if scenario_kind == "tree" else 2.0
+    prob = Problem(grid, marks, make_driver("zero", {}, marks),
+                   make_terminal("brownian", {"shift": shift}, marks, grid),
+                   family=make_family("linear_decay", {}, grid),
+                   envelope=make_envelope("linear_decay", {}, grid))
+    if scenario_kind == "tree":
+        return prob, build_tree(grid, marks), CEBackend(kind="tree")
+    return (prob, simulate_paths(grid, marks, 2000, seed=3),
+            CEBackend(kind="regression", degree=2))
+
+
+class TestConcatenation:
+    @pytest.mark.parametrize("scenario_kind", ["tree", "regression"])
+    def test_cells_follow_the_first_started_level(self, scenario_kind):
+        prob, scenario, backend = _uncovered_case(scenario_kind)
+        sched = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=1e-2)
+        sol, record = solve_unbounded(prob, sched, scenario, backend,
+                                      max_truncation=2)
+        grid = prob.grid
+        n_paths, n_steps = sol.Z.shape
+        level_sols = []
+        for n in record.levels:
+            prob_n = replace(prob, family=truncate_shift(prob.family, n),
+                             driver=prob.driver.shifted(n))
+            sol_n, _ = solve_mbsde(prob_n, sched, scenario, backend)
+            sol_n.K = sol_n.K - n * grid.times[None, :]
+            level_sols.append(sol_n)
+
+        Y = level_sols[0].Y.copy()
+        Z = np.empty_like(sol.Z)
+        psi = np.empty_like(sol.psi)
+        dK = np.empty_like(sol.Z)
+        uncovered = 0
+        for p in range(n_paths):
+            for i in range(n_steps):
+                rows = [r for r in range(1, len(record.levels) + 1)
+                        if record.tau[r, p] <= i]
+                uncovered += not rows
+                owner = level_sols[rows[0] - 1 if rows else -1]
+                Y[p, i] = owner.Y[p, i]
+                Z[p, i] = owner.Z[p, i]
+                psi[p, i] = owner.psi[p, i]
+                dK[p, i] = owner.K[p, i + 1] - owner.K[p, i]
+        K = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(dK, axis=1)],
+                           axis=1)
+
+        assert record.uncovered_cells == uncovered > 0
+        for got, want in ((sol.Y, Y), (sol.Z, Z), (sol.psi, psi), (sol.K, K)):
+            assert np.array_equal(got, want)
+
+    def test_memory_does_not_grow_with_truncation_levels(self, grid6, marks1,
+                                                         tree6_jumps,
+                                                         tree_backend):
+        # one previous level is kept, so the peak must not scale with the
+        # number of truncation levels
+        prob = Problem(grid6, marks1, make_driver("zero", {}, marks1),
+                       make_terminal("brownian", {}, marks1, grid6),
+                       family=make_family("linear_decay", {}, grid6),
+                       envelope=make_envelope("linear_decay", {}, grid6))
+        sched = PenalizationSchedule(levels=(1, 4))
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for max_truncation in (2, 8):
+                tracemalloc.reset_peak()
+                solve_unbounded(prob, sched, tree6_jumps, tree_backend,
+                                max_truncation=max_truncation,
+                                overlap_floor=1.0)
+                peaks[max_truncation] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[8] <= 1.25 * peaks[2]
