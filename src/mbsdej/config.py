@@ -38,7 +38,9 @@ Every key is checked: an unread key, a non-integral ``steps``, ``degree``,
 ``levels``, ``seed`` or ``n_paths``, true/false where numbers are read (``T``,
 ``times``, mark lists, ``stop_tolerance``, registry parameters), a non-boolean
 ``lower_bound_check``, a negative ``seed``, too few ``n_paths`` for the
-backend, or ``times`` next to ``T``/``steps`` raises :class:`ValidationError`.
+backend (an ensemble needs the solver's minimum in each of the 8 blocks of its
+batch-means Y0 error), or ``times`` next to ``T``/``steps`` raises
+:class:`ValidationError`.
 The family fixes the mode: none gives ``bsde``, a negative-valued one
 ``mbsde`` and a real-valued one, which needs an ``[envelope]``, ``unbounded``.
 ``[run] mode`` is optional and must match.
@@ -58,6 +60,7 @@ from .penalization import PenalizationSchedule, Problem, default_levels
 from .registry import (DRIVERS, ENVELOPES, FAMILIES, TERMINALS, _real, _reals,
                        make_driver, make_envelope, make_family, make_terminal)
 from .scenario import MarkSpace, TimeGrid
+from .verification import _Y0_BLOCKS
 
 __all__ = ["ProblemConfig", "parse_config", "render_config", "build_problem"]
 
@@ -322,7 +325,12 @@ def build_problem(config: ProblemConfig, validate: bool = True):
     run = {"seed": _integer(config.run.get("seed", 0), "[run] seed"),
            "n_paths": _integer(config.run.get("n_paths", 10_000), "[run] n_paths"),
            "mode": _mode(family, envelope, config.run.get("mode"))}
-    for key, low in (("seed", 0), ("n_paths", backend.min_paths(marks.n_marks))):
+    # an ensemble is re-solved in _Y0_BLOCKS blocks for its Y0 error, and each
+    # block must meet the solver's own minimum
+    fewest = backend.min_paths(marks.n_marks)
+    if backend.kind == "regression":
+        fewest *= _Y0_BLOCKS
+    for key, low in (("seed", 0), ("n_paths", fewest)):
         if run[key] < low:
             raise ValidationError(f"bad [run]: {key} must be >= {low}, "
                                   f"got {run[key]}")

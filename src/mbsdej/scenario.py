@@ -3,7 +3,8 @@
 Two interchangeable noise models:
 
 * :func:`simulate_paths` draws a Monte Carlo :class:`PathEnsemble` of Brownian
-  increments and Poisson jump counts, with counter-based per-path RNG streams.
+  increments and Poisson jump counts, from counter-based RNG streams keyed by
+  (seed, block of paths, kind of draw).
 * :func:`build_tree` builds an exact finite :class:`ScenarioTree` whose
   conditional expectations are plain weighted sums, usable as a brute-force
   oracle at desk scale.
@@ -139,8 +140,12 @@ class ForwardState:
         return self.counts - self.marks.intensities * self.t
 
 
-def _path_generator(seed: int, path: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path,))
+_BLOCK_PATHS = 4096   # paths per RNG block; a block is always drawn whole
+_BROWNIAN, _JUMPS = 0, 1
+
+
+def _block_generator(seed: int, block: int, kind: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block, kind))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -209,9 +214,12 @@ def simulate_paths(grid: TimeGrid, marks: MarkSpace, n_paths: int,
     """Draw an ensemble of Brownian and Poisson increments.
 
     dW_i ~ Gaussian(0, dt_i) and dN_i(e_j) ~ Poisson(lambda_j dt_i), mutually
-    independent across steps, marks and paths.  Each path owns a Philox stream
-    keyed by (seed, path index), so the draws are bit-identical for a fixed
-    seed, and the first k paths are the same whatever ``n_paths`` >= k is.
+    independent across steps, marks and paths.  Paths come in fixed blocks of
+    ``_BLOCK_PATHS``; block b draws dW from a Philox stream keyed by (seed, b,
+    Brownian) and dN from one keyed by (seed, b, jumps), so dW does not depend
+    on the mark space.  Every block draws all of its rows and keeps the ones
+    it needs, so the draws are bit-identical for a fixed seed, and the first k
+    paths are the same whatever ``n_paths`` >= k is.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -224,11 +232,14 @@ def simulate_paths(grid: TimeGrid, marks: MarkSpace, n_paths: int,
     dW = np.empty((n_paths, n_steps))
     dN = np.zeros((n_paths, n_steps, m))
 
-    for p in range(n_paths):
-        rng = _path_generator(seed, p)
-        dW[p] = rng.normal(0.0, sqrt_dt)
+    for b, start in enumerate(range(0, n_paths, _BLOCK_PATHS)):
+        k = min(_BLOCK_PATHS, n_paths - start)
+        normals = _block_generator(seed, b, _BROWNIAN).standard_normal(
+            (_BLOCK_PATHS, n_steps))
+        np.multiply(normals[:k], sqrt_dt, out=dW[start:start + k])
         if m:
-            dN[p] = rng.poisson(lam_dt)
+            dN[start:start + k] = _block_generator(seed, b, _JUMPS).poisson(
+                lam_dt, (_BLOCK_PATHS, n_steps, m))[:k]
     return PathEnsemble(grid, marks, dW, dN, seed)
 
 

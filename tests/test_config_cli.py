@@ -304,8 +304,11 @@ class TestBuildProblem:
         ("seed", "seed = 3", "seed = -1"),
         ("n_paths", "n_paths = 1500", "n_paths = 20"),
         ("n_paths", "n_paths = 1500", "n_paths = 59"),
+        ("n_paths", "n_paths = 1500", "n_paths = 60"),
+        ("n_paths", "n_paths = 1500", "n_paths = 479"),
     ], ids=["no-paths", "negative-seed", "too-few-for-regression",
-            "one-short-of-regression"])
+            "one-short-of-regression", "too-few-per-y0-block",
+            "one-short-per-y0-block"])
     def test_bad_run_size_is_config_error(self, key, old, new, tmp_path,
                                           capsys):
         # these used to exit 1 with a ValueError traceback from the solve
@@ -315,12 +318,26 @@ class TestBuildProblem:
         assert key in config_error(text, tmp_path, capsys)
 
     def test_regression_path_minimum_is_the_solver_minimum(self):
-        # degree 2 in (W, N) has 6 basis functions: 60 paths build
-        text = UNBOUNDED_REG.replace("n_paths = 1500", "n_paths = 60")
+        # degree 2 in (W, N) has 6 basis functions, so a solve needs 60 paths;
+        # the Y0 error re-solves 8 blocks, so 8 x 60 = 480 paths build
+        text = UNBOUNDED_REG.replace("n_paths = 1500", "n_paths = 480")
         problem, backend, _, run = build_problem(parse_config(text))
-        assert run["n_paths"] == backend.min_paths(problem.marks.n_marks) == 60
+        assert backend.min_paths(problem.marks.n_marks) == 60
+        assert run["n_paths"] == 8 * 60
+
+    def test_solve_at_the_path_floor_exits_0(self, tmp_path, capsys):
+        # at 480 paths each of the 8 Y0 blocks holds the 60 paths a solve
+        # needs; without the family the solve is a plain BSDE, which is quick
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(UNBOUNDED_REG.replace(
+            "[family]\nname = linear_decay\n\n[envelope]\nname = linear_decay\n",
+            "").replace("mode = unbounded\n", ""))
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "x"), "--paths", "480"]) == 0
+        assert "Y0 = " in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [("--paths", "0"),
+                                             ("--paths", "60"),
                                              ("--seed", "-1")])
     def test_bad_run_size_flag_is_config_error(self, flag, value, tmp_path,
                                                capsys):

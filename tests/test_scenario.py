@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbsdej import (BudgetExceeded, MarkSpace, TimeGrid, build_tree,
-                    martingale_check, simulate_paths)
+                    martingale_check, scenario, simulate_paths)
+
+BLOCK = scenario._BLOCK_PATHS
 
 
 def condexp_leaves(tree, i, leaf_values):
@@ -68,7 +72,8 @@ class TestSimulatePaths:
         assert np.array_equal(a.dW, b.dW) and np.array_equal(a.dN, b.dN)
 
     def test_prefix_does_not_depend_on_path_count(self):
-        # draws are keyed by (seed, path), so path p is the same in any
+        # draws are keyed by (seed, block, kind) and every block is drawn
+        # whole before its rows are sliced, so path p is the same in any
         # ensemble that contains it
         grid = TimeGrid.uniform(1.0, 4)
         marks = MarkSpace([1.0], [2.0])
@@ -77,6 +82,68 @@ class TestSimulatePaths:
         assert np.array_equal(small.dW, large.dW[:100])
         assert np.array_equal(small.dN, large.dN[:100])
         assert large.dN[:100].any()
+
+    @given(st.integers(1, 3 * BLOCK + 7), st.integers(1, 3 * BLOCK + 7),
+           st.sampled_from([1, 2]))
+    @settings(max_examples=25, deadline=None)
+    def test_prefix_holds_across_block_boundaries(self, n_a, n_b, n_marks):
+        n_small, n_large = sorted((n_a, n_b))
+        grid = TimeGrid.uniform(1.0, 3)
+        marks = MarkSpace(np.arange(1.0, n_marks + 1), np.full(n_marks, 1.5))
+        small = simulate_paths(grid, marks, n_small, seed=11)
+        large = simulate_paths(grid, marks, n_large, seed=11)
+        assert np.array_equal(small.dW, large.dW[:n_small])
+        assert np.array_equal(small.dN, large.dN[:n_small])
+
+    def test_brownian_draws_do_not_depend_on_marks(self):
+        grid = TimeGrid.uniform(1.0, 4)
+        bare = simulate_paths(grid, MarkSpace.empty(), BLOCK + 50, seed=4)
+        marked = simulate_paths(grid, MarkSpace([1.0, -1.0], [0.5, 2.0]),
+                                BLOCK + 50, seed=4)
+        assert np.array_equal(bare.dW, marked.dW)
+        assert marked.dN.any()
+
+    def test_blocks_and_seeds_draw_distinct_streams(self):
+        grid = TimeGrid.uniform(1.0, 2)
+        marks = MarkSpace([1.0], [3.0])
+        ens = simulate_paths(grid, marks, 2 * BLOCK, seed=5)
+        assert not np.array_equal(ens.dW[:BLOCK], ens.dW[BLOCK:])
+        assert not np.array_equal(ens.dN[:BLOCK], ens.dN[BLOCK:])
+        # the uniqueness suite draws its second ensemble at seed + 1
+        nxt = simulate_paths(grid, marks, BLOCK, seed=6)
+        assert not np.array_equal(ens.dW[:BLOCK], nxt.dW)
+        assert not np.array_equal(ens.dN[:BLOCK], nxt.dN)
+
+    def test_draws_follow_the_block_and_kind_keys(self):
+        # block 0 rebuilt from its documented streams: kind 0 gives dW and
+        # kind 1 dN, so the two never share one stream
+        def stream(kind):
+            ss = np.random.SeedSequence(entropy=5, spawn_key=(0, kind))
+            return np.random.Generator(np.random.Philox(ss))
+
+        ens = simulate_paths(TimeGrid.uniform(1.0, 2), MarkSpace([1.0], [3.0]),
+                             10, seed=5)
+        normals = stream(0).standard_normal((BLOCK, 2))[:10]
+        assert np.array_equal(ens.dW, normals * np.sqrt(0.5))
+        assert np.array_equal(ens.dN, stream(1).poisson(1.5, (BLOCK, 2, 1))[:10])
+
+    @pytest.mark.parametrize("marks, expected", [
+        (MarkSpace([1.0], [1.0]), 6), (MarkSpace.empty(), 3)],
+        ids=["one-mark", "no-marks"])
+    def test_one_generator_per_block_and_kind(self, monkeypatch, marks,
+                                              expected):
+        # the cost guard: 10,000 paths are ceil(10000 / 4096) = 3 blocks, each
+        # with a Brownian stream and, when there are marks, a jump stream
+        made = []
+        build = scenario._block_generator
+
+        def counting(seed, block, kind):
+            made.append((block, kind))
+            return build(seed, block, kind)
+
+        monkeypatch.setattr(scenario, "_block_generator", counting)
+        simulate_paths(TimeGrid.uniform(1.0, 2), marks, 10_000, seed=1)
+        assert len(made) == len(set(made)) == expected
 
     def test_moments_single_big_step(self):
         # N = 1, dt = 1, lambda = 1, 1e5 paths
