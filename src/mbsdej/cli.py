@@ -76,6 +76,8 @@ def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) ->
                   file=sys.stderr)
             code = 3
     elif mode == "unbounded":
+        # the truncation levels solved: the loop may stop before the cap
+        levels_used = report.levels[:len(report.level_reports)]
         report.write_csv(out_dir / "concatenation.csv")
         artifacts.write_json(out_dir / "report.json", {
             "levels": [rep.to_dict() for rep in report.level_reports],

@@ -180,12 +180,28 @@ def _floored(kv: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(kv), kv, _K_FLOOR)
 
 
-def _walk(k, x, slope, candidate, steps, upper, a=None):
+def _floored_k(family: MonotoneFamily, t: float, a: float):
+    """u -> k(t, u) with non-finite values floored.
+
+    At an open boundary the floor also stands in for k at and below a_t,
+    where k is never evaluated: k -> -inf there.
+    """
+    if not np.isfinite(a) or family.closed:
+        return lambda u: _floored(family.k(t, u))
+
+    def k(u):
+        inside = u > a
+        kv = family.k(t, np.where(inside, u, a + 1.0))
+        return np.where(inside, _floored(kv), _K_FLOOR)
+
+    return k
+
+
+def _walk(k, x, slope, candidate, steps, upper):
     """Move each point along candidate(0), candidate(1), ... until it brackets x.
 
     A point stops once g(u) = u + k(u)/slope >= x (``upper``) or g(u) < x, and
     keeps its position after that, so k only sees candidates a point visits.
-    A moving point whose candidate reaches the open boundary ``a`` raises.
     """
     u = candidate(0)
     ku = k(u)
@@ -197,17 +213,12 @@ def _walk(k, x, slope, candidate, steps, upper, a=None):
         if j > steps:
             raise NoBracket(f"no {'upper' if upper else 'lower'} bracket "
                             "within the search range; is k monotone?")
-        cand = candidate(j)
-        if a is not None and np.any(need & (cand <= a)):
-            raise NoBracket("no lower bracket above the open boundary: the "
-                            "root is closer to it than the search reaches, "
-                            "or k stays finite there (a closed boundary)")
-        u = np.where(need, cand, u)
+        u = np.where(need, candidate(j), u)
         ku = np.where(need, k(u), ku)
 
 
 def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
-             a: float):
+             a: float, k_floored):
     """Find lo < hi with g(lo) < x <= g(hi) for g(u) = u + k(t,u)/slope."""
     def k(u):
         return family.k(t, u)
@@ -221,10 +232,13 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
         # callers exclude the vertical segment, so g(a) < x holds here
         lo, klo = np.full_like(x, a), k(np.full_like(x, a))
     else:
-        # k -> -inf at the open boundary; slide down towards it
+        # k -> -inf at the open boundary; slide down towards it.  Where the
+        # root lies within one float of a_t, a candidate rounds onto a_t and
+        # ends the walk there with k = _K_FLOOR; the ordinate is then
+        # slope*(x - a_t), up to the root search's width
         gap = np.maximum(1.0, x - a)
-        lo, klo = _walk(lambda u: _floored(k(u)), x, slope,
-                        lambda j: a + gap / 2.0**j, _HALVINGS, False, a)
+        lo, klo = _walk(k_floored, x, slope, lambda j: a + gap / 2.0**j,
+                        _HALVINGS, False)
     return lo, klo, hi, khi
 
 
@@ -272,7 +286,9 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
 
     if todo.any():
         xi = xs[todo]
-        lo, klo, hi, khi = _bracket(family, t, xi, slope, a)
+        # a resolved point's midpoint may round onto lo = a_t
+        k_floored = _floored_k(family, t, a)
+        lo, klo, hi, khi = _bracket(family, t, xi, slope, a, k_floored)
         for step in range(_HALVINGS + 1):
             lower = np.maximum(slope * (xi - hi), klo)
             upper = np.minimum(slope * (xi - lo), khi)
@@ -311,7 +327,7 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
             bisect = width > 0.5 * width_2
             mid = np.where(bisect, mid, secant)
             width_2, width_1 = width_1, width
-            kmid = _floored(family.k(t, mid))
+            kmid = k_floored(mid)
             f_mid = mid + kmid / slope - xi
             below = f_mid < 0
             up, down = active & below, active & ~below

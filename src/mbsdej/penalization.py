@@ -17,7 +17,8 @@ import numpy as np
 
 from . import artifacts
 from .bsde import CEBackend, DriverSpec, SolutionGrid, TerminalSpec, solve_bsde
-from .errors import MonotonicityBreach, SegmentMismatch, ValidationError
+from .errors import (MbsdejError, MonotonicityBreach, SegmentMismatch,
+                     ValidationError)
 from .monotone import GrowthEnvelope, MonotoneFamily, PenalizedOperator, truncate_shift
 from .scenario import MarkSpace, TimeGrid
 
@@ -242,8 +243,12 @@ class OverlapStats:
 class ConcatenationRecord:
     """Bookkeeping of the truncation-concatenation construction.
 
-    ``tau`` has one row per level starting with the anchor tau_0 = T (index
-    N); rows are per-path stopping indices, nonincreasing down the rows.
+    ``tau`` has one row per level of ``levels`` (1 ... max_truncation)
+    starting with the anchor tau_0 = T (index N); rows are per-path stopping
+    indices, nonincreasing down the rows.  A level after the early stop of
+    :func:`solve_unbounded` is not solved, and its row holds 0, the value a
+    solved level gives once tau is 0 on every path.  ``level_reports``,
+    ``level_y0`` and ``overlaps`` list the solved levels only.
     ``uncovered_cells`` counts the (path, interval) cells that no level's
     segment reaches; the last level fills them.
     """
@@ -289,6 +294,13 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     takes level n's Y, Z, psi and dK when tau_n <= i and no earlier level
     claimed it, the last level takes the rest, and K sums the glued
     increments (K_0 = 0).  Only the previous level's solution is kept.
+
+    Once a level leaves no cell unclaimed, no later level can supply one:
+    the loop solves one more level, so that the overlap check runs over the
+    whole horizon, and stops there.  ``max_truncation`` caps the loop; rows
+    of ``record.tau`` for levels past the stop hold 0.  An error raised while
+    solving a level is re-raised as the same type, prefixed with
+    ``truncation level n``.
     """
     family = problem.family
     envelope = problem.envelope
@@ -305,7 +317,8 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     n_steps = grid.n_steps
     n_paths = scenario.weights.size
     levels = list(range(1, max_truncation + 1))
-    tau = np.full((max_truncation + 1, n_paths), n_steps, dtype=int)
+    tau = np.zeros((max_truncation + 1, n_paths), dtype=int)
+    tau[0] = n_steps
     record = ConcatenationRecord(levels=levels, tau=tau)
 
     Y = np.empty((n_paths, n_steps + 1))
@@ -313,11 +326,15 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     psi = np.empty((n_paths, n_steps, problem.marks.n_marks))
     K = np.zeros((n_paths, n_steps + 1))             # dK until the final cumsum
     free = np.ones((n_paths, n_steps), dtype=bool)   # cells no level claimed
+    last = max_truncation
     prev = None
     for n in levels:                                 # row n of tau is level n
         fam_n = truncate_shift(family, n)
         prob_n = replace(problem, family=fam_n, driver=problem.driver.shifted(n))
-        sol, rep = solve_mbsde(prob_n, schedule, scenario, backend)
+        try:
+            sol, rep = solve_mbsde(prob_n, schedule, scenario, backend)
+        except MbsdejError as exc:
+            raise type(exc)(f"truncation level {n}: {exc}") from exc
         # undo the shift: K^n_t = K-hat^n_t - n t (bounded variation)
         sol.K = sol.K - n * grid.times[None, :]
         tau[n] = stopping_times(sol, envelope, n, grid)
@@ -335,7 +352,7 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
                     f"(max |dY| = {stats.max_y_diff:.3g})")
 
         claim = free & (tau[n][:, None] <= np.arange(n_steps))
-        if n == max_truncation:                  # the last level takes the rest
+        if n == last:                            # the last level takes the rest
             record.uncovered_cells = int((free & ~claim).sum())
             claim = free
         Y[:, :-1][claim] = sol.Y[:, :-1][claim]
@@ -344,11 +361,15 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
         K[:, 1:][claim] = np.diff(sol.K, axis=1)[claim]
         free &= ~claim
         prev = sol
+        if n == last:
+            break
+        if not free.any():                       # every cell is claimed
+            last = n + 1
 
     Y[:, -1] = prev.Y[:, -1]                         # xi, the same on every level
     np.cumsum(K[:, 1:], axis=1, out=K[:, 1:])
 
-    meta = {"backend": backend.kind, "truncation_levels": levels}
+    meta = {"backend": backend.kind, "truncation_levels": levels[:last]}
     return SolutionGrid(grid, problem.marks, Y, Z, psi, K, prev.weights,
                         meta), record
 

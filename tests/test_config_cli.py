@@ -461,6 +461,19 @@ class TestCli:
         assert se > 0
         assert summary["y0_se"] == se
 
+    def test_unbounded_summary_lists_the_solved_levels(self, unbounded_solve):
+        _, out = unbounded_solve
+        summary = json.loads((out / "summary.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        problem, backend, schedule, run = build_problem(parse_config(UNBOUNDED_REG))
+        ens = simulate_paths(problem.grid, problem.marks, run["n_paths"],
+                             run["seed"])
+        record = solve_unbounded(problem, schedule, ens, backend)[1]
+        solved = len(record.level_y0)
+        assert solved < len(record.levels)     # stopped before the cap
+        assert summary["levels"] == list(range(1, solved + 1))
+        assert len(report["levels"]) == solved
+
     def test_mode_mismatch_is_config_error(self, tmp_path):
         text = REFLECTED_TREE.replace("mode = mbsde", "mode = unbounded")
         cfg = self.write(tmp_path, text)

@@ -343,6 +343,21 @@ class TestOpenMovingBoundary:
             want = [reference_ordinate(LOG_OPEN, t, x, slope) for x in xs]
         assert np.all(np.abs(got - want) <= slope * 2e-10 + 1e-12)
 
+    # here the root is within one float spacing of a_t, so the walk's
+    # candidates round onto it; the ordinate is then slope*(x - a_t), up to
+    # the root search's width
+    @pytest.mark.parametrize("slope, offsets", [(16.0, [3.0, 5.0]),
+                                                (48.0, [1.0, 3.0, 5.0]),
+                                                (128.0, [1.0, 3.0, 5.0])])
+    def test_root_within_a_float_of_the_boundary(self, slope, offsets):
+        t = 0.2
+        xs = a_t(t) - np.array(offsets)
+        with np.errstate(all="raise"):
+            got = resolvent_ordinate(LOG_OPEN, t, xs, slope)
+            want = [reference_ordinate(LOG_OPEN, t, x, slope) for x in xs]
+        assert np.all(np.abs(got - want) <= slope * 2e-10 + 1e-12)
+        assert np.all(np.abs(got - slope * (xs - a_t(t))) <= slope * 2e-10)
+
 
 def _counted(fam):
     """The family with a counter of its k-evaluations (calls of ``body``)."""

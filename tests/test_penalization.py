@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
-                    TimeGrid, build_tree, residual_check, simulate_paths,
-                    solve_mbsde, solve_penalized, solve_unbounded,
-                    stopping_times, truncate_shift)
+from mbsdej import (CEBackend, MarkSpace, MonotonicityBreach,
+                    PenalizationSchedule, Problem, TimeGrid, build_tree,
+                    penalization, residual_check, simulate_paths, solve_mbsde,
+                    solve_penalized, solve_unbounded, stopping_times,
+                    truncate_shift)
 from mbsdej.registry import (make_driver, make_envelope, make_family,
                              make_terminal)
 
@@ -268,64 +269,154 @@ def _uncovered_case(scenario_kind):
             CEBackend(kind="regression", degree=2))
 
 
+def _scale8_problem(n_steps):
+    """k = 8 (T-t) x with envelope 8 (T-t)(1+x+), one mark: truncation binds."""
+    grid = TimeGrid.uniform(1.0, n_steps)
+    marks = MarkSpace([1.0], [1.0])
+    return Problem(grid, marks, make_driver("zero", {}, marks),
+                   make_terminal("brownian", {}, marks, grid),
+                   family=make_family("linear_decay", {"scale": 8.0}, grid),
+                   envelope=make_envelope("linear_decay", {"scale": 8.0},
+                                          grid))
+
+
+def _every_level_reference(prob, sched, scenario, backend, max_truncation):
+    """Glued Y, Z, psi and K from every level's own solve up to the cap.
+
+    Cell (path, i) follows the first level n with tau_n <= i, else the last
+    level.  Also returns the uncovered cell count and the first level after
+    which every cell is claimed (None if no level up to the cap is one).
+    """
+    grid = prob.grid
+    sols, taus = [], []
+    for n in range(1, max_truncation + 1):
+        prob_n = replace(prob, family=truncate_shift(prob.family, n),
+                         driver=prob.driver.shifted(n))
+        sol_n, _ = solve_mbsde(prob_n, sched, scenario, backend)
+        sol_n.K = sol_n.K - n * grid.times[None, :]
+        sols.append(sol_n)
+        taus.append(stopping_times(sol_n, prob.envelope, n, grid))
+
+    n_paths, n_steps = sols[0].Z.shape
+    Y = sols[0].Y.copy()
+    Z = np.empty_like(sols[0].Z)
+    psi = np.empty_like(sols[0].psi)
+    dK = np.empty_like(sols[0].Z)
+    uncovered = 0
+    for p in range(n_paths):
+        for i in range(n_steps):
+            started = [n for n in range(max_truncation) if taus[n][p] <= i]
+            uncovered += not started
+            owner = sols[started[0] if started else -1]
+            Y[p, i] = owner.Y[p, i]
+            Z[p, i] = owner.Z[p, i]
+            psi[p, i] = owner.psi[p, i]
+            dK[p, i] = owner.K[p, i + 1] - owner.K[p, i]
+    K = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(dK, axis=1)],
+                       axis=1)
+    # every cell of a path is claimed once some level's tau is 0 on it
+    full = (np.minimum.accumulate(np.array(taus), axis=0) == 0).all(axis=1)
+    first_full = int(np.argmax(full)) + 1 if full.any() else None
+    return (Y, Z, psi, K), uncovered, first_full
+
+
+def _glued_against_reference(prob, sched, scenario, backend, max_truncation,
+                             monkeypatch):
+    """solve_unbounded against the every-level reference, bit for bit.
+
+    Returns the record, the number of ladders it solved, the reference's
+    uncovered cell count and first level leaving no cell free.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return solve_mbsde(*args)
+
+    monkeypatch.setattr(penalization, "solve_mbsde", counted)
+    sol, record = solve_unbounded(prob, sched, scenario, backend,
+                                  max_truncation=max_truncation)
+    monkeypatch.undo()
+    want, uncovered, first_full = _every_level_reference(
+        prob, sched, scenario, backend, max_truncation)
+
+    for got, ref in zip((sol.Y, sol.Z, sol.psi, sol.K), want):
+        assert np.array_equal(got, ref)
+    assert record.uncovered_cells == uncovered
+    # the level after the first one leaving no cell free is the last solved
+    solved = max_truncation if first_full is None else min(first_full + 1,
+                                                           max_truncation)
+    assert len(calls) == len(record.level_y0) == solved
+    assert record.levels == list(range(1, max_truncation + 1))
+    assert record.tau.shape == (max_truncation + 1, scenario.weights.size)
+    assert np.all(record.tau[solved + 1:] == 0)
+    return record, len(calls), uncovered, first_full
+
+
 class TestConcatenation:
     @pytest.mark.parametrize("scenario_kind", ["tree", "regression"])
-    def test_cells_follow_the_first_started_level(self, scenario_kind):
+    def test_cells_follow_the_first_started_level(self, scenario_kind,
+                                                  monkeypatch):
+        # cells stay free up to the cap, so every level is solved
         prob, scenario, backend = _uncovered_case(scenario_kind)
         sched = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=1e-2)
-        sol, record = solve_unbounded(prob, sched, scenario, backend,
-                                      max_truncation=2)
-        grid = prob.grid
-        n_paths, n_steps = sol.Z.shape
-        level_sols = []
-        for n in record.levels:
-            prob_n = replace(prob, family=truncate_shift(prob.family, n),
-                             driver=prob.driver.shifted(n))
-            sol_n, _ = solve_mbsde(prob_n, sched, scenario, backend)
-            sol_n.K = sol_n.K - n * grid.times[None, :]
-            level_sols.append(sol_n)
+        _, solves, uncovered, first_full = _glued_against_reference(
+            prob, sched, scenario, backend, 2, monkeypatch)
+        assert uncovered > 0 and first_full is None
+        assert solves == 2
 
-        Y = level_sols[0].Y.copy()
-        Z = np.empty_like(sol.Z)
-        psi = np.empty_like(sol.psi)
-        dK = np.empty_like(sol.Z)
-        uncovered = 0
-        for p in range(n_paths):
-            for i in range(n_steps):
-                rows = [r for r in range(1, len(record.levels) + 1)
-                        if record.tau[r, p] <= i]
-                uncovered += not rows
-                owner = level_sols[rows[0] - 1 if rows else -1]
-                Y[p, i] = owner.Y[p, i]
-                Z[p, i] = owner.Z[p, i]
-                psi[p, i] = owner.psi[p, i]
-                dK[p, i] = owner.K[p, i + 1] - owner.K[p, i]
-        K = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(dK, axis=1)],
-                           axis=1)
+    def test_loop_stops_one_level_after_every_cell_is_claimed(self,
+                                                             monkeypatch):
+        # on the 5-step tree, levels 2-8 claim cells and level 8 leaves none
+        # free, so 9 of the 12 levels are solved
+        prob = _scale8_problem(5)
+        scenario, backend = build_tree(prob.grid, prob.marks), CEBackend("tree")
+        sched = PenalizationSchedule(levels=(1, 4, 16, 64, 256),
+                                     stop_tolerance=1e-3)
+        record, solves, uncovered, first_full = _glued_against_reference(
+            prob, sched, scenario, backend, 12, monkeypatch)
+        assert first_full == 8 and solves == 9 and uncovered == 0
+        # the extra level checks the overlap over the whole horizon
+        assert len(record.overlaps) == 8
+        assert record.overlaps[-1].cells == scenario.n_leaves * 6
 
-        assert record.uncovered_cells == uncovered > 0
-        for got, want in ((sol.Y, Y), (sol.Z, Z), (sol.psi, psi), (sol.K, K)):
-            assert np.array_equal(got, want)
+    def test_errors_name_the_truncation_level(self):
+        # the scale-8 instance on the unbounded-mc grid breaches the
+        # ensemble monotonicity gate at penalization level 4 of truncation
+        # level 1
+        prob = _scale8_problem(8)
+        ens = simulate_paths(prob.grid, prob.marks, 2000, seed=909)
+        sched = PenalizationSchedule(levels=(1, 4, 16, 64, 256),
+                                     stop_tolerance=1e-3)
+        with pytest.raises(MonotonicityBreach,
+                           match=r"^truncation level 1: level 4: ") as info:
+            solve_unbounded(prob, sched, ens,
+                            CEBackend(kind="regression", degree=2))
+        assert type(info.value.__cause__) is MonotonicityBreach
 
     def test_memory_does_not_grow_with_truncation_levels(self, grid6, marks1,
                                                          tree6_jumps,
                                                          tree_backend):
         # one previous level is kept, so the peak must not scale with the
-        # number of truncation levels
+        # number of truncation levels; at scale 8 cells stay free up to
+        # level 8, so the loop does not stop early
+        scale = {"scale": 8.0}
         prob = Problem(grid6, marks1, make_driver("zero", {}, marks1),
                        make_terminal("brownian", {}, marks1, grid6),
-                       family=make_family("linear_decay", {}, grid6),
-                       envelope=make_envelope("linear_decay", {}, grid6))
+                       family=make_family("linear_decay", scale, grid6),
+                       envelope=make_envelope("linear_decay", scale, grid6))
         sched = PenalizationSchedule(levels=(1, 4))
         peaks = {}
         tracemalloc.start()
         try:
             for max_truncation in (2, 8):
                 tracemalloc.reset_peak()
-                solve_unbounded(prob, sched, tree6_jumps, tree_backend,
-                                max_truncation=max_truncation,
-                                overlap_floor=1.0)
+                record = solve_unbounded(prob, sched, tree6_jumps,
+                                         tree_backend,
+                                         max_truncation=max_truncation,
+                                         overlap_floor=1.0)[1]
                 peaks[max_truncation] = tracemalloc.get_traced_memory()[1]
+                assert len(record.level_y0) == max_truncation
         finally:
             tracemalloc.stop()
         assert peaks[8] <= 1.25 * peaks[2]
