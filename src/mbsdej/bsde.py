@@ -5,11 +5,13 @@ serves both scenario types; only the conditional projection of Y_{i+1} onto
 (E_i[Y_{i+1}], Z_i, psi_i) depends on the backend: exact weighted sums over
 the children of each node of a :class:`~mbsdej.scenario.ScenarioTree`, or
 polynomial least squares with a fixed small ridge on a
-:class:`~mbsdej.scenario.PathEnsemble` (Longstaff-Schwartz style).  The tree
-recursion runs on node arrays and spreads each step's values onto the leaf
-paths only when storing them.  An optional structured penalty term
--k_n(t, y) is integrated exactly through the resolvent identity, which keeps
-the implicit step stable no matter how large the penalization level is.
+:class:`~mbsdej.scenario.PathEnsemble` (Longstaff-Schwartz style).  The
+recursion stores each step's values in node form: a level-i quantity is one
+value per level-i node of a tree, or one per path of an ensemble.  Leaf
+paths see a tree's values only through the solution's leaf view, which is
+built on first read.  An optional structured penalty term -k_n(t, y) is
+integrated exactly through the resolvent identity, which keeps the implicit
+step stable no matter how large the penalization level is.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "TerminalSpec",
     "CEBackend",
     "SolutionGrid",
+    "NodeColumns",
     "ResidualReport",
     "solve_bsde",
     "residual_check",
@@ -126,6 +129,90 @@ class CEBackend:
         return 10 * basis_size(1 + n_marks, self.degree)
 
 
+class NodeColumns:
+    """One solution component in node form: an array per grid column.
+
+    Column c holds one value per node of scenario level ``levels[c]`` and
+    ``probs[c]`` holds those nodes' probabilities.  On an ensemble every
+    level is the set of paths, so the columns are views of one
+    (n_paths, n_cols[, m]) array, which is also the leaf view.  On a tree
+    :meth:`leaves` repeats each column onto the leaf paths on its first call
+    and keeps the result.
+    """
+
+    def __init__(self, columns, probs, levels, expand, leaves=None):
+        self.columns = columns
+        self.probs = probs
+        self.levels = levels
+        self._expand = expand
+        self._leaves = leaves
+
+    @classmethod
+    def empty(cls, scenario, levels, trailing=()) -> "NodeColumns":
+        """Uninitialized columns at the given scenario levels."""
+        levels = list(levels)
+        probs = [scenario.level_probs(i) for i in levels]
+        n = scenario.weights.size
+        leaves = None
+        if all(p.size == n for p in probs):     # the nodes are the paths
+            leaves = np.empty((n, len(levels), *trailing))
+            columns = [leaves[:, c] for c in range(len(levels))]
+        else:
+            columns = [np.empty((p.size, *trailing)) for p in probs]
+        return cls(columns, probs, levels, scenario.expand_to_leaves, leaves)
+
+    @classmethod
+    def of_paths(cls, leaves: np.ndarray, weights: np.ndarray) -> "NodeColumns":
+        """A leaf array read column by column: each column's nodes are paths."""
+        n_cols = leaves.shape[1]
+        return cls([leaves[:, c] for c in range(n_cols)], [weights] * n_cols,
+                   list(range(n_cols)), lambda i, values, level=None: values,
+                   leaves)
+
+    def __getitem__(self, c: int) -> np.ndarray:
+        return self.columns[c]
+
+    def __setitem__(self, c: int, values) -> None:
+        self.columns[c][...] = values
+
+    def spread(self, c: int, values: np.ndarray, d: int) -> np.ndarray:
+        """Values on the nodes of column c, repeated onto column d's nodes."""
+        return self._expand(self.levels[c], values, self.levels[d])
+
+    @property
+    def expanded(self) -> bool:
+        """Whether the leaf view exists (always, on an ensemble)."""
+        return self._leaves is not None
+
+    def leaves(self) -> np.ndarray:
+        """The (n_paths, n_cols[, m]) leaf view, built on the first call."""
+        if self._leaves is None:
+            first = self._expand(self.levels[0], self.columns[0])
+            out = np.empty((first.shape[0], len(self.columns), *first.shape[1:]))
+            out[:, 0] = first
+            for c in range(1, len(self.columns)):
+                out[:, c] = self._expand(self.levels[c], self.columns[c])
+            self._leaves = out
+        return self._leaves
+
+
+class _LeafView:
+    """A component field of :class:`SolutionGrid`: stored as given (node
+    columns or a leaf array), read as the leaf array."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            raise AttributeError(self.key[1:])   # the field has no default
+        stored = sol.__dict__[self.key]
+        return stored.leaves() if isinstance(stored, NodeColumns) else stored
+
+    def __set__(self, sol, value):
+        sol.__dict__[self.key] = value
+
+
 @dataclass
 class SolutionGrid:
     """Discrete (Y, Z, psi, K) per path per grid time.
@@ -133,26 +220,45 @@ class SolutionGrid:
     Y and K have one column per grid point; Z and psi one column per step.
     ``weights`` are the path probabilities (uniform for ensembles, leaf
     probabilities for trees).
+
+    The solver stores each component as :class:`NodeColumns`: Y_i, Z_i and
+    psi_i are level-i node values, and so is K_{i+1}, which the penalty at
+    t_i fixes.  Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view,
+    an (n_paths, ...) array that on a tree is expanded on first read and
+    then kept.  :meth:`nodes`, ``y0`` and ``k_terminal_mean`` read the node
+    arrays and expand nothing.  Assigning a component (``sol.K = ...``,
+    ``dataclasses.replace``) stores the new leaf array; writing into a
+    tree's leaf view in place does not reach its node arrays.
     """
 
     grid: TimeGrid
     marks: MarkSpace
-    Y: np.ndarray
-    Z: np.ndarray
-    psi: np.ndarray
-    K: np.ndarray
+    Y: np.ndarray = _LeafView()
+    Z: np.ndarray = _LeafView()
+    psi: np.ndarray = _LeafView()
+    K: np.ndarray = _LeafView()
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def n_paths(self) -> int:
-        return self.Y.shape[0]
+        return self.weights.size
+
+    def nodes(self, name: str) -> NodeColumns:
+        """Component ``name`` in node form; a stored leaf array is read with
+        the paths as nodes."""
+        stored = self.__dict__["_" + name]
+        if isinstance(stored, NodeColumns):
+            return stored
+        return NodeColumns.of_paths(stored, self.weights)
 
     def y0(self) -> float:
-        return float(self.weights @ self.Y[:, 0])
+        Y = self.nodes("Y")
+        return float(Y.probs[0] @ Y[0])
 
     def k_terminal_mean(self) -> float:
-        return float(self.weights @ self.K[:, -1])
+        K = self.nodes("K")
+        return float(K.probs[-1] @ K[-1])
 
     def validate(self, tol: float = 1e-12) -> None:
         if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.Z))
@@ -341,20 +447,19 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
     and onto the Brownian and compensated jump increments (Z_i, psi_i), and
     Y_i solves the implicit-in-y equation with the driver (and, when given,
     the structured penalty -k_n, whose integral fills K by the left-endpoint
-    rule).  Without a penalty K is identically zero.
+    rule).  Without a penalty K is identically zero.  The components are
+    stored in node form; on a tree nothing is repeated onto the leaves here.
     """
     driver.check_against(marks)
     project = _projection(scenario, backend)
     n_steps = grid.n_steps
     qw = driver.q_weights(marks)
-    weights = scenario.weights
-    n = weights.size
 
-    Y = np.empty((n, n_steps + 1))
-    Z = np.empty((n, n_steps))
-    psi = np.empty((n, n_steps, marks.n_marks))
+    Y = NodeColumns.empty(scenario, range(n_steps + 1))
+    Z = NodeColumns.empty(scenario, range(n_steps))
+    psi = NodeColumns.empty(scenario, range(n_steps), (marks.n_marks,))
     y = terminal(scenario.state(n_steps))
-    Y[:, n_steps] = scenario.expand_to_leaves(n_steps, y)
+    Y[n_steps] = y
     pen = [None] * n_steps
     max_substeps = 1
 
@@ -364,20 +469,18 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
                                          scenario.state(i), ey, z, psi_i @ qw,
                                          grid.steps[i], penalty)
         max_substeps = max(max_substeps, nsub)
-        Y[:, i] = scenario.expand_to_leaves(i, y)
-        Z[:, i] = scenario.expand_to_leaves(i, z)
-        psi[:, i, :] = scenario.expand_to_leaves(i, psi_i)
+        Y[i] = y
+        Z[i] = z
+        psi[i] = psi_i
 
-    K = np.empty((n, n_steps + 1))
-    k = np.zeros(n)               # K_{t_i} per path, K_0 = +0
-    K[:, 0] = k
+    K = NodeColumns.empty(scenario, [0, *range(n_steps)])  # K_{i+1} known at t_i
+    K[0] = 0.0
     for i in range(n_steps):
-        k -= scenario.expand_to_leaves(i, pen[i])
-        K[:, i + 1] = k
+        K[i + 1] = K.spread(i, K[i], i + 1) - pen[i]
     meta = {"backend": backend.kind, "max_substeps": max_substeps,
             "penalty_level": None if penalty is None else penalty.level,
             "seed": getattr(scenario, "seed", None)}
-    return SolutionGrid(grid, marks, Y, Z, psi, K, weights, meta)
+    return SolutionGrid(grid, marks, Y, Z, psi, K, scenario.weights, meta)
 
 
 # -- residuals ----------------------------------------------------------------

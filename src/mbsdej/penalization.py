@@ -132,20 +132,27 @@ def constraint_slack(Y: np.ndarray, family: MonotoneFamily,
 
 def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
                  prev: SolutionGrid | None) -> LevelStats:
-    w = sol.weights
+    """The level's monitors from its node arrays, as expectations under the
+    node probabilities; nothing is expanded to the leaves."""
     grid = problem.grid
+    Y, Z, psi, K = (sol.nodes(name) for name in ("Y", "Z", "psi", "K"))
     if prev is None:
         delta, viol = np.nan, 0.0
     else:
-        diff = sol.Y - prev.Y
-        delta = float(np.max(np.abs(diff).T @ w))
-        viol = float(max(0.0, np.max(-diff)))
-    slack, steps = constraint_slack(sol.Y, problem.family, grid)
-    min_slack = float(slack.min()) if steps.size else np.inf
-    dt = grid.steps
-    energy = sol.Z**2 @ dt
-    if problem.marks.n_marks:
-        energy = energy + problem.marks.norm_pi_sq(sol.psi) @ dt
+        diffs = [a - b for a, b in zip(Y.columns, prev.nodes("Y").columns)]
+        delta = max(float(p @ np.abs(d)) for p, d in zip(Y.probs, diffs))
+        viol = max(0.0, max(float(np.max(-d)) for d in diffs))
+    barriers = problem.family.barriers(grid.times[:-1])
+    min_slack = min((float(np.min(Y[i] - barriers[i]))
+                     for i in np.flatnonzero(np.isfinite(barriers))),
+                    default=np.inf)
+    energy = sum(float(dt * (Z.probs[i] @ (Z[i]**2
+                                           + problem.marks.norm_pi_sq(psi[i]))))
+                 for i, dt in enumerate(grid.steps))
+    # sup_i Y_i^2 per path: a running max carried down the levels
+    run = Y[0]**2
+    for i in range(1, len(Y.columns)):
+        run = np.maximum(Y.spread(i - 1, run, i), Y[i]**2)
     return LevelStats(
         level=level,
         y0=sol.y0(),
@@ -153,9 +160,9 @@ def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
         mono_violation=viol,
         min_constraint_slack=min_slack,
         k_terminal_mean=sol.k_terminal_mean(),
-        sup_y_sq=float(w @ np.max(sol.Y**2, axis=1)),
-        control_energy=float(w @ energy),
-        k_terminal_sq=float(w @ sol.K[:, -1]**2),
+        sup_y_sq=float(Y.probs[-1] @ run),
+        control_energy=energy,
+        k_terminal_sq=float(K.probs[-1] @ K[-1]**2),
     )
 
 
@@ -173,7 +180,7 @@ def solve_penalized(problem: Problem, level: int, scenario,
                      problem.marks, backend, penalty=op)
     if problem.terminal.lower_bound_check:
         a_T = family.barriers(problem.grid.horizon)[0]
-        worst = float(np.min(sol.Y[:, -1]))
+        worst = float(np.min(sol.nodes("Y")[-1]))   # xi on the terminal nodes
         if worst < a_T - 1e-12:
             raise ValidationError(
                 f"terminal condition dips to {worst} below a_T = {a_T}")
@@ -384,7 +391,9 @@ def _overlap_stats(level: int, prev: SolutionGrid, cur: SolutionGrid,
     dk_diff = (np.diff(cur.K, axis=1) - np.diff(prev.K, axis=1))[imask]
     cells = diff.size
     if cells:
-        mean = float(diff.mean())
+        # cells weigh as their paths do: leaf probabilities on a tree
+        weights = np.broadcast_to(cur.weights[:, None], mask.shape)[mask]
+        mean = float(weights @ diff / weights.sum())
         se = float(diff.std(ddof=1) / np.sqrt(cells)) if cells > 1 else 0.0
         mx = float(np.max(np.abs(diff)))
     else:

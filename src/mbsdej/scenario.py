@@ -183,16 +183,21 @@ class PathEnsemble:
             np.cumsum(self.dN, axis=1, out=levels[:, 1:, :])
         return levels
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         return np.full(self.n_paths, 1.0 / self.n_paths)
+
+    def level_probs(self, i: int) -> np.ndarray:
+        """Every level's nodes are the paths: their uniform weights."""
+        return self.weights
 
     def state(self, i: int) -> ForwardState:
         """Forward state at grid time t_i, one entry per path."""
         return ForwardState(float(self.grid.times[i]), self.w_levels[:, i],
                             self.count_levels[:, i], self.marks, self.grid)
 
-    def expand_to_leaves(self, i: int, values: np.ndarray) -> np.ndarray:
+    def expand_to_leaves(self, i: int, values: np.ndarray,
+                         level: int | None = None) -> np.ndarray:
         """Per-path values are already per path: the identity."""
         return values
 
@@ -304,11 +309,19 @@ class ScenarioTree:
         return self.branching**i
 
     @cached_property
-    def leaf_probs(self) -> np.ndarray:
-        probs = np.ones(1)
+    def _level_probs(self) -> list:
+        probs = [np.ones(1)]
         for i in range(self.grid.n_steps):
-            probs = (probs[:, None] * self.probs[i][None, :]).ravel()
+            probs.append((probs[i][:, None] * self.probs[i][None, :]).ravel())
         return probs
+
+    def level_probs(self, i: int) -> np.ndarray:
+        """Probabilities of the level-i nodes (products along their branches)."""
+        return self._level_probs[i]
+
+    @property
+    def leaf_probs(self) -> np.ndarray:
+        return self._level_probs[-1]
 
     @property
     def weights(self) -> np.ndarray:
@@ -336,10 +349,12 @@ class ScenarioTree:
         tail = self.tail_weights(i)
         return leaf_values.reshape(self.level_size(i), tail.size) @ tail
 
-    def expand_to_leaves(self, i: int, node_values: np.ndarray) -> np.ndarray:
-        """Broadcast level-i node values onto all leaf paths."""
-        reps = self.branching ** (self.grid.n_steps - i)
-        return np.repeat(node_values, reps, axis=0)
+    def expand_to_leaves(self, i: int, node_values: np.ndarray,
+                         level: int | None = None) -> np.ndarray:
+        """Broadcast level-i node values onto all leaf paths, or onto the
+        nodes of a later ``level``."""
+        last = self.grid.n_steps if level is None else level
+        return np.repeat(node_values, self.branching ** (last - i), axis=0)
 
     def leaf_increments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per leaf-path (dW, dN) arrays shaped like a PathEnsemble's."""
