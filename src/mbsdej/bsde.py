@@ -7,11 +7,12 @@ the children of each node of a :class:`~mbsdej.scenario.ScenarioTree`, or
 polynomial least squares with a fixed small ridge on a
 :class:`~mbsdej.scenario.PathEnsemble` (Longstaff-Schwartz style).  The
 recursion stores each step's values in node form: a level-i quantity is one
-value per level-i node of a tree, or one per path of an ensemble.  Leaf
-paths see a tree's values only through the solution's leaf view, which is
-built on first read.  An optional structured penalty term -k_n(t, y) is
-integrated exactly through the resolvent identity, which keeps the implicit
-step stable no matter how large the penalization level is.
+value per level-i node of a tree, or one per path of an ensemble, and
+:func:`residual_check` reads the dynamics on the same nodes.  Leaf paths see
+a tree's values only through the solution's read-only leaf view, built on
+first read.  An optional structured penalty term -k_n(t, y) is integrated
+exactly through the resolvent identity, which keeps the implicit step stable
+no matter how large the penalization level is.
 """
 
 from __future__ import annotations
@@ -137,14 +138,14 @@ class NodeColumns:
     level is the set of paths, so the columns are views of one
     (n_paths, n_cols[, m]) array, which is also the leaf view.  On a tree
     :meth:`leaves` repeats each column onto the leaf paths on its first call
-    and keeps the result.
+    and keeps the result, read-only: the columns stay the one store.
     """
 
-    def __init__(self, columns, probs, levels, expand, leaves=None):
+    def __init__(self, columns, probs, levels, to_level, leaves=None):
         self.columns = columns
         self.probs = probs
         self.levels = levels
-        self._expand = expand
+        self._to_level = to_level
         self._leaves = leaves
 
     @classmethod
@@ -159,14 +160,16 @@ class NodeColumns:
             columns = [leaves[:, c] for c in range(len(levels))]
         else:
             columns = [np.empty((p.size, *trailing)) for p in probs]
-        return cls(columns, probs, levels, scenario.expand_to_leaves, leaves)
+        return cls(columns, probs, levels, scenario.to_level, leaves)
 
     @classmethod
-    def of_paths(cls, leaves: np.ndarray, weights: np.ndarray) -> "NodeColumns":
-        """A leaf array read column by column: each column's nodes are paths."""
+    def of_paths(cls, leaves: np.ndarray, weights: np.ndarray,
+                 level: int) -> "NodeColumns":
+        """A leaf array read column by column: each column's nodes are the
+        paths, which are the nodes of scenario level ``level``."""
         n_cols = leaves.shape[1]
         return cls([leaves[:, c] for c in range(n_cols)], [weights] * n_cols,
-                   list(range(n_cols)), lambda i, values, level=None: values,
+                   [level] * n_cols, lambda i, values, level=None: values,
                    leaves)
 
     def __getitem__(self, c: int) -> np.ndarray:
@@ -177,7 +180,7 @@ class NodeColumns:
 
     def spread(self, c: int, values: np.ndarray, d: int) -> np.ndarray:
         """Values on the nodes of column c, repeated onto column d's nodes."""
-        return self._expand(self.levels[c], values, self.levels[d])
+        return self._to_level(self.levels[c], values, self.levels[d])
 
     @property
     def expanded(self) -> bool:
@@ -185,13 +188,15 @@ class NodeColumns:
         return self._leaves is not None
 
     def leaves(self) -> np.ndarray:
-        """The (n_paths, n_cols[, m]) leaf view, built on the first call."""
+        """The (n_paths, n_cols[, m]) leaf view, built read-only on the first
+        call."""
         if self._leaves is None:
-            first = self._expand(self.levels[0], self.columns[0])
+            first = self._to_level(self.levels[0], self.columns[0])
             out = np.empty((first.shape[0], len(self.columns), *first.shape[1:]))
             out[:, 0] = first
             for c in range(1, len(self.columns)):
-                out[:, c] = self._expand(self.levels[c], self.columns[c])
+                out[:, c] = self._to_level(self.levels[c], self.columns[c])
+            out.flags.writeable = False
             self._leaves = out
         return self._leaves
 
@@ -224,11 +229,12 @@ class SolutionGrid:
     The solver stores each component as :class:`NodeColumns`: Y_i, Z_i and
     psi_i are level-i node values, and so is K_{i+1}, which the penalty at
     t_i fixes.  Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view,
-    an (n_paths, ...) array that on a tree is expanded on first read and
-    then kept.  :meth:`nodes`, ``y0`` and ``k_terminal_mean`` read the node
-    arrays and expand nothing.  Assigning a component (``sol.K = ...``,
-    ``dataclasses.replace``) stores the new leaf array; writing into a
-    tree's leaf view in place does not reach its node arrays.
+    an (n_paths, ...) array that on a tree is expanded on first read, kept
+    and read-only, so that every reader sees the node arrays' values; on an
+    ensemble it is the store itself and writable.  :meth:`nodes`, ``y0``,
+    ``k_terminal_mean`` and :func:`residual_check` read the node arrays and
+    expand nothing.  Assigning a component (``sol.K = ...``,
+    ``dataclasses.replace``) stores the new leaf array.
     """
 
     grid: TimeGrid
@@ -246,11 +252,11 @@ class SolutionGrid:
 
     def nodes(self, name: str) -> NodeColumns:
         """Component ``name`` in node form; a stored leaf array is read with
-        the paths as nodes."""
+        the paths as nodes of the last grid level."""
         stored = self.__dict__["_" + name]
         if isinstance(stored, NodeColumns):
             return stored
-        return NodeColumns.of_paths(stored, self.weights)
+        return NodeColumns.of_paths(stored, self.weights, self.grid.n_steps)
 
     def y0(self) -> float:
         Y = self.nodes("Y")
@@ -498,37 +504,44 @@ class ResidualReport:
     # (N,) worst |E_i[resid dW]| and |E_i[resid (dN_j - p_j)]|, tree only
     cond_cov_abs: np.ndarray | None = None
 
-    def passed(self, tol: float = 1e-10, z_gate: float = 4.0) -> bool:
+    def worst(self) -> tuple[float, int, str]:
+        """The largest statistic the gate reads, with its step and moment:
+        the conditional mean and covariances on a tree, |z| on an ensemble."""
         if self.kind == "tree":
-            return bool(np.all(self.cond_mean_abs <= tol)
-                        and np.all(self.cond_cov_abs <= tol))
-        return bool(np.all(np.abs(self.cond_mean_z) <= z_gate))
+            moments = {"mean": self.cond_mean_abs, "covariance": self.cond_cov_abs}
+        else:
+            moments = {"mean_z": np.abs(self.cond_mean_z)}
+        table = np.vstack(list(moments.values()))
+        row, step = np.unravel_index(int(np.argmax(table)), table.shape)
+        return float(table[row, step]), int(step), list(moments)[row]
+
+    def passed(self, tol: float = 1e-10, z_gate: float = 4.0) -> bool:
+        """Whether :meth:`worst` is within ``tol`` (tree) or ``z_gate``."""
+        return self.worst()[0] <= (tol if self.kind == "tree" else z_gate)
 
 
 def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
                    grid: TimeGrid, marks: MarkSpace) -> ResidualReport:
-    """Check the discretized dynamics step by step.
+    """Check the discretized dynamics step by step, on the nodes.
 
-    The jump increments are centered with the scenario's own compensator (the
-    tree's two-point branch mean, or lambda*dt for a Poisson ensemble), so
-    that on the exact tree the conditional-mean residual of a solver output is
-    zero to machine precision.  On the tree the residual must also have zero
-    conditional covariance with each step increment: that is what pins Z, psi.
+    Step i's residual is one value per level-i node and branch:
+    R = Y_i - (Y_{i+1} + dt*f - Z_i*dW - psi_i.(dN - c) + K_{i+1} - K_i) with
+    f evaluated on ``scenario.state(i)``.  A tree node's branches are its
+    children, and c is their exact mean jump count, so on the tree the
+    conditional mean of R for a solver output is zero to machine precision;
+    so are its conditional covariances with the increments, which pin Z and
+    psi.  An ensemble node is a path with one branch, its own increment, and
+    c = lambda*dt.  Components stored as leaf arrays are read on the nodes
+    with ``scenario.to_level``, which raises ValueError on a tree column
+    that is not measurable at its time.
     """
-    n_steps = grid.n_steps
-    m = marks.n_marks
-    if isinstance(scenario, ScenarioTree):
-        dW, dN = scenario.leaf_increments()
-        # center with the tree's exact per-step jump probabilities
-        pj = np.array([scenario.probs[i] @ scenario.dN[i] for i in range(n_steps)])
-        centered = dN - pj[None, :, :]
-        kind = "tree"
-    else:
-        dW = scenario.dW
-        centered = scenario.dN_tilde
-        kind = "ensemble"
+    tree = isinstance(scenario, ScenarioTree)
+    Y, Z, psi, K = (solution.nodes(name) for name in ("Y", "Z", "psi", "K"))
 
-    w = solution.weights
+    def at(part, c, level):
+        return scenario.to_level(part.levels[c], part[c], level)
+
+    n_steps = grid.n_steps
     mean_abs = np.empty(n_steps)
     max_abs = np.empty(n_steps)
     cond_mean = np.empty(n_steps)
@@ -536,43 +549,41 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     zscores = np.empty(n_steps)
 
     for i in range(n_steps):
-        dt = grid.steps[i]
-        node_state = scenario.state(i)
-        state = replace(node_state,
-                        w=scenario.expand_to_leaves(i, node_state.w),
-                        counts=scenario.expand_to_leaves(i, node_state.counts))
-        fval = driver.f(state.t, state, solution.Y[:, i], solution.Z[:, i],
-                        solution.psi[:, i, :], marks)
-        jump_part = np.einsum("pj,pj->p", solution.psi[:, i, :], centered[:, i, :]) \
-            if m else 0.0
-        resid = solution.Y[:, i] - (
-            solution.Y[:, i + 1] + dt * np.asarray(fval)
-            - solution.Z[:, i] * dW[:, i] - jump_part
-            + (solution.K[:, i + 1] - solution.K[:, i]))
-        mean_abs[i] = float(w @ np.abs(resid))
-        max_abs[i] = float(np.max(np.abs(resid)))
-        if kind == "tree":
-            cond_mean[i] = float(np.max(np.abs(scenario.condexp_nodes(i, resid))))
-            # E_i[resid * increment] from the conditional means at the
-            # step-i children, weighted by the branch increments
-            p = scenario.probs[i]
-            child = scenario.condexp_nodes(i + 1, resid).reshape(
-                -1, scenario.branching)
-            cov = child @ np.column_stack(
-                [p * scenario.dW[i], p[:, None] * (scenario.dN[i] - pj[i])])
+        y, z, psi_i = at(Y, i, i), at(Z, i, i), at(psi, i, i)
+        if tree:     # increments (B,) and (B, m), branch probabilities p
+            p, dN = scenario.probs[i], scenario.dN[i]
+            dW, centered = scenario.dW[i], dN - p @ dN
+            y_next = at(Y, i + 1, i + 1).reshape(y.size, scenario.branching)
+        else:        # increments (n, 1) and (n, 1, m), one sure branch
+            p, dW = np.ones(1), scenario.dW[:, i, None]
+            centered = scenario.dN_tilde[:, i, None, :]
+            y_next = at(Y, i + 1, i + 1)[:, None]
+        state = scenario.state(i)
+        fval = driver.f(state.t, state, y, z, psi_i, marks)
+        drift = grid.steps[i] * np.broadcast_to(fval, y.shape)
+        jump = (psi_i[:, None, :] * centered).sum(axis=-1)
+        dk = at(K, i + 1, i) - at(K, i, i)
+        R = y[:, None] - (y_next + drift[:, None] - z[:, None] * dW - jump
+                          + dk[:, None])
+        mean_abs[i] = float(scenario.level_probs(i) @ (np.abs(R) @ p))
+        max_abs[i] = float(np.max(np.abs(R)))
+        if tree:
+            cond_mean[i] = float(np.max(np.abs(R @ p)))
+            cov = R @ np.column_stack([p * dW, p[:, None] * centered])
             cond_cov[i] = float(np.max(np.abs(cov)))
         else:
             # The per-path residuals share the fitted regression functions, so
             # the naive std(resid)/sqrt(n) understates the fluctuation of the
             # mean; gauge it against the projected martingale increments.
+            resid = R[:, 0]
             mu = float(resid.mean())
-            mart = solution.Z[:, i] * dW[:, i] + jump_part
+            mart = (z[:, None] * dW + jump)[:, 0]
             scale = max(float(resid.std(ddof=1)), float(np.std(mart, ddof=1))) \
                 if resid.size > 1 else 0.0
             se = scale / np.sqrt(resid.size)
             cond_mean[i] = abs(mu)
             zscores[i] = mu / se if se > 0 else 0.0
 
-    tree = kind == "tree"
-    return ResidualReport(mean_abs, max_abs, cond_mean, kind,
+    return ResidualReport(mean_abs, max_abs, cond_mean,
+                          "tree" if tree else "ensemble",
                           None if tree else zscores, cond_cov if tree else None)

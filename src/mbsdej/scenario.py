@@ -196,9 +196,9 @@ class PathEnsemble:
         return ForwardState(float(self.grid.times[i]), self.w_levels[:, i],
                             self.count_levels[:, i], self.marks, self.grid)
 
-    def expand_to_leaves(self, i: int, values: np.ndarray,
-                         level: int | None = None) -> np.ndarray:
-        """Per-path values are already per path: the identity."""
+    def to_level(self, i: int, values: np.ndarray,
+                 level: int | None = None) -> np.ndarray:
+        """Every level's nodes are the paths: the identity."""
         return values
 
     def subset(self, rows) -> "PathEnsemble":
@@ -337,37 +337,25 @@ class ScenarioTree:
         """E[. | F_{t_i}] of level-(i+1) node values; exact weighted sums."""
         return next_values.reshape(self.level_size(i), self.branching) @ self.probs[i]
 
-    def tail_weights(self, i: int) -> np.ndarray:
-        """Probabilities of the branch suffixes from level i to the leaves."""
-        w = np.ones(1)
-        for k in range(self.grid.n_steps - 1, i - 1, -1):
-            w = (self.probs[k][:, None] * w[None, :]).ravel()
-        return w
+    def to_level(self, i: int, values: np.ndarray,
+                 level: int | None = None) -> np.ndarray:
+        """Level-i node values read on the nodes of ``level`` (the leaves by
+        default).
 
-    def condexp_nodes(self, i: int, leaf_values: np.ndarray) -> np.ndarray:
-        """E[. | F_{t_i}] of a leaf function, one value per level-i node."""
-        tail = self.tail_weights(i)
-        return leaf_values.reshape(self.level_size(i), tail.size) @ tail
-
-    def expand_to_leaves(self, i: int, node_values: np.ndarray,
-                         level: int | None = None) -> np.ndarray:
-        """Broadcast level-i node values onto all leaf paths, or onto the
-        nodes of a later ``level``."""
-        last = self.grid.n_steps if level is None else level
-        return np.repeat(node_values, self.branching ** (last - i), axis=0)
-
-    def leaf_increments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per leaf-path (dW, dN) arrays shaped like a PathEnsemble's."""
-        n, m = self.grid.n_steps, self.marks.n_marks
-        dW = np.empty((self.n_leaves, n))
-        dN = np.zeros((self.n_leaves, n, m))
-        for i in range(n):
-            reps = self.branching ** (n - i - 1)
-            tiles = self.level_size(i)
-            dW[:, i] = np.tile(np.repeat(self.dW[i], reps), tiles)
-            for j in range(m):
-                dN[:, i, j] = np.tile(np.repeat(self.dN[i, :, j], reps), tiles)
-        return dW, dN
+        A finer level repeats each value onto the node's descendants.  A
+        coarser level reads back the value its nodes carry, which needs the
+        values to be F_{t_level}-measurable: values that differ under one
+        level-``level`` node raise ValueError.
+        """
+        level = self.grid.n_steps if level is None else level
+        if level >= i:
+            return np.repeat(values, self.branching ** (level - i), axis=0)
+        under = values.reshape(self.level_size(level), self.branching ** (i - level),
+                               *values.shape[1:])
+        if not np.all(under == under[:, :1]):
+            raise ValueError(f"values differ under one level-{level} node: "
+                             f"they are not F_{{t_{level}}}-measurable")
+        return under[:, 0]
 
 
 def build_tree(grid: TimeGrid, marks: MarkSpace,

@@ -316,7 +316,9 @@ def test_10_negative_controls():
                           family=make_family("reflect_at", {"a": 0.0}, grid))
         schedule = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=1e-4)
         sol, _ = solve_mbsde(problem, schedule, tree, backend)
-        sol.Y[:, 3] += 1.0
+        Y = sol.Y.copy()
+        Y[:, 3] += 1.0
+        sol.Y = Y
         assert not residual_check(sol, problem.driver, tree, grid,
                                   marks).passed()
         higher = replace(problem, terminal=TerminalSpec(lambda s: s.w + 0.5,

@@ -10,8 +10,12 @@ BLOCK = scenario._BLOCK_PATHS
 
 
 def condexp_leaves(tree, i, leaf_values):
-    """E[. | F_{t_i}] of a leaf function, returned per leaf."""
-    return tree.expand_to_leaves(i, tree.condexp_nodes(i, leaf_values))
+    """E[. | F_{t_i}] of a leaf function, returned per leaf: one-step
+    conditional expectations from the leaves down to level i."""
+    values = leaf_values
+    for k in reversed(range(i, tree.grid.n_steps)):
+        values = tree.condexp_level(k, values)
+    return tree.to_level(i, values)
 
 
 class TestTimeGrid:
@@ -277,6 +281,12 @@ class TestScenarioTree:
         grid = TimeGrid.uniform(1.0, 3)
         marks = MarkSpace([1.0], [1.0])
         tree = build_tree(grid, marks)
-        dW, dN = tree.leaf_increments()
-        assert np.allclose(dW.sum(axis=1), tree.w_nodes[3])
-        assert np.allclose(dN.sum(axis=1)[:, 0], tree.count_nodes[3][:, 0])
+        # node k of level i + 1 is branch k % B of node k // B of level i
+        for i in range(grid.n_steps):
+            parent, branch = np.divmod(np.arange(tree.level_size(i + 1)),
+                                       tree.branching)
+            assert np.allclose(tree.w_nodes[i + 1] - tree.w_nodes[i][parent],
+                               tree.dW[i][branch])
+            assert np.array_equal(
+                tree.count_nodes[i + 1] - tree.count_nodes[i][parent],
+                tree.dN[i][branch])
