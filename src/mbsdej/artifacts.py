@@ -2,8 +2,8 @@
 
 CSV cells are ``g``-formatted to 17 significant digits, which round-trips
 floats and prints integer-valued indices as ``str(int)`` does; lines end in
-``\\n``.  JSON is indented by 2 with sorted keys.  Both are byte-identical
-for identical inputs.
+``\\n``.  JSON is indented by 2 with sorted keys, and strict: non-finite
+floats are written as ``null``.  Both are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ def write_csv(path, header, blocks) -> None:
 
 
 def write_json(path, obj) -> None:
+    obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def path_step_rows(n_steps: int, *columns):

@@ -7,12 +7,12 @@ the children of each node of a :class:`~mbsdej.scenario.ScenarioTree`, or
 polynomial least squares with a fixed small ridge on a
 :class:`~mbsdej.scenario.PathEnsemble` (Longstaff-Schwartz style).  The
 recursion stores each step's values in node form: a level-i quantity is one
-value per level-i node of a tree, or one per path of an ensemble, and
-:func:`residual_check` reads the dynamics on the same nodes.  Leaf paths see
-a tree's values only through the solution's read-only leaf view, built on
-first read.  An optional structured penalty term -k_n(t, y) is integrated
-exactly through the resolvent identity, which keeps the implicit step stable
-no matter how large the penalization level is.
+value per level-i node of a tree, or one per path of an ensemble, and every
+reader of a solution reads those nodes through :class:`NodeColumns`.  Leaf
+paths see a tree's values only through the read-only leaf view that
+:meth:`SolutionGrid.write_csv` builds.  An optional structured penalty term
+-k_n(t, y) is integrated exactly through the resolvent identity, which keeps
+the implicit step stable no matter how large the penalization level is.
 """
 
 from __future__ import annotations
@@ -72,11 +72,9 @@ class DriverSpec:
         if np.any(np.abs(self.gamma) > marks.vartheta + 1e-12):
             raise ValueError("|gamma_j| must not exceed vartheta_j")
 
-    def q_weights(self, marks: MarkSpace) -> np.ndarray:
-        return self.gamma * marks.intensities
-
     def q_of(self, psi: np.ndarray, marks: MarkSpace) -> np.ndarray:
-        return psi @ self.q_weights(marks)
+        """q per row of psi, summed alone whatever the number of rows."""
+        return (psi * (self.gamma * marks.intensities)).sum(axis=-1)
 
     def f(self, t, state, y, z, psi, marks) -> np.ndarray:
         """Full driver value from the per-mark control psi."""
@@ -136,9 +134,10 @@ class NodeColumns:
     Column c holds one value per node of scenario level ``levels[c]`` and
     ``probs[c]`` holds those nodes' probabilities.  On an ensemble every
     level is the set of paths, so the columns are views of one
-    (n_paths, n_cols[, m]) array, which is also the leaf view.  On a tree
-    :meth:`leaves` repeats each column onto the leaf paths on its first call
-    and keeps the result, read-only: the columns stay the one store.
+    (n_paths, n_cols[, m]) array, which is also the leaf view.  Pathwise
+    quantities are read with :meth:`increment` and :meth:`accumulate`.  On a
+    tree :meth:`leaves` repeats each column onto the leaf paths on its first
+    call and keeps the result, read-only: the columns stay the one store.
     """
 
     def __init__(self, columns, probs, levels, to_level, leaves=None):
@@ -179,8 +178,20 @@ class NodeColumns:
         self.columns[c][...] = values
 
     def spread(self, c: int, values: np.ndarray, d: int) -> np.ndarray:
-        """Values on the nodes of column c, repeated onto column d's nodes."""
+        """Values on the nodes of column c, read on column d's nodes."""
         return self._to_level(self.levels[c], values, self.levels[d])
+
+    def increment(self, c: int) -> np.ndarray:
+        """Column c+1 minus column c, on column c+1's nodes."""
+        return self[c + 1] - self.spread(c, self[c], c + 1)
+
+    def accumulate(self, op: Callable, terms) -> list:
+        """Running reduction of ``terms[c]`` (on column c's nodes) down the
+        columns: out[0] = terms[0], out[c] = op(spread(out[c-1]), terms[c])."""
+        out = [terms[0]]
+        for c in range(1, len(terms)):
+            out.append(op(self.spread(c - 1, out[-1], c), terms[c]))
+        return out
 
     @property
     def expanded(self) -> bool:
@@ -191,13 +202,9 @@ class NodeColumns:
         """The (n_paths, n_cols[, m]) leaf view, built read-only on the first
         call."""
         if self._leaves is None:
-            first = self._to_level(self.levels[0], self.columns[0])
-            out = np.empty((first.shape[0], len(self.columns), *first.shape[1:]))
-            out[:, 0] = first
-            for c in range(1, len(self.columns)):
-                out[:, c] = self._to_level(self.levels[c], self.columns[c])
-            out.flags.writeable = False
-            self._leaves = out
+            self._leaves = np.stack([self._to_level(level, col) for level, col
+                                     in zip(self.levels, self.columns)], axis=1)
+            self._leaves.flags.writeable = False
         return self._leaves
 
 
@@ -228,13 +235,12 @@ class SolutionGrid:
 
     The solver stores each component as :class:`NodeColumns`: Y_i, Z_i and
     psi_i are level-i node values, and so is K_{i+1}, which the penalty at
-    t_i fixes.  Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view,
-    an (n_paths, ...) array that on a tree is expanded on first read, kept
-    and read-only, so that every reader sees the node arrays' values; on an
-    ensemble it is the store itself and writable.  :meth:`nodes`, ``y0``,
-    ``k_terminal_mean`` and :func:`residual_check` read the node arrays and
-    expand nothing.  Assigning a component (``sol.K = ...``,
-    ``dataclasses.replace``) stores the new leaf array.
+    t_i fixes; every reader in the package reads :meth:`nodes`.  Reading
+    ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view for :meth:`write_csv`
+    and tests: an (n_paths, ...) array that on a tree is expanded on first
+    read, kept and read-only; on an ensemble it is the store itself.
+    Assigning a component (``sol.K = ...``, ``dataclasses.replace``) stores
+    it as given; a leaf array is read with the paths as nodes.
     """
 
     grid: TimeGrid
@@ -267,12 +273,13 @@ class SolutionGrid:
         return float(K.probs[-1] @ K[-1])
 
     def validate(self, tol: float = 1e-12) -> None:
-        if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.Z))
-                and np.all(np.isfinite(self.psi)) and np.all(np.isfinite(self.K))):
+        if not all(np.all(np.isfinite(col)) for name in ("Y", "Z", "psi", "K")
+                   for col in self.nodes(name).columns):
             raise ValueError("solution contains non-finite entries")
-        if np.any(np.abs(self.K[:, 0]) > tol):
+        K = self.nodes("K")
+        if np.any(np.abs(K[0]) > tol):
             raise ValueError("K must start at 0")
-        if np.any(np.diff(self.K, axis=1) < -tol):
+        if any(np.any(K.increment(c) < -tol) for c in range(len(K.columns) - 1)):
             raise ValueError("K must be nondecreasing per path")
 
     def write_csv(self, path) -> None:
@@ -459,7 +466,6 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
     driver.check_against(marks)
     project = _projection(scenario, backend)
     n_steps = grid.n_steps
-    qw = driver.q_weights(marks)
 
     Y = NodeColumns.empty(scenario, range(n_steps + 1))
     Z = NodeColumns.empty(scenario, range(n_steps))
@@ -472,7 +478,8 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
     for i in reversed(range(n_steps)):
         ey, z, psi_i = project(i, y)
         y, pen[i], nsub = _implicit_step(driver, float(grid.times[i]),
-                                         scenario.state(i), ey, z, psi_i @ qw,
+                                         scenario.state(i), ey, z,
+                                         driver.q_of(psi_i, marks),
                                          grid.steps[i], penalty)
         max_substeps = max(max_substeps, nsub)
         Y[i] = y
@@ -480,9 +487,8 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
         psi[i] = psi_i
 
     K = NodeColumns.empty(scenario, [0, *range(n_steps)])  # K_{i+1} known at t_i
-    K[0] = 0.0
-    for i in range(n_steps):
-        K[i + 1] = K.spread(i, K[i], i + 1) - pen[i]
+    for c, k in enumerate(K.accumulate(np.subtract, [np.zeros(1), *pen])):
+        K[c] = k
     meta = {"backend": backend.kind, "max_substeps": max_substeps,
             "penalty_level": None if penalty is None else penalty.level,
             "seed": getattr(scenario, "seed", None)}
@@ -562,7 +568,7 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
         fval = driver.f(state.t, state, y, z, psi_i, marks)
         drift = grid.steps[i] * np.broadcast_to(fval, y.shape)
         jump = (psi_i[:, None, :] * centered).sum(axis=-1)
-        dk = at(K, i + 1, i) - at(K, i, i)
+        dk = scenario.to_level(K.levels[i + 1], K.increment(i), i)
         R = y[:, None] - (y_next + drift[:, None] - z[:, None] * dW - jump
                           + dk[:, None])
         mean_abs[i] = float(scenario.level_probs(i) @ (np.abs(R) @ p))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, artifacts
-from .bsde import residual_check, solve_bsde
+from .bsde import NodeColumns, residual_check, solve_bsde
 from .config import ProblemConfig, build_problem, parse_config, render_config
 from .errors import (HypothesisViolated, MbsdejError, ParseError, UnknownName,
                      ValidationError)
@@ -178,9 +178,11 @@ def _suite_uniqueness(problem, backend, full, scenario, sol, run, report):
 def _suite_negative_controls(problem, scenario, sol, report):
     # a corrupted solution must fail the residual check
     mid = problem.grid.n_steps // 2
-    corrupted = copy.copy(sol)      # Z, psi and K stay in node form
-    corrupted.Y = sol.Y.copy()
-    corrupted.Y[:, mid] += 1.0
+    Y = sol.nodes("Y")
+    columns = list(Y.columns)
+    columns[mid] = columns[mid] + 1.0
+    corrupted = copy.copy(sol)      # shares Z, psi, K and the other columns
+    corrupted.Y = NodeColumns(columns, Y.probs, Y.levels, scenario.to_level)
     resid = residual_check(corrupted, problem.driver, scenario, problem.grid,
                            problem.marks)
     detected = not resid.passed(**_RESIDUAL_GATE)

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import artifacts
-from .bsde import CEBackend, DriverSpec, SolutionGrid, TerminalSpec, solve_bsde
+from .bsde import (CEBackend, DriverSpec, NodeColumns, SolutionGrid,
+                   TerminalSpec, solve_bsde)
 from .errors import (MbsdejError, MonotonicityBreach, SegmentMismatch,
                      ValidationError)
 from .monotone import GrowthEnvelope, MonotoneFamily, PenalizedOperator, truncate_shift
@@ -118,16 +119,14 @@ class PenalizationReport:
         artifacts.write_json(path, self.to_dict())
 
 
-def constraint_slack(Y: np.ndarray, family: MonotoneFamily,
-                     grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Slack Y_i - a_{t_i} on the steps before the terminal one with finite a.
-
-    Returns the (n_paths, k) slack and the k step indices it covers.  The
-    terminal column is excluded: Y_N == xi is data, not solver output.
-    """
-    barriers = family.barriers(grid.times[:-1])
-    steps = np.flatnonzero(np.isfinite(barriers))
-    return Y[:, steps] - barriers[steps], steps
+def constraint_slack(solution: SolutionGrid,
+                     family: MonotoneFamily) -> dict[int, np.ndarray]:
+    """Slack Y_i - a_{t_i} on the level-i nodes, keyed by the steps i < N
+    with a finite barrier (Y_N == xi is data, not solver output)."""
+    Y = solution.nodes("Y")
+    barriers = family.barriers(solution.grid.times[:-1])
+    return {int(i): Y[i] - barriers[i]
+            for i in np.flatnonzero(np.isfinite(barriers))}
 
 
 def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
@@ -142,17 +141,13 @@ def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
         diffs = [a - b for a, b in zip(Y.columns, prev.nodes("Y").columns)]
         delta = max(float(p @ np.abs(d)) for p, d in zip(Y.probs, diffs))
         viol = max(0.0, max(float(np.max(-d)) for d in diffs))
-    barriers = problem.family.barriers(grid.times[:-1])
-    min_slack = min((float(np.min(Y[i] - barriers[i]))
-                     for i in np.flatnonzero(np.isfinite(barriers))),
+    min_slack = min((float(np.min(s)) for s in
+                     constraint_slack(sol, problem.family).values()),
                     default=np.inf)
     energy = sum(float(dt * (Z.probs[i] @ (Z[i]**2
                                            + problem.marks.norm_pi_sq(psi[i]))))
                  for i, dt in enumerate(grid.steps))
-    # sup_i Y_i^2 per path: a running max carried down the levels
-    run = Y[0]**2
-    for i in range(1, len(Y.columns)):
-        run = np.maximum(Y.spread(i - 1, run, i), Y[i]**2)
+    run = Y.accumulate(np.maximum, [y**2 for y in Y.columns])[-1]
     return LevelStats(
         level=level,
         y0=sol.y0(),
@@ -227,13 +222,14 @@ def stopping_times(solution: SolutionGrid, envelope: GrowthEnvelope,
                    level: int, grid: TimeGrid) -> np.ndarray:
     """First grid index where ell(t_i, Y_i) <= level, per path.
 
-    Filled by a backward pass from the terminal index, where the condition
-    always holds since ell(T, .) = 0.
+    A running minimum down the columns of Y of i where the condition holds,
+    else N; the terminal index always meets it, since ell(T, .) = 0.
     """
-    tau = np.full(solution.n_paths, grid.n_steps, dtype=int)
-    for i in reversed(range(grid.n_steps)):
-        tau[envelope(float(grid.times[i]), solution.Y[:, i]) <= level] = i
-    return tau
+    Y = solution.nodes("Y")
+    n = grid.n_steps
+    first = [np.where(envelope(float(t), Y[i]) <= level, i, n)
+             for i, t in enumerate(grid.times[:-1])]
+    return Y.accumulate(np.minimum, [*first, np.full(1, n)])[-1]
 
 
 @dataclass
@@ -328,11 +324,11 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     tau[0] = n_steps
     record = ConcatenationRecord(levels=levels, tau=tau)
 
-    Y = np.empty((n_paths, n_steps + 1))
-    Z = np.empty((n_paths, n_steps))
-    psi = np.empty((n_paths, n_steps, problem.marks.n_marks))
-    K = np.zeros((n_paths, n_steps + 1))             # dK until the final cumsum
-    free = np.ones((n_paths, n_steps), dtype=bool)   # cells no level claimed
+    Y = NodeColumns.empty(scenario, range(n_steps + 1))
+    Z = NodeColumns.empty(scenario, range(n_steps))
+    psi = NodeColumns.empty(scenario, range(n_steps), (problem.marks.n_marks,))
+    K = NodeColumns.empty(scenario, [0, *range(n_steps)])   # dK until the sum
+    free = [np.ones(p.size, dtype=bool) for p in Z.probs]   # cells unclaimed
     last = max_truncation
     prev = None
     for n in levels:                                 # row n of tau is level n
@@ -342,8 +338,10 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
             sol, rep = solve_mbsde(prob_n, schedule, scenario, backend)
         except MbsdejError as exc:
             raise type(exc)(f"truncation level {n}: {exc}") from exc
-        # undo the shift: K^n_t = K-hat^n_t - n t (bounded variation)
-        sol.K = sol.K - n * grid.times[None, :]
+        Y_n, Z_n, psi_n, K_n = map(sol.nodes, ("Y", "Z", "psi", "K"))
+        # undo the shift in place: K^n_t = K-hat^n_t - n t (bounded variation)
+        for c, t in enumerate(grid.times):
+            K_n[c] = K_n[c] - n * t
         tau[n] = stopping_times(sol, envelope, n, grid)
         record.level_reports.append(rep)
         record.level_y0.append(sol.y0())
@@ -358,23 +356,25 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
                     f"|mean dY| = {abs(stats.mean_y_diff):.3g} > {tol:.3g} "
                     f"(max |dY| = {stats.max_y_diff:.3g})")
 
-        claim = free & (tau[n][:, None] <= np.arange(n_steps))
-        if n == last:                            # the last level takes the rest
-            record.uncovered_cells = int((free & ~claim).sum())
-            claim = free
-        Y[:, :-1][claim] = sol.Y[:, :-1][claim]
-        Z[claim] = sol.Z[claim]
-        psi[claim] = sol.psi[claim]
-        K[:, 1:][claim] = np.diff(sol.K, axis=1)[claim]
-        free &= ~claim
+        for i in range(n_steps):           # {tau_n <= i} is known at t_i
+            claim = free[i] & Y_n.spread(n_steps, tau[n] <= i, i)
+            if n == last:                  # the last level takes the rest
+                record.uncovered_cells += (int(np.count_nonzero(free[i] & ~claim))
+                                           * (n_paths // claim.size))
+                claim = free[i]
+            for glued, part in ((Y, Y_n), (Z, Z_n), (psi, psi_n)):
+                glued[i][claim] = part[i][claim]
+            K[i + 1][claim] = K_n.increment(i)[claim]
+            free[i] &= ~claim
         prev = sol
         if n == last:
             break
-        if not free.any():                       # every cell is claimed
+        if not any(f.any() for f in free):       # every cell is claimed
             last = n + 1
 
-    Y[:, -1] = prev.Y[:, -1]                         # xi, the same on every level
-    np.cumsum(K[:, 1:], axis=1, out=K[:, 1:])
+    Y[n_steps] = prev.nodes("Y")[n_steps]            # xi, the same on every level
+    for c, k in enumerate(K.accumulate(np.add, [np.zeros(1), *K.columns[1:]])):
+        K[c] = k
 
     meta = {"backend": backend.kind, "truncation_levels": levels[:last]}
     return SolutionGrid(grid, problem.marks, Y, Z, psi, K, prev.weights,
@@ -383,20 +383,24 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
 
 def _overlap_stats(level: int, prev: SolutionGrid, cur: SolutionGrid,
                    tau_prev: np.ndarray, problem: Problem) -> OverlapStats:
+    """Level differences on the overlap [tau_{n-1}, T]: a level-i node counts
+    as the leaf cells under it, and the mean weighs them by probability."""
     n_steps = problem.grid.n_steps
-    steps_idx = np.arange(n_steps + 1)[None, :]
-    mask = steps_idx >= tau_prev[:, None]          # [tau_{n-1}, T] per path
-    diff = (cur.Y - prev.Y)[mask]
-    imask = mask[:, :-1]                           # intervals inside the overlap
-    dk_diff = (np.diff(cur.K, axis=1) - np.diff(prev.K, axis=1))[imask]
-    cells = diff.size
+    Y, K = cur.nodes("Y"), cur.nodes("K")
+    Y_prev, K_prev = prev.nodes("Y"), prev.nodes("K")
+    inside = [Y.spread(n_steps, tau_prev <= i, i) for i in range(n_steps + 1)]
+    diffs = [(Y[i] - Y_prev[i])[m] for i, m in enumerate(inside)]
+    leaves = [cur.n_paths // m.size for m in inside]      # leaf cells per node
+    cells = sum(k * d.size for k, d in zip(leaves, diffs))
     if cells:
-        # cells weigh as their paths do: leaf probabilities on a tree
-        weights = np.broadcast_to(cur.weights[:, None], mask.shape)[mask]
-        mean = float(weights @ diff / weights.sum())
-        se = float(diff.std(ddof=1) / np.sqrt(cells)) if cells > 1 else 0.0
-        mx = float(np.max(np.abs(diff)))
+        mean = (sum(float(p[m] @ d) for p, m, d in zip(Y.probs, inside, diffs))
+                / sum(float(p[m].sum()) for p, m in zip(Y.probs, inside)))
+        u = sum(k * float(d.sum()) for k, d in zip(leaves, diffs)) / cells
+        ss = sum(k * float(((d - u)**2).sum()) for k, d in zip(leaves, diffs))
+        se = float(np.sqrt(ss / (cells - 1) / cells)) if cells > 1 else 0.0
+        mx = max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
     else:
         mean = se = mx = 0.0
-    mdk = float(np.max(np.abs(dk_diff))) if dk_diff.size else 0.0
+    mdk = max(float(np.max(np.abs(K.increment(i) - K_prev.increment(i))[m],
+                           initial=0.0)) for i, m in enumerate(inside[:-1]))
     return OverlapStats(level, cells, mean, se, mx, mdk)

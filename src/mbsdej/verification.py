@@ -89,75 +89,81 @@ class PropertyReport:
 
 @dataclass
 class GraphSelection:
-    """Optional pair (alpha_t, beta_t) with values in Gr(k_t), per step."""
+    """Optional pair (alpha_t, beta_t) with values in Gr(k_t), per step:
+    ``alpha[i]`` holds one value, or one per level-i node (so does beta)."""
 
     name: str
-    alpha: np.ndarray   # (n_paths or 1, N)
-    beta: np.ndarray
+    alpha: list
+    beta: list
 
     @classmethod
     def interior_constant(cls, family: MonotoneFamily, grid: TimeGrid,
                           x_star: float) -> "GraphSelection":
-        n = grid.n_steps
-        alpha = np.full((1, n), float(x_star))
-        beta = np.array([[float(family.k(float(grid.times[i]), [x_star])[0])
-                          for i in range(n)]])
+        alpha = [np.array([float(x_star)])] * grid.n_steps
+        beta = [family.k(float(t), a) for t, a in zip(grid.times, alpha)]
         return cls(f"interior_constant({x_star:g})", alpha, beta)
 
     @classmethod
     def boundary_offset(cls, family: MonotoneFamily, grid: TimeGrid,
                         eps: float) -> "GraphSelection":
-        n = grid.n_steps
-        alpha = np.empty((1, n))
-        beta = np.empty((1, n))
-        for i, a in enumerate(family.barriers(grid.times[:-1])):
+        alpha, beta = [], []
+        for t, a in zip(grid.times, family.barriers(grid.times[:-1])):
             if not np.isfinite(a):
                 raise InvalidSelection("boundary strategy needs a finite barrier")
-            alpha[0, i] = a + eps
-            beta[0, i] = float(family.k(float(grid.times[i]), [a + eps])[0])
+            alpha.append(np.array([a + eps]))
+            beta.append(family.k(float(t), alpha[-1]))
         return cls(f"boundary(a+{eps:g})", alpha, beta)
 
     @classmethod
     def midpoint(cls, family: MonotoneFamily, grid: TimeGrid,
                  sol1: SolutionGrid, sol2: SolutionGrid) -> "GraphSelection":
         """Lemma-1 style pairing (Y^1 + Y^2)/2 with boundary fallback."""
-        n = grid.n_steps
-        alpha = 0.5 * (sol1.Y[:, :n] + sol2.Y[:, :n])
-        beta = np.empty_like(alpha)
+        Y1, Y2 = sol1.nodes("Y"), sol2.nodes("Y")
+        alpha, beta = [], []
         for i, a in enumerate(family.barriers(grid.times[:-1])):
+            alpha.append(0.5 * (Y1[i] + Y2[i]))
             if np.isfinite(a):
-                np.maximum(alpha[:, i], a + _MIDPOINT_OFFSET, out=alpha[:, i])
-            beta[:, i] = family.k(float(grid.times[i]), alpha[:, i])
+                np.maximum(alpha[i], a + _MIDPOINT_OFFSET, out=alpha[i])
+            beta.append(family.k(float(grid.times[i]), alpha[i]))
         return cls("midpoint", alpha, beta)
 
     def validate(self, family: MonotoneFamily, grid: TimeGrid) -> None:
         for i in range(grid.n_steps):
-            ok = family.graph_contains_many(float(grid.times[i]),
-                                            self.alpha[:, i], self.beta[:, i],
+            alpha, beta = self.alpha[i], self.beta[i]
+            ok = family.graph_contains_many(float(grid.times[i]), alpha, beta,
                                             atol=_SELECTION_ATOL)
             if not ok.all():
-                p = int(np.argmin(ok))
+                k = int(np.argmin(ok))
                 raise InvalidSelection(
                     f"selection '{self.name}' leaves the graph at step {i}, "
-                    f"path {p}: ({self.alpha[p % self.alpha.shape[0], i]}, "
-                    f"{self.beta[p % self.beta.shape[0], i]})")
+                    f"node {k}: ({alpha[k % alpha.size]}, {beta[k % beta.size]})")
 
 
 # -- individual checks --------------------------------------------------------
 
 
+def _worst_cell(columns, n_paths: int) -> tuple[float, int, int]:
+    """(value, column, path) of the largest entry of node-form columns.  A
+    node is named by the first leaf path under it; ties go to the smallest
+    path, then column, as in an argmax over the (path, column) leaf array."""
+    tops = [float(np.max(col)) for col in columns]
+    top = max(tops) + 0.0       # whichever zero max() met first, report 0.0
+    path, c = min((int(np.argmax(col)) * (n_paths // col.size), c)
+                  for c, (col, t) in enumerate(zip(columns, tops)) if t == top)
+    return top, c, path
+
+
 def check_constraint(solution: SolutionGrid, family: MonotoneFamily,
                      tol: float) -> CheckResult:
     """Y_i >= a_{t_i} - tol on grid points before the terminal one."""
-    slack, steps = constraint_slack(solution.Y, family, solution.grid)
-    if not steps.size:
+    slack = constraint_slack(solution, family)
+    if not slack:
         return CheckResult("constraint", True, np.inf, tol)
-    stat = float(slack.min())
+    low, c, path = _worst_cell([-s for s in slack.values()], solution.n_paths)
+    stat = -low
     passed = stat >= -tol
-    witness = None
-    if not passed:
-        p, i = np.unravel_index(int(np.argmin(slack)), slack.shape)
-        witness = {"path": int(p), "step": int(steps[i]), "slack": stat}
+    witness = None if passed else {"path": path, "step": list(slack)[c],
+                                   "slack": stat}
     return CheckResult("constraint", passed, stat, tol, witness)
 
 
@@ -169,24 +175,23 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
     contiguous grid span, not just [0, T].
     """
     grid = solution.grid
-    n = grid.n_steps
-    dt = grid.steps
-    dK = np.diff(solution.K, axis=1)
+    Y, K = solution.nodes("Y"), solution.nodes("K")
+    dK = [K.increment(i) for i in range(grid.n_steps)]
     worst = -np.inf
     witness = None
     for sel in selections:
         sel.validate(family, grid)
-        terms = (solution.Y[:, :n] - sel.alpha) * (dK + sel.beta * dt[None, :])
-        prefix = np.zeros((terms.shape[0], n + 1))
-        np.cumsum(terms, axis=1, out=prefix[:, 1:])
-        run_min = np.minimum.accumulate(prefix[:, :-1], axis=1)
-        spans = prefix[:, 1:] - run_min
-        stat = float(spans.max())
+        terms = [(Y[i] - a) * (dk + b * dt) for i, (a, b, dk, dt)
+                 in enumerate(zip(sel.alpha, sel.beta, dK, grid.steps))]
+        sums = Y.accumulate(np.add, terms)
+        lows = Y.accumulate(np.minimum, [np.zeros(1), *(
+            Y.spread(i, s, i + 1) for i, s in enumerate(sums[:-1]))])
+        stat, i, path = _worst_cell([s - low for s, low in zip(sums, lows)],
+                                    solution.n_paths)
         if stat > worst:
             worst = stat
-            p, i = np.unravel_index(int(np.argmax(spans)), spans.shape)
-            witness = {"selection": sel.name, "path": int(p),
-                       "end_step": int(i) + 1, "sum": stat}
+            witness = {"selection": sel.name, "path": path,
+                       "end_step": i + 1, "sum": stat}
     passed = worst <= tol
     return CheckResult("skorokhod", passed, worst, tol,
                        None if passed else witness)
@@ -249,16 +254,17 @@ def check_comparison(problem1: Problem, sol1: SolutionGrid, problem2: Problem,
     exact tree and at most 1% on an ensemble.
     """
     _verify_comparison_hypotheses(problem1, problem2, scenario)
-    excess = sol1.Y - sol2.Y
-    violating = excess > tol
-    frac = float(violating.mean())
+    excess = [a - b for a, b in zip(sol1.nodes("Y").columns,
+                                    sol2.nodes("Y").columns)]
+    n = sol1.n_paths      # a level-i node counts as the leaf cells under it
+    violating = sum(np.count_nonzero(e > tol) * (n // e.size) for e in excess)
+    frac = int(violating) / (n * len(excess))
     limit = 0.0 if isinstance(scenario, ScenarioTree) else 0.01
     passed = frac <= limit
     witness = None
     if not passed:
-        p, i = np.unravel_index(int(np.argmax(excess)), excess.shape)
-        witness = {"path": int(p), "step": int(i), "excess": float(excess[p, i]),
-                   "fraction": frac}
+        top, i, path = _worst_cell(excess, n)
+        witness = {"path": path, "step": i, "excess": top, "fraction": frac}
     return CheckResult("comparison", passed, frac, limit, witness)
 
 
@@ -350,7 +356,6 @@ def _oracle_dp(tree: ScenarioTree, problem: Problem, barrier,
     grid, marks = problem.grid, problem.marks
     n = grid.n_steps
     B = tree.branching
-    qw = problem.driver.q_weights(marks)
     v = problem.terminal(tree.state(n))
     for i in reversed(range(n)):
         V = v.reshape(-1, B)
@@ -360,7 +365,7 @@ def _oracle_dp(tree: ScenarioTree, problem: Problem, barrier,
         z = V @ (p * tree.dW[i]) / dt
         dn = tree.dN[i] - p @ tree.dN[i]                   # (B, m), centered
         psi = (V @ (p[:, None] * dn)) / (p @ dn**2)
-        q = psi @ qw
+        q = problem.driver.q_of(psi, marks)
         state = tree.state(i)
 
         def fval(y):
@@ -488,17 +493,20 @@ def bounds_monitor(report: PenalizationReport) -> CheckResult:
 # -- pairing statistics (Lemma-1 / Corollary-1 discrete forms) ----------------
 
 
+def _pairing_stat(sol1: SolutionGrid, sol2: SolutionGrid, weight) -> float:
+    """Max over paths of sum_i weight(Y^1_i, Y^2_i)(dK^1_i - dK^2_i)."""
+    Y1, Y2 = sol1.nodes("Y"), sol2.nodes("Y")
+    K1, K2 = sol1.nodes("K"), sol2.nodes("K")
+    terms = [weight(Y1[i], Y2[i]) * (K1.increment(i) - K2.increment(i))
+             for i in range(sol1.grid.n_steps)]
+    return float(np.max(Y1.accumulate(np.add, terms)[-1]))
+
+
 def lemma1_pairing_stat(sol1: SolutionGrid, sol2: SolutionGrid) -> float:
     """Max over paths of sum_i (Y^1_i - Y^2_i)(dK^1_i - dK^2_i)."""
-    n = sol1.grid.n_steps
-    d_y = sol1.Y[:, :n] - sol2.Y[:, :n]
-    d_k = np.diff(sol1.K, axis=1) - np.diff(sol2.K, axis=1)
-    return float(np.max(np.sum(d_y * d_k, axis=1)))
+    return _pairing_stat(sol1, sol2, np.subtract)
 
 
 def corollary1_ordering_stat(sol1: SolutionGrid, sol2: SolutionGrid) -> float:
     """Max over paths of sum_i 1{Y^1_i > Y^2_i}(dK^1_i - dK^2_i)."""
-    n = sol1.grid.n_steps
-    ind = (sol1.Y[:, :n] > sol2.Y[:, :n]).astype(float)
-    d_k = np.diff(sol1.K, axis=1) - np.diff(sol2.K, axis=1)
-    return float(np.max(np.sum(ind * d_k, axis=1)))
+    return _pairing_stat(sol1, sol2, lambda y1, y2: (y1 > y2).astype(float))

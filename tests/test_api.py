@@ -84,3 +84,43 @@ def test_only_barriers_reads_the_boundary():
                              "class C:\n    def g(self):\n"
                              "        return [self.boundary(t) for t in ()]\n"
                              "x = y.boundary(1)\n") == ["<module>", "C.g", "f"]
+
+
+_LEAF_FIELDS = ("Y", "Z", "psi", "K")
+
+
+def _leaf_view_readers(source: str) -> list:
+    """Qualified names of the scopes that read x.Y, x.Z, x.psi or x.K."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Attribute)
+                  and child.attr in _LEAF_FIELDS
+                  and isinstance(child.ctx, ast.Load)):
+                found.add(scope or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_only_the_csv_writer_reads_leaf_views():
+    # a solution is read on its nodes (SolutionGrid.nodes); the leaf view,
+    # which on a tree repeats each node onto every leaf path under it, is
+    # built for the CSV file only
+    readers = {}
+    for path in sorted(Path(mbsdej.__file__).parent.glob("*.py")):
+        names = _leaf_view_readers(path.read_text())
+        if names:
+            readers[path.name] = names
+    assert readers == {"bsde.py": ["SolutionGrid.write_csv"]}
+    assert _leaf_view_readers("def f(sol):\n    return sol.Y[:, 0]\n"
+                              "class C:\n    def g(self, s):\n"
+                              "        s.K = 0\n"
+                              "        return [x.psi for x in s]\n"
+                              "y = a.Z + b.W\n") == ["<module>", "C.g", "f"]

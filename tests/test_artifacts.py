@@ -4,6 +4,8 @@ The writers format whole blocks of rows at once; each reference below
 formats one cell at a time, the way the files are specified.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,27 @@ def sweep_case(rng, m, out, monkeypatch):
 def test_writer_matches_per_cell_reference(case, m, tmp_path, monkeypatch):
     path, want = case(np.random.default_rng(11), m, tmp_path, monkeypatch)
     assert path.read_bytes() == want
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    # without a barrier (neg_exp) every level's slack and the constraint
+    # statistic are inf, and the first level's delta is nan: each reads null
+    config = tmp_path / "neg_exp.cfg"
+    config.write_text(SWEEP_CONFIG.replace("name = reflect_at\na = 0.0",
+                                           "name = neg_exp"))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(config), "--out", str(out)]) in (0, 3)
+    assert cli.main(["verify", "--suite", "core", "--config", str(config),
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_refuse)
+    assert report["rows"][0]["delta_prev"] is None
+    assert [r["min_constraint_slack"] for r in report["rows"]] == [None] * 3
+    checks = json.loads((out / "verify.json").read_text(),
+                        parse_constant=_refuse)["checks"]
+    assert checks[0]["check"] == "constraint"
+    assert checks[0]["statistic"] is None

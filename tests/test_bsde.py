@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbsdej import (CEBackend, ContractionFailure, DriverSpec, MarkSpace,
                     PenalizedOperator, TerminalSpec, TimeGrid, bsde,
@@ -320,6 +322,22 @@ class TestSpecs:
             assert gap <= drv.lipschitz_c * (abs(y - y2) + abs(z - z2)) + 1e-12
             q2 = q + rng.uniform(0, 3)
             assert drv.shape(t, state, y, z, q2) >= drv.shape(t, state, y, z, q)
+
+    @given(m=st.integers(0, 4), rows=st.integers(2, 200),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_q_of_sums_each_row_alone(self, m, rows, seed):
+        # a row's q must not depend on the rows evaluated with it, so that a
+        # root node and the leaf paths under it see the same aggregate
+        rng = np.random.default_rng(seed)
+        marks = MarkSpace(np.arange(1.0, m + 1.0), rng.uniform(0.5, 3.0, m))
+        drv = DriverSpec(shape=lambda t, s, y, z, q: q,
+                         gamma=rng.uniform(-1.0, 1.0, m), lipschitz_c=0.0)
+        psi = rng.normal(size=(rows, m))
+        q = drv.q_of(psi, marks)
+        assert q.shape == (rows,)
+        for k in range(rows):
+            assert q[k].tobytes() == drv.q_of(psi[k:k + 1], marks)[0].tobytes()
 
     def test_driver_gamma_bounds(self, marks1):
         with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 """Node-form tree solutions against the leaf-form bookkeeping they replace.
 
-``leaf_form_solve``, ``leaf_form_stats`` and ``leaf_form_residual`` are the
-slow references: the backward recursion with every step's values repeated
-onto the leaf paths, the level monitors as weighted sums over those leaf
-arrays, and the residual check on leaf arrays with the tree's increments
-repeated onto every leaf path.
+The ``leaf_form_*`` helpers are the slow references, each the previous code
+on (n_paths, ...) leaf arrays: the backward recursion with every step's
+values repeated onto the leaf paths, the level monitors as weighted sums
+over those arrays, the residual check with the tree's increments repeated
+onto every leaf path, the constraint, Skorokhod and comparison checks, the
+Lemma-1 and Corollary-1 pairing statistics, the stopping times, the overlap
+statistics and the truncation-concatenation glue.
 """
 
+import shutil
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +24,21 @@ from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
                     solve_unbounded)
 from mbsdej import bsde, penalization
 from mbsdej.bsde import NodeColumns, ResidualReport
-from mbsdej.monotone import PenalizedOperator
-from mbsdej.penalization import LevelStats
+from mbsdej.cli import run_verify
+from mbsdej.config import build_problem, parse_config
+from mbsdej.errors import SegmentMismatch
+from mbsdej.monotone import PenalizedOperator, truncate_shift
+from mbsdej.penalization import ConcatenationRecord, LevelStats, OverlapStats
 from mbsdej.registry import (make_driver, make_envelope, make_family,
                              make_terminal)
 from mbsdej.scenario import ScenarioTree
+from mbsdej.verification import (GraphSelection, check_comparison,
+                                 check_constraint, check_skorokhod,
+                                 corollary1_ordering_stat, lemma1_pairing_stat)
+from test_config_cli import UNBOUNDED_REG
+
+TREE_VERIFY_CONFIG = (Path(__file__).resolve().parents[1] / "perfbench"
+                      / "configs" / "tree_verify.cfg")
 
 TREE = CEBackend(kind="tree")
 
@@ -34,7 +48,6 @@ def leaf_form_solve(problem, tree, penalty):
     grid, marks, driver = problem.grid, problem.marks, problem.driver
     project = bsde._projection(tree, TREE)
     n_steps, n = grid.n_steps, tree.n_leaves
-    qw = driver.q_weights(marks)
     Y = np.empty((n, n_steps + 1))
     Z = np.empty((n, n_steps))
     psi = np.empty((n, n_steps, marks.n_marks))
@@ -44,7 +57,8 @@ def leaf_form_solve(problem, tree, penalty):
     for i in reversed(range(n_steps)):
         ey, z, psi_i = project(i, y)
         y, pen[i], _ = bsde._implicit_step(driver, float(grid.times[i]),
-                                           tree.state(i), ey, z, psi_i @ qw,
+                                           tree.state(i), ey, z,
+                                           driver.q_of(psi_i, marks),
                                            grid.steps[i], penalty)
         Y[:, i] = tree.to_level(i, y)
         Z[:, i] = tree.to_level(i, z)
@@ -58,6 +72,13 @@ def leaf_form_solve(problem, tree, penalty):
     return Y, Z, psi, K
 
 
+def leaf_constraint_slack(Y, family, grid):
+    """(n_paths, k) slack Y_i - a_{t_i} and the k steps i < N with finite a."""
+    barriers = family.barriers(grid.times[:-1])
+    steps = np.flatnonzero(np.isfinite(barriers))
+    return Y[:, steps] - barriers[steps], steps
+
+
 def leaf_form_stats(problem, level, Y, Z, psi, K, w, prev_Y):
     """LevelStats as weighted sums over (n_paths, ...) leaf arrays."""
     if prev_Y is None:
@@ -66,8 +87,7 @@ def leaf_form_stats(problem, level, Y, Z, psi, K, w, prev_Y):
         diff = Y - prev_Y
         delta = float(np.max(np.abs(diff).T @ w))
         viol = float(max(0.0, np.max(-diff)))
-    slack, steps = penalization.constraint_slack(Y, problem.family,
-                                                 problem.grid)
+    slack, steps = leaf_constraint_slack(Y, problem.family, problem.grid)
     dt = problem.grid.steps
     energy = Z**2 @ dt + problem.marks.norm_pi_sq(psi) @ dt
     return LevelStats(
@@ -164,6 +184,146 @@ def leaf_form_residual(solution, driver, scenario, grid, marks):
                           None if tree else zscores, cond_cov if tree else None)
 
 
+def leaf_form_constraint(Y, family, grid, tol):
+    """(statistic, witness) of check_constraint on the leaf array Y."""
+    slack, steps = leaf_constraint_slack(Y, family, grid)
+    if not steps.size:
+        return np.inf, None
+    stat = float(slack.min())
+    if stat >= -tol:
+        return stat, None
+    p, i = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    return stat, {"path": int(p), "step": int(steps[i]), "slack": stat}
+
+
+def leaf_form_midpoint(family, grid, Y1, Y2):
+    """(alpha, beta) of GraphSelection.midpoint as (n_paths, N) arrays."""
+    n = grid.n_steps
+    alpha = 0.5 * (Y1[:, :n] + Y2[:, :n])
+    beta = np.empty_like(alpha)
+    for i, a in enumerate(family.barriers(grid.times[:-1])):
+        if np.isfinite(a):
+            np.maximum(alpha[:, i], a + 1e-6, out=alpha[:, i])
+        beta[:, i] = family.k(float(grid.times[i]), alpha[:, i])
+    return alpha, beta
+
+
+def leaf_form_skorokhod(Y, K, grid, selections):
+    """(statistic, witness) of check_skorokhod on leaf arrays; a selection
+    is (name, alpha, beta) with (1 or n_paths, N) arrays."""
+    n = grid.n_steps
+    dK = np.diff(K, axis=1)
+    worst, witness = -np.inf, None
+    for name, alpha, beta in selections:
+        terms = (Y[:, :n] - alpha) * (dK + beta * grid.steps[None, :])
+        prefix = np.zeros((terms.shape[0], n + 1))
+        np.cumsum(terms, axis=1, out=prefix[:, 1:])
+        run_min = np.minimum.accumulate(prefix[:, :-1], axis=1)
+        spans = prefix[:, 1:] - run_min
+        stat = float(spans.max())
+        if stat > worst:
+            worst = stat
+            p, i = np.unravel_index(int(np.argmax(spans)), spans.shape)
+            witness = {"selection": name, "path": int(p),
+                       "end_step": int(i) + 1, "sum": stat}
+    return worst, witness
+
+
+def leaf_form_comparison(Y1, Y2, tol):
+    """(violating fraction, witness) of check_comparison on leaf arrays."""
+    excess = Y1 - Y2
+    frac = float((excess > tol).mean())
+    p, i = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    return frac, {"path": int(p), "step": int(i),
+                  "excess": float(excess[p, i]), "fraction": frac}
+
+
+def leaf_form_lemma1(Y1, K1, Y2, K2):
+    n = Y1.shape[1] - 1
+    d_k = np.diff(K1, axis=1) - np.diff(K2, axis=1)
+    return float(np.max(np.sum((Y1[:, :n] - Y2[:, :n]) * d_k, axis=1)))
+
+
+def leaf_form_corollary1(Y1, K1, Y2, K2):
+    n = Y1.shape[1] - 1
+    d_k = np.diff(K1, axis=1) - np.diff(K2, axis=1)
+    ind = (Y1[:, :n] > Y2[:, :n]).astype(float)
+    return float(np.max(np.sum(ind * d_k, axis=1)))
+
+
+def leaf_form_stopping_times(Y, envelope, level, grid):
+    tau = np.full(Y.shape[0], grid.n_steps, dtype=int)
+    for i in reversed(range(grid.n_steps)):
+        tau[envelope(float(grid.times[i]), Y[:, i]) <= level] = i
+    return tau
+
+
+def leaf_form_overlap(level, prev, cur, tau_prev, weights):
+    """OverlapStats of leaf (Y, K) pairs ``prev`` and ``cur``."""
+    n_steps = cur[0].shape[1] - 1
+    mask = np.arange(n_steps + 1)[None, :] >= tau_prev[:, None]
+    diff = (cur[0] - prev[0])[mask]
+    dk_diff = (np.diff(cur[1], axis=1) - np.diff(prev[1], axis=1))[mask[:, :-1]]
+    cells = diff.size
+    if cells:
+        w = np.broadcast_to(weights[:, None], mask.shape)[mask]
+        mean = float(w @ diff / w.sum())
+        se = float(diff.std(ddof=1) / np.sqrt(cells)) if cells > 1 else 0.0
+        mx = float(np.max(np.abs(diff)))
+    else:
+        mean = se = mx = 0.0
+    mdk = float(np.max(np.abs(dk_diff))) if dk_diff.size else 0.0
+    return OverlapStats(level, cells, mean, se, mx, mdk)
+
+
+def leaf_form_unbounded(problem, schedule, scenario, backend, max_truncation,
+                        overlap_floor):
+    """solve_unbounded with every level read and glued on leaf arrays:
+    ((Y, Z, psi, K), record, truncation levels solved)."""
+    grid, envelope = problem.grid, problem.envelope
+    n_steps, n_paths = grid.n_steps, scenario.weights.size
+    levels = list(range(1, max_truncation + 1))
+    tau = np.zeros((max_truncation + 1, n_paths), dtype=int)
+    tau[0] = n_steps
+    record = ConcatenationRecord(levels=levels, tau=tau)
+    Y = np.empty((n_paths, n_steps + 1))
+    Z = np.empty((n_paths, n_steps))
+    psi = np.empty((n_paths, n_steps, problem.marks.n_marks))
+    K = np.zeros((n_paths, n_steps + 1))
+    free = np.ones((n_paths, n_steps), dtype=bool)
+    last = max_truncation
+    prev = None
+    for n in levels:
+        prob_n = replace(problem, family=truncate_shift(problem.family, n),
+                         driver=problem.driver.shifted(n))
+        sol, _ = solve_mbsde(prob_n, schedule, scenario, backend)
+        cur = (sol.Y, sol.K - n * grid.times[None, :])
+        tau[n] = leaf_form_stopping_times(cur[0], envelope, n, grid)
+        if prev is not None:
+            stats = leaf_form_overlap(n, prev, cur, tau[n - 1], sol.weights)
+            record.overlaps.append(stats)
+            if (stats.cells and abs(stats.mean_y_diff)
+                    > overlap_floor + 4.0 * stats.se_y_diff):
+                raise SegmentMismatch(f"levels {n - 1}/{n}")
+        claim = free & (tau[n][:, None] <= np.arange(n_steps))
+        if n == last:
+            record.uncovered_cells = int((free & ~claim).sum())
+            claim = free
+        Y[:, :-1][claim] = cur[0][:, :-1][claim]
+        Z[claim] = sol.Z[claim]
+        psi[claim] = sol.psi[claim]
+        K[:, 1:][claim] = np.diff(cur[1], axis=1)[claim]
+        free &= ~claim
+        prev = cur
+        if n == last:
+            break
+        if not free.any():
+            last = n + 1
+    Y[:, -1] = prev[0][:, -1]
+    np.cumsum(K[:, 1:], axis=1, out=K[:, 1:])
+    return (Y, Z, psi, K), record, levels[:last]
+
+
 def assert_stats_close(got: LevelStats, want: LevelStats):
     for f in fields(LevelStats):
         np.testing.assert_allclose(getattr(got, f.name), getattr(want, f.name),
@@ -254,15 +414,9 @@ def test_node_monitors_match_leaf_formulas(n_marks, n_steps, seed, barrier):
 def test_node_residual_matches_leaf_form(n_marks, n_steps, seed):
     rng = np.random.default_rng(seed)
     grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
-    # Dyadic intensities and psi make the driver's aggregate psi @ (gamma
-    # lambda) exact: BLAS sums the one-row product at the root in another
-    # order than the many-row product on the leaves, which moves its last bit.
-    marks = MarkSpace(marks.values, np.round(marks.intensities * 8) / 8)
     tree = build_tree(grid, marks)
     driver = _mixed_driver(marks)
     sol = _random_node_solution(tree, rng)
-    for column in sol.nodes("psi").columns:
-        column[...] = np.round(column * 1024) / 1024
     got = residual_check(sol, driver, tree, grid, marks)
     assert not any(sol.nodes(name).expanded for name in ("Y", "Z", "psi", "K"))
     want = leaf_form_residual(sol, driver, tree, grid, marks)
@@ -425,3 +579,149 @@ def test_glued_tree_solution_is_adapted():
             np.testing.assert_array_equal(tree.to_level(level, nodes),
                                           leaves[:, c])
     residual_check(sol, problem.driver, tree, grid, marks)
+
+
+def _assert_overlaps_close(got: OverlapStats, want: OverlapStats):
+    # the mean and se are sums taken in another order: last-bit changes of
+    # O(1) terms, hence the absolute floor at 1e-15
+    for f in fields(OverlapStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in ("mean_y_diff", "se_y_diff"):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15,
+                                       err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+def _check_readers(scenario, rng, barrier):
+    """Every node-form reader of a solution against its leaf-form reference,
+    on random solutions: the Skorokhod sums are non-zero and many comparison
+    cells violate, so the statistics and witnesses are exercised."""
+    grid, marks = scenario.grid, scenario.marks
+    family = make_family("reflect_at", {"a": barrier}, grid)
+    problem = Problem(grid, marks, make_driver("zero", {}, marks),
+                      make_terminal("zero", {}, marks, grid), family=family)
+    envelope = make_envelope("linear_decay", {}, grid)
+    sol = _random_node_solution(scenario, rng)
+    other = _random_node_solution(scenario, rng)
+    other.nodes("Y")[0] = sol.nodes("Y")[0] - 1.0     # Y_0 cells all violate
+
+    selections = [GraphSelection.interior_constant(family, grid, barrier + 0.5),
+                  GraphSelection.boundary_offset(family, grid, 1e-3),
+                  GraphSelection.midpoint(family, grid, sol, other)]
+    constraint = check_constraint(sol, family, tol=-np.inf)
+    skorokhod = check_skorokhod(sol, family, selections, tol=-np.inf)
+    comparison = check_comparison(problem, sol, problem, other, scenario,
+                                  tol=0.0)
+    lemma1 = lemma1_pairing_stat(sol, other)
+    corollary1 = corollary1_ordering_stat(sol, other)
+    tau = penalization.stopping_times(other, envelope, 1, grid)
+    overlap = penalization._overlap_stats(2, other, sol, tau, problem)
+    if isinstance(scenario, ScenarioTree):
+        assert not any(s.nodes(name).expanded for s in (sol, other)
+                       for name in ("Y", "Z", "psi", "K"))
+
+    Y, K, Y_o, K_o = sol.Y, sol.K, other.Y, other.K
+    assert repr((constraint.statistic, constraint.witness)) == repr(
+        leaf_form_constraint(Y, family, grid, -np.inf))
+    alpha, beta = leaf_form_midpoint(family, grid, Y, Y_o)
+    for i, (a, b) in enumerate(zip(selections[2].alpha, selections[2].beta)):
+        assert scenario.to_level(i, a).tobytes() == alpha[:, i].tobytes()
+        assert scenario.to_level(i, b).tobytes() == beta[:, i].tobytes()
+    leaf_selections = [(s.name, np.column_stack(s.alpha), np.column_stack(s.beta))
+                       for s in selections[:2]] + [("midpoint", alpha, beta)]
+    assert repr((skorokhod.statistic, skorokhod.witness)) == repr(
+        leaf_form_skorokhod(Y, K, grid, leaf_selections))
+    assert skorokhod.statistic != 0.0
+    assert repr((comparison.statistic, comparison.witness)) == repr(
+        leaf_form_comparison(Y, Y_o, 0.0))
+    assert comparison.statistic > 0.0
+    for got, want in ((lemma1, leaf_form_lemma1(Y, K, Y_o, K_o)),
+                      (corollary1, leaf_form_corollary1(Y, K, Y_o, K_o))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    want_tau = leaf_form_stopping_times(Y_o, envelope, 1, grid)
+    assert tau.dtype == want_tau.dtype and tau.tobytes() == want_tau.tobytes()
+    _assert_overlaps_close(overlap, leaf_form_overlap(2, (Y_o, K_o), (Y, K),
+                                                      tau, sol.weights))
+
+    # every cell ties at excess 1: the witness is the first leaf cell
+    high, low = (_random_node_solution(scenario, rng) for _ in range(2))
+    for c in range(grid.n_steps + 1):
+        high.nodes("Y")[c] = 0.0
+        low.nodes("Y")[c] = -1.0
+    ties = check_comparison(problem, high, problem, low, scenario, tol=0.0)
+    assert repr((ties.statistic, ties.witness)) == repr(
+        leaf_form_comparison(high.Y, low.Y, 0.0))
+
+
+def _check_glue(scenario, backend, scale):
+    """solve_unbounded against the leaf-form glue on the same scenario."""
+    grid, marks = scenario.grid, scenario.marks
+    params = {"scale": scale}
+    problem = Problem(grid, marks, make_driver("zero", {}, marks),
+                      make_terminal("brownian", {}, marks, grid),
+                      family=make_family("linear_decay", params, grid),
+                      envelope=make_envelope("linear_decay", params, grid))
+    schedule = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=1e-2)
+    sol, record = solve_unbounded(problem, schedule, scenario, backend,
+                                  max_truncation=6, overlap_floor=1.0)
+    if isinstance(scenario, ScenarioTree):
+        assert not any(sol.nodes(name).expanded
+                       for name in ("Y", "Z", "psi", "K"))
+    want, ref, solved = leaf_form_unbounded(problem, schedule, scenario,
+                                            backend, 6, 1.0)
+    assert sol.meta["truncation_levels"] == solved
+    for name, got, leaf in zip(("Y", "Z", "psi", "K"),
+                               (sol.Y, sol.Z, sol.psi, sol.K), want):
+        assert got.shape == leaf.shape and got.tobytes() == leaf.tobytes(), name
+    assert record.tau.tobytes() == ref.tau.tobytes()
+    assert record.uncovered_cells == ref.uncovered_cells
+    assert len(record.overlaps) == len(ref.overlaps) == len(solved) - 1
+    for got, leaf in zip(record.overlaps, ref.overlaps):
+        _assert_overlaps_close(got, leaf)
+
+
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+@given(n_steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       barrier=st.floats(-1.0, 1.0))
+@settings(max_examples=15, deadline=None)
+def test_node_readers_match_leaf_form(n_marks, n_steps, seed, barrier):
+    rng = np.random.default_rng(seed)
+    grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
+    _check_readers(build_tree(grid, marks), rng, barrier)
+
+
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+@given(n_steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 4.0, 8.0]))
+@settings(max_examples=8, deadline=None)
+def test_node_glue_matches_leaf_form(n_marks, n_steps, seed, scale):
+    rng = np.random.default_rng(seed)
+    grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
+    _check_glue(build_tree(grid, marks), TREE, scale)
+
+
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+def test_ensemble_readers_and_glue_match_leaf_form(n_marks):
+    rng = np.random.default_rng(10 + n_marks)
+    grid, marks = _random_grid_and_marks(rng, 4, n_marks)
+    ens = simulate_paths(grid, marks, 600, seed=n_marks)
+    _check_readers(ens, rng, barrier=0.0)
+    _check_glue(ens, CEBackend(kind="regression", degree=1), scale=1.0)
+
+
+def test_tree_verify_builds_no_leaf_view(tmp_path, built_leaf_views):
+    config = tmp_path / "tree_verify.cfg"
+    shutil.copyfile(TREE_VERIFY_CONFIG, config)
+    code = run_verify(parse_config(config.read_text()), "all", tmp_path / "out")
+    assert code == 0
+    assert built_leaf_views == []
+
+
+def test_unbounded_tree_builds_no_leaf_view(built_leaf_views):
+    problem, backend, schedule, _ = build_problem(parse_config(
+        UNBOUNDED_REG.replace("kind = regression\ndegree = 2", "kind = tree")))
+    tree = build_tree(problem.grid, problem.marks)
+    sol, _ = solve_unbounded(problem, schedule, tree, backend)
+    assert sol.meta["truncation_levels"]
+    assert built_leaf_views == []

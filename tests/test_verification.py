@@ -95,8 +95,8 @@ class TestSkorokhod:
                                         reflected_problem, grid6):
         sol, _ = reflected_solution
         fam = reflected_problem.family
-        bad = GraphSelection("bad", np.full((1, grid6.n_steps), 0.5),
-                             np.full((1, grid6.n_steps), 0.25))  # above graph
+        bad = GraphSelection("bad", [np.array([0.5])] * grid6.n_steps,
+                             [np.array([0.25])] * grid6.n_steps)  # above graph
         with pytest.raises(InvalidSelection):
             check_skorokhod(sol, fam, [bad], tol=1.0)
 
