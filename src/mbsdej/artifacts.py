@@ -27,7 +27,7 @@ def write_csv(path, header, blocks) -> None:
 def write_json(path, obj) -> None:
     obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(obj, fh, indent=2, sort_keys=True)
 
 
 def path_step_rows(n_steps: int, *columns):

@@ -225,6 +225,9 @@ class _LeafView:
         sol.__dict__[self.key] = value
 
 
+_PARTS = ("Y", "Z", "psi", "K")
+
+
 @dataclass
 class SolutionGrid:
     """Discrete (Y, Z, psi, K) per path per grid time.
@@ -240,7 +243,8 @@ class SolutionGrid:
     and tests: an (n_paths, ...) array that on a tree is expanded on first
     read, kept and read-only; on an ensemble it is the store itself.
     Assigning a component (``sol.K = ...``, ``dataclasses.replace``) stores
-    it as given; a leaf array is read with the paths as nodes.
+    it as given.  A solution with a component stored as a leaf array is read
+    in leaf form throughout, with the paths as nodes.
     """
 
     grid: TimeGrid
@@ -257,12 +261,14 @@ class SolutionGrid:
         return self.weights.size
 
     def nodes(self, name: str) -> NodeColumns:
-        """Component ``name`` in node form; a stored leaf array is read with
-        the paths as nodes of the last grid level."""
+        """Component ``name`` in node form, or, once any component is stored
+        as a leaf array, its leaf array with the paths as nodes of the last
+        grid level: the columns of one solution always share their nodes."""
         stored = self.__dict__["_" + name]
-        if isinstance(stored, NodeColumns):
+        if all(isinstance(self.__dict__["_" + n], NodeColumns) for n in _PARTS):
             return stored
-        return NodeColumns.of_paths(stored, self.weights, self.grid.n_steps)
+        leaves = stored.leaves() if isinstance(stored, NodeColumns) else stored
+        return NodeColumns.of_paths(leaves, self.weights, self.grid.n_steps)
 
     def y0(self) -> float:
         Y = self.nodes("Y")
@@ -273,7 +279,7 @@ class SolutionGrid:
         return float(K.probs[-1] @ K[-1])
 
     def validate(self, tol: float = 1e-12) -> None:
-        if not all(np.all(np.isfinite(col)) for name in ("Y", "Z", "psi", "K")
+        if not all(np.all(np.isfinite(col)) for name in _PARTS
                    for col in self.nodes(name).columns):
             raise ValueError("solution contains non-finite entries")
         K = self.nodes("K")
@@ -542,7 +548,7 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     that is not measurable at its time.
     """
     tree = isinstance(scenario, ScenarioTree)
-    Y, Z, psi, K = (solution.nodes(name) for name in ("Y", "Z", "psi", "K"))
+    Y, Z, psi, K = map(solution.nodes, _PARTS)
 
     def at(part, c, level):
         return scenario.to_level(part.levels[c], part[c], level)

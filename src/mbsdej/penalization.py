@@ -320,7 +320,8 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     n_steps = grid.n_steps
     n_paths = scenario.weights.size
     levels = list(range(1, max_truncation + 1))
-    tau = np.zeros((max_truncation + 1, n_paths), dtype=int)
+    # indices 0..N in the smallest signed type, so row differences stay exact
+    tau = np.zeros((max_truncation + 1, n_paths), np.min_scalar_type(-n_steps))
     tau[0] = n_steps
     record = ConcatenationRecord(levels=levels, tau=tau)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import artifacts
-from .bsde import CEBackend, SolutionGrid, solve_bsde
+from .bsde import CEBackend, NodeColumns, SolutionGrid, solve_bsde
 from .errors import HypothesisViolated, InvalidSelection
 from .monotone import MonotoneFamily, _integrability_item
 from .penalization import (PenalizationReport, PenalizationSchedule, Problem,
@@ -118,7 +118,7 @@ class GraphSelection:
     def midpoint(cls, family: MonotoneFamily, grid: TimeGrid,
                  sol1: SolutionGrid, sol2: SolutionGrid) -> "GraphSelection":
         """Lemma-1 style pairing (Y^1 + Y^2)/2 with boundary fallback."""
-        Y1, Y2 = sol1.nodes("Y"), sol2.nodes("Y")
+        Y1, Y2 = _paired(sol1, sol2, "Y")
         alpha, beta = [], []
         for i, a in enumerate(family.barriers(grid.times[:-1])):
             alpha.append(0.5 * (Y1[i] + Y2[i]))
@@ -142,6 +142,16 @@ class GraphSelection:
 # -- individual checks --------------------------------------------------------
 
 
+def _paired(sol1: SolutionGrid, sol2: SolutionGrid, name: str):
+    """Component ``name`` of two solutions on shared nodes: their own, or the
+    paths when one solution is read in leaf form."""
+    pair = sol1.nodes(name), sol2.nodes(name)
+    if pair[0].levels == pair[1].levels:
+        return pair
+    return [NodeColumns.of_paths(c.leaves(), s.weights, s.grid.n_steps)
+            for c, s in zip(pair, (sol1, sol2))]
+
+
 def _worst_cell(columns, n_paths: int) -> tuple[float, int, int]:
     """(value, column, path) of the largest entry of node-form columns.  A
     node is named by the first leaf path under it; ties go to the smallest
@@ -160,7 +170,7 @@ def check_constraint(solution: SolutionGrid, family: MonotoneFamily,
     if not slack:
         return CheckResult("constraint", True, np.inf, tol)
     low, c, path = _worst_cell([-s for s in slack.values()], solution.n_paths)
-    stat = -low
+    stat = -low + 0.0       # a zero slack reads 0.0, not -0.0
     passed = stat >= -tol
     witness = None if passed else {"path": path, "step": list(slack)[c],
                                    "slack": stat}
@@ -254,8 +264,8 @@ def check_comparison(problem1: Problem, sol1: SolutionGrid, problem2: Problem,
     exact tree and at most 1% on an ensemble.
     """
     _verify_comparison_hypotheses(problem1, problem2, scenario)
-    excess = [a - b for a, b in zip(sol1.nodes("Y").columns,
-                                    sol2.nodes("Y").columns)]
+    Y1, Y2 = _paired(sol1, sol2, "Y")
+    excess = [a - b for a, b in zip(Y1.columns, Y2.columns)]
     n = sol1.n_paths      # a level-i node counts as the leaf cells under it
     violating = sum(np.count_nonzero(e > tol) * (n // e.size) for e in excess)
     frac = int(violating) / (n * len(excess))
@@ -495,8 +505,7 @@ def bounds_monitor(report: PenalizationReport) -> CheckResult:
 
 def _pairing_stat(sol1: SolutionGrid, sol2: SolutionGrid, weight) -> float:
     """Max over paths of sum_i weight(Y^1_i, Y^2_i)(dK^1_i - dK^2_i)."""
-    Y1, Y2 = sol1.nodes("Y"), sol2.nodes("Y")
-    K1, K2 = sol1.nodes("K"), sol2.nodes("K")
+    (Y1, Y2), (K1, K2) = _paired(sol1, sol2, "Y"), _paired(sol1, sol2, "K")
     terms = [weight(Y1[i], Y2[i]) * (K1.increment(i) - K2.increment(i))
              for i in range(sol1.grid.n_steps)]
     return float(np.max(Y1.accumulate(np.add, terms)[-1]))

@@ -9,6 +9,7 @@ Lemma-1 and Corollary-1 pairing statistics, the stopping times, the overlap
 statistics and the truncation-concatenation glue.
 """
 
+import copy
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -545,6 +546,43 @@ def test_tree_leaf_views_are_read_only(jump_problem, tree6_jumps):
     assert sol.y0() == pytest.approx(y0, rel=1e-12)
 
 
+def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
+                                                          tree6_jumps):
+    # an assigned leaf array puts its solution in leaf form throughout, and
+    # a solution in leaf form pairs with one on its nodes
+    family, grid = jump_problem.family, jump_problem.grid
+    selections = [GraphSelection.interior_constant(family, grid, 0.5)]
+    solved = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
+    K = solved.nodes("K")
+    for c in range(3, grid.n_steps + 1):
+        K[c] = K[c] + 1.0            # an impulse of K while Y > 0.5 somewhere
+    assigned = copy.copy(solved)
+    assigned.Y = solved.Y + 0.0
+    replaced = replace(solved, K=solved.K + 0.0)
+    want = check_skorokhod(solved, family, selections, tol=0.0)
+    assert want.statistic > 0.0
+    for sol in (assigned, replaced):
+        got = check_skorokhod(sol, family, selections, tol=0.0)
+        assert repr((got.statistic, got.witness)) == repr(
+            (want.statistic, want.witness))
+        assert repr(check_constraint(sol, family, tol=0.0)) == repr(
+            check_constraint(solved, family, tol=0.0))
+
+    other = replace(solved, Y=solved.Y + 0.25, K=0.5 * solved.K)
+    for a, b in ((solved, other), (other, solved)):
+        got = check_comparison(jump_problem, a, jump_problem, b, tree6_jumps,
+                               tol=0.0)
+        frac, witness = leaf_form_comparison(a.Y, b.Y, 0.0)
+        assert repr((got.statistic, got.witness)) == repr(
+            (frac, None if got.passed else witness))
+        assert lemma1_pairing_stat(a, b) == pytest.approx(
+            leaf_form_lemma1(a.Y, a.K, b.Y, b.K), rel=1e-12)
+        alpha = GraphSelection.midpoint(family, grid, a, b).alpha
+        assert np.column_stack(
+            [np.repeat(x, tree6_jumps.n_leaves // x.size) for x in alpha]
+        ).tobytes() == leaf_form_midpoint(family, grid, a.Y, b.Y)[0].tobytes()
+
+
 def test_ensemble_leaf_arrays_are_the_store(reflected_problem, grid6,
                                             no_marks):
     ens = simulate_paths(grid6, no_marks, 480, seed=5)
@@ -653,6 +691,14 @@ def _check_readers(scenario, rng, barrier):
     assert repr((ties.statistic, ties.witness)) == repr(
         leaf_form_comparison(high.Y, low.Y, 0.0))
 
+    # Y on the barrier: the zero slack reads 0.0, as the leaf minimum does
+    flat = _random_node_solution(scenario, rng)
+    for c in range(grid.n_steps + 1):
+        flat.nodes("Y")[c] = barrier
+    on_barrier = check_constraint(flat, family, tol=0.0)
+    assert repr((on_barrier.statistic, on_barrier.witness)) == repr(
+        leaf_form_constraint(flat.Y, family, grid, 0.0)) == "(0.0, None)"
+
 
 def _check_glue(scenario, backend, scale):
     """solve_unbounded against the leaf-form glue on the same scenario."""
@@ -674,7 +720,7 @@ def _check_glue(scenario, backend, scale):
     for name, got, leaf in zip(("Y", "Z", "psi", "K"),
                                (sol.Y, sol.Z, sol.psi, sol.K), want):
         assert got.shape == leaf.shape and got.tobytes() == leaf.tobytes(), name
-    assert record.tau.tobytes() == ref.tau.tobytes()
+    assert record.tau.tolist() == ref.tau.tolist()     # tau is compact
     assert record.uncovered_cells == ref.uncovered_cells
     assert len(record.overlaps) == len(ref.overlaps) == len(solved) - 1
     for got, leaf in zip(record.overlaps, ref.overlaps):

@@ -415,11 +415,8 @@ class TestConcatenation:
                                          tree_backend,
                                          max_truncation=max_truncation,
                                          overlap_floor=1.0)[1]
-                # record.tau has a row per level up to the cap by contract
-                peaks[max_truncation] = (tracemalloc.get_traced_memory()[1]
-                                         - record.tau.nbytes)
+                peaks[max_truncation] = tracemalloc.get_traced_memory()[1]
                 assert len(record.level_y0) == max_truncation
-                del record          # not held while the next run is traced
         finally:
             tracemalloc.stop()
         assert peaks[8] <= 1.25 * peaks[2]
