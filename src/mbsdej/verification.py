@@ -185,14 +185,20 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
     contiguous grid span, not just [0, T].
     """
     grid = solution.grid
-    Y, K = solution.nodes("Y"), solution.nodes("K")
-    dK = [K.increment(i) for i in range(grid.n_steps)]
     worst = -np.inf
     witness = None
     for sel in selections:
         sel.validate(family, grid)
-        terms = [(Y[i] - a) * (dk + b * dt) for i, (a, b, dk, dt)
-                 in enumerate(zip(sel.alpha, sel.beta, dK, grid.steps))]
+        Y, K = solution.nodes("Y"), solution.nodes("K")
+        alpha, beta = sel.alpha, sel.beta
+        if any(a.size not in (1, y.size) for a, y in zip(alpha, Y.columns)):
+            # the selection is on other nodes: read both on the paths
+            Y, K = (NodeColumns.of_paths(c.leaves(), solution.weights,
+                                         grid.n_steps) for c in (Y, K))
+            alpha, beta = ([np.repeat(v, solution.n_paths // v.size) for v in vs]
+                           for vs in (alpha, beta))
+        terms = [(Y[i] - a) * (K.increment(i) + b * dt) for i, (a, b, dt)
+                 in enumerate(zip(alpha, beta, grid.steps))]
         sums = Y.accumulate(np.add, terms)
         lows = Y.accumulate(np.minimum, [np.zeros(1), *(
             Y.spread(i, s, i + 1) for i, s in enumerate(sums[:-1]))])

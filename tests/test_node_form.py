@@ -549,7 +549,7 @@ def test_tree_leaf_views_are_read_only(jump_problem, tree6_jumps):
 def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
                                                           tree6_jumps):
     # an assigned leaf array puts its solution in leaf form throughout, and
-    # a solution in leaf form pairs with one on its nodes
+    # a solution or selection in leaf form pairs with one on its nodes
     family, grid = jump_problem.family, jump_problem.grid
     selections = [GraphSelection.interior_constant(family, grid, 0.5)]
     solved = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
@@ -577,10 +577,20 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
             (frac, None if got.passed else witness))
         assert lemma1_pairing_stat(a, b) == pytest.approx(
             leaf_form_lemma1(a.Y, a.K, b.Y, b.K), rel=1e-12)
-        alpha = GraphSelection.midpoint(family, grid, a, b).alpha
+
+    # a midpoint selection is checked with solutions on other nodes too
+    for a, b in ((solved, solved), (solved, other), (other, solved)):
+        mid = GraphSelection.midpoint(family, grid, a, b)
+        alpha, beta = leaf_form_midpoint(family, grid, a.Y, b.Y)
         assert np.column_stack(
-            [np.repeat(x, tree6_jumps.n_leaves // x.size) for x in alpha]
-        ).tobytes() == leaf_form_midpoint(family, grid, a.Y, b.Y)[0].tobytes()
+            [np.repeat(x, tree6_jumps.n_leaves // x.size) for x in mid.alpha]
+        ).tobytes() == alpha.tobytes()
+        for sol in (solved, other):
+            got = check_skorokhod(sol, family, [mid], tol=0.0)
+            stat, witness = leaf_form_skorokhod(sol.Y, sol.K, grid,
+                                                [("midpoint", alpha, beta)])
+            assert repr((got.statistic, got.witness)) == repr(
+                (stat, None if got.passed else witness))
 
 
 def test_ensemble_leaf_arrays_are_the_store(reflected_problem, grid6,
