@@ -161,16 +161,6 @@ class NodeColumns:
             columns = [np.empty((p.size, *trailing)) for p in probs]
         return cls(columns, probs, levels, scenario.to_level, leaves)
 
-    @classmethod
-    def of_paths(cls, leaves: np.ndarray, weights: np.ndarray,
-                 level: int) -> "NodeColumns":
-        """A leaf array read column by column: each column's nodes are the
-        paths, which are the nodes of scenario level ``level``."""
-        n_cols = leaves.shape[1]
-        return cls([leaves[:, c] for c in range(n_cols)], [weights] * n_cols,
-                   [level] * n_cols, lambda i, values, level=None: values,
-                   leaves)
-
     def __getitem__(self, c: int) -> np.ndarray:
         return self.columns[c]
 
@@ -264,11 +254,19 @@ class SolutionGrid:
         """Component ``name`` in node form, or, once any component is stored
         as a leaf array, its leaf array with the paths as nodes of the last
         grid level: the columns of one solution always share their nodes."""
-        stored = self.__dict__["_" + name]
         if all(isinstance(self.__dict__["_" + n], NodeColumns) for n in _PARTS):
-            return stored
+            return self.__dict__["_" + name]
+        return self.on_paths(name)
+
+    def on_paths(self, name: str) -> NodeColumns:
+        """Component ``name`` column by column on its leaf array: each
+        column's nodes are the paths, the nodes of the last grid level."""
+        stored = self.__dict__["_" + name]
         leaves = stored.leaves() if isinstance(stored, NodeColumns) else stored
-        return NodeColumns.of_paths(leaves, self.weights, self.grid.n_steps)
+        n_cols, level = leaves.shape[1], self.grid.n_steps
+        return NodeColumns([leaves[:, c] for c in range(n_cols)],
+                           [self.weights] * n_cols, [level] * n_cols,
+                           lambda i, values, level=None: values, leaves)
 
     def y0(self) -> float:
         Y = self.nodes("Y")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import artifacts
-from .bsde import CEBackend, NodeColumns, SolutionGrid, solve_bsde
+from .bsde import CEBackend, SolutionGrid, solve_bsde
 from .errors import HypothesisViolated, InvalidSelection
 from .monotone import MonotoneFamily, _integrability_item
 from .penalization import (PenalizationReport, PenalizationSchedule, Problem,
@@ -148,8 +148,7 @@ def _paired(sol1: SolutionGrid, sol2: SolutionGrid, name: str):
     pair = sol1.nodes(name), sol2.nodes(name)
     if pair[0].levels == pair[1].levels:
         return pair
-    return [NodeColumns.of_paths(c.leaves(), s.weights, s.grid.n_steps)
-            for c, s in zip(pair, (sol1, sol2))]
+    return sol1.on_paths(name), sol2.on_paths(name)
 
 
 def _worst_cell(columns, n_paths: int) -> tuple[float, int, int]:
@@ -193,8 +192,7 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
         alpha, beta = sel.alpha, sel.beta
         if any(a.size not in (1, y.size) for a, y in zip(alpha, Y.columns)):
             # the selection is on other nodes: read both on the paths
-            Y, K = (NodeColumns.of_paths(c.leaves(), solution.weights,
-                                         grid.n_steps) for c in (Y, K))
+            Y, K = solution.on_paths("Y"), solution.on_paths("K")
             alpha, beta = ([np.repeat(v, solution.n_paths // v.size) for v in vs]
                            for vs in (alpha, beta))
         terms = [(Y[i] - a) * (K.increment(i) + b * dt) for i, (a, b, dt)
