@@ -9,6 +9,7 @@ floats are written as ``null``.  Both are byte-identical for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -24,10 +25,22 @@ def write_csv(path, header, blocks) -> None:
             fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _strict(obj):
+    """``obj`` as JSON text reads back, with ``null`` for every non-finite
+    float: tuples become lists and keys strings."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k if isinstance(k, str) else json.dumps(k): _strict(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def write_json(path, obj) -> None:
-    obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True)
 
 
 def path_step_rows(n_steps: int, *columns):

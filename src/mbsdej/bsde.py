@@ -6,10 +6,15 @@ serves both scenario types; only the conditional projection of Y_{i+1} onto
 the children of each node of a :class:`~mbsdej.scenario.ScenarioTree`, or
 polynomial least squares with a fixed small ridge on a
 :class:`~mbsdej.scenario.PathEnsemble` (Longstaff-Schwartz style).  The
-recursion stores each step's values in node form: a level-i quantity is one
-value per level-i node of a tree, or one per path of an ensemble, and every
-reader of a solution reads those nodes through :class:`NodeColumns`.  Leaf
-paths see a tree's values only through the read-only leaf view that
+recursion runs on the scenario's states: a level-i quantity is one value per
+level-i state of a tree (a lattice point of a recombining tree), or one per
+path of an ensemble.  Y, Z, psi and the penalty increments of K are stored
+that way; K itself, their running sum along the path, is formed on the
+nodes by the readers that need it.  Every reader of a
+solution reads it through :class:`NodeColumns`, whose columns each carry a
+layout (a level and the map from its nodes to the column's entries), and
+gathers states onto nodes only for path-dependent quantities.  Leaf paths
+see a tree's values only through the read-only leaf view that
 :meth:`SolutionGrid.write_csv` builds.  An optional structured penalty term
 -k_n(t, y) is integrated exactly through the resolvent identity, which keeps
 the implicit step stable no matter how large the penalization level is.
@@ -27,8 +32,8 @@ import numpy as np
 from . import artifacts
 from .errors import ContractionFailure
 from .monotone import PenalizedOperator, resolvent_ordinate
-from .scenario import (ForwardState, MarkSpace, PathEnsemble, ScenarioTree,
-                       TimeGrid)
+from .scenario import (ForwardState, MarkSpace, PathEnsemble, PathNodes,
+                       ScenarioTree, TimeGrid)
 
 __all__ = [
     "ForwardState",
@@ -129,37 +134,52 @@ class CEBackend:
 
 
 class NodeColumns:
-    """One solution component in node form: an array per grid column.
+    """One solution component: an array per grid column.
 
-    Column c holds one value per node of scenario level ``levels[c]`` and
-    ``probs[c]`` holds those nodes' probabilities.  On an ensemble every
-    level is the set of paths, so the columns are views of one
-    (n_paths, n_cols[, m]) array, which is also the leaf view.  Pathwise
-    quantities are read with :meth:`increment` and :meth:`accumulate`.  On a
-    tree :meth:`leaves` repeats each column onto the leaf paths on its first
-    call and keeps the result, read-only: the columns stay the one store.
+    Column c has a layout: its scenario level ``levels[c]`` and ``maps[c]``,
+    the map from that level's nodes to the column's entries.  A column in
+    state form holds one value per level state (the map is the scenario's
+    ``node_map``); one in node form holds one value per node (the map is
+    None, the identity).  On an ensemble and on a tree that does not
+    recombine the two coincide.  ``probs[c]`` holds the entries'
+    probabilities.  Path-dependent quantities live on nodes: :meth:`on_nodes`
+    gathers entries onto their nodes, and :meth:`spread` and
+    :meth:`accumulate` work on nodes.  On an ensemble the columns are
+    views of one (n_paths, n_cols[, m]) array, which is also the leaf view.
+    On a tree :meth:`leaves` gathers and repeats each column onto the leaf
+    paths on its first call and keeps the result, read-only: the columns
+    stay the one store.
     """
 
-    def __init__(self, columns, probs, levels, to_level, leaves=None):
+    def __init__(self, columns, levels, maps, scenario, leaves=None):
         self.columns = columns
-        self.probs = probs
         self.levels = levels
-        self._to_level = to_level
+        self.maps = maps
+        self.scenario = scenario
+        self.probs = [scenario.node_probs(i) if m is None
+                      else scenario.level_probs(i) for i, m in zip(levels, maps)]
         self._leaves = leaves
 
     @classmethod
     def empty(cls, scenario, levels, trailing=()) -> "NodeColumns":
-        """Uninitialized columns at the given scenario levels."""
-        levels = list(levels)
-        probs = [scenario.level_probs(i) for i in levels]
+        """Uninitialized columns on the states of the given scenario levels."""
+        return cls._empty(scenario, list(levels), trailing, scenario.node_map)
+
+    @classmethod
+    def empty_on_nodes(cls, scenario, levels, trailing=()) -> "NodeColumns":
+        """Uninitialized columns on the nodes of the given scenario levels."""
+        return cls._empty(scenario, list(levels), trailing, lambda i: None)
+
+    @classmethod
+    def _empty(cls, scenario, levels, trailing, node_map) -> "NodeColumns":
+        out = cls(None, levels, [node_map(i) for i in levels], scenario)
         n = scenario.weights.size
-        leaves = None
-        if all(p.size == n for p in probs):     # the nodes are the paths
-            leaves = np.empty((n, len(levels), *trailing))
-            columns = [leaves[:, c] for c in range(len(levels))]
+        if all(p.size == n for p in out.probs):     # the entries are the paths
+            out._leaves = np.empty((n, len(levels), *trailing))
+            out.columns = [out._leaves[:, c] for c in range(len(levels))]
         else:
-            columns = [np.empty((p.size, *trailing)) for p in probs]
-        return cls(columns, probs, levels, scenario.to_level, leaves)
+            out.columns = [np.empty((p.size, *trailing)) for p in out.probs]
+        return out
 
     def __getitem__(self, c: int) -> np.ndarray:
         return self.columns[c]
@@ -167,13 +187,29 @@ class NodeColumns:
     def __setitem__(self, c: int, values) -> None:
         self.columns[c][...] = values
 
-    def spread(self, c: int, values: np.ndarray, d: int) -> np.ndarray:
-        """Values on the nodes of column c, read on column d's nodes."""
-        return self._to_level(self.levels[c], values, self.levels[d])
+    def on_nodes(self, c: int, values: np.ndarray | None = None) -> np.ndarray:
+        """Values on column c's entries (the column itself by default) read on
+        the nodes of its level; a single value is left to broadcast."""
+        values = self[c] if values is None else values
+        m = self.maps[c]
+        return values if m is None or len(values) == 1 else values[m]
 
-    def increment(self, c: int) -> np.ndarray:
-        """Column c+1 minus column c, on column c+1's nodes."""
-        return self[c + 1] - self.spread(c, self[c], c + 1)
+    def node_probs(self, c: int) -> np.ndarray:
+        """Probabilities of the nodes of column c's level."""
+        return self.scenario.node_probs(self.levels[c])
+
+    def cells(self, c: int):
+        """The leaf cells each entry of column c stands for: the leaf paths
+        under its nodes."""
+        m = self.maps[c]
+        nodes = len(self[c]) if m is None else m.size
+        per_node = self.scenario.weights.size // nodes
+        return per_node if m is None else per_node * np.bincount(
+            m, minlength=len(self[c]))
+
+    def spread(self, c: int, values: np.ndarray, d: int) -> np.ndarray:
+        """Values on the nodes of column c's level, read on column d's."""
+        return self.scenario.to_level(self.levels[c], values, self.levels[d])
 
     def accumulate(self, op: Callable, terms) -> list:
         """Running reduction of ``terms[c]`` (on column c's nodes) down the
@@ -192,15 +228,16 @@ class NodeColumns:
         """The (n_paths, n_cols[, m]) leaf view, built read-only on the first
         call."""
         if self._leaves is None:
-            self._leaves = np.stack([self._to_level(level, col) for level, col
-                                     in zip(self.levels, self.columns)], axis=1)
+            self._leaves = np.stack([self.scenario.to_level(level, self.on_nodes(c))
+                                     for c, level in enumerate(self.levels)], axis=1)
             self._leaves.flags.writeable = False
         return self._leaves
 
 
 class _LeafView:
     """A component field of :class:`SolutionGrid`: stored as given (node
-    columns or a leaf array), read as the leaf array."""
+    columns or a leaf array), read as the leaf array.  K's node columns hold
+    its increments, so K is read as their running sums."""
 
     def __set_name__(self, owner, name):
         self.key = "_" + name
@@ -209,7 +246,13 @@ class _LeafView:
         if sol is None:
             raise AttributeError(self.key[1:])   # the field has no default
         stored = sol.__dict__[self.key]
-        return stored.leaves() if isinstance(stored, NodeColumns) else stored
+        if not isinstance(stored, NodeColumns):
+            return stored
+        if self.key != "_K":
+            return stored.leaves()
+        sums = np.cumsum(stored.leaves(), axis=1)
+        sums.flags.writeable = False
+        return sums
 
     def __set__(self, sol, value):
         sol.__dict__[self.key] = value
@@ -227,11 +270,15 @@ class SolutionGrid:
     probabilities for trees).
 
     The solver stores each component as :class:`NodeColumns`: Y_i, Z_i and
-    psi_i are level-i node values, and so is K_{i+1}, which the penalty at
-    t_i fixes; every reader in the package reads :meth:`nodes`.  Reading
-    ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view for :meth:`write_csv`
-    and tests: an (n_paths, ...) array that on a tree is expanded on first
-    read, kept and read-only; on an ensemble it is the store itself.
+    psi_i are level-i state values.  K is stored by its increments: column
+    0 holds K_0 and column i+1 the increment K_{i+1} - K_i, a level-i state
+    value that the penalty at t_i fixes; :meth:`k_nodes` sums them along the
+    paths, on the nodes.  Every reader in the package reads :meth:`nodes`.
+    Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view for
+    :meth:`write_csv` and tests: an (n_paths, ...) array that on a tree is
+    expanded on first read, kept and read-only (K's running sums are formed
+    on each read); on an ensemble the leaf view of Y, Z and psi is the store
+    itself.
     Assigning a component (``sol.K = ...``, ``dataclasses.replace``) stores
     it as given.  A solution with a component stored as a leaf array is read
     in leaf form throughout, with the paths as nodes.
@@ -259,21 +306,35 @@ class SolutionGrid:
         return self.on_paths(name)
 
     def on_paths(self, name: str) -> NodeColumns:
-        """Component ``name`` column by column on its leaf array: each
-        column's nodes are the paths, the nodes of the last grid level."""
+        """Component ``name`` column by column on its leaf array (K by its
+        increments): each column's nodes are the paths, the nodes of the
+        last grid level."""
         stored = self.__dict__["_" + name]
-        leaves = stored.leaves() if isinstance(stored, NodeColumns) else stored
+        if isinstance(stored, NodeColumns):
+            leaves = stored.leaves()
+        else:
+            leaves = np.diff(stored, axis=1, prepend=0.0) if name == "K" else stored
         n_cols, level = leaves.shape[1], self.grid.n_steps
         return NodeColumns([leaves[:, c] for c in range(n_cols)],
-                           [self.weights] * n_cols, [level] * n_cols,
-                           lambda i, values, level=None: values, leaves)
+                           [level] * n_cols, [None] * n_cols,
+                           PathNodes(self.weights), leaves)
 
     def y0(self) -> float:
         Y = self.nodes("Y")
         return float(Y.probs[0] @ Y[0])
 
-    def k_terminal_mean(self) -> float:
+    def k_nodes(self) -> NodeColumns:
+        """K in node form: column c holds K_c on the nodes of K's column c,
+        the running sums of the stored increments along the paths."""
         K = self.nodes("K")
+        sums = NodeColumns.empty_on_nodes(K.scenario, K.levels)
+        for c, k in enumerate(K.accumulate(
+                np.add, [K.on_nodes(c) for c in range(len(K.columns))])):
+            sums[c] = k
+        return sums
+
+    def k_terminal_mean(self) -> float:
+        K = self.k_nodes()
         return float(K.probs[-1] @ K[-1])
 
     def validate(self, tol: float = 1e-12) -> None:
@@ -283,7 +344,7 @@ class SolutionGrid:
         K = self.nodes("K")
         if np.any(np.abs(K[0]) > tol):
             raise ValueError("K must start at 0")
-        if any(np.any(K.increment(c) < -tol) for c in range(len(K.columns) - 1)):
+        if any(np.any(K[c] < -tol) for c in range(1, len(K.columns))):
             raise ValueError("K must be nondecreasing per path")
 
     def write_csv(self, path) -> None:
@@ -403,10 +464,11 @@ def _ridge_predict(A: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _tree_projection(tree: ScenarioTree, i: int, y_next: np.ndarray):
-    """Exact (E_i[Y_{i+1}], Z_i, psi_i) per level-i node from level-(i+1) values."""
-    V = y_next.reshape(-1, tree.branching)
+    """Exact (E_i[Y_{i+1}], Z_i, psi_i) per level-i state from the values of
+    the level-(i+1) states, gathered onto each state's branches."""
+    V = y_next[tree.child[i]]
     p = tree.probs[i]
-    ey = tree.condexp_level(i, y_next)
+    ey = V @ p
     z = V @ (p * tree.dW[i]) / tree.grid.steps[i]
     if tree.marks.n_marks:
         centered = tree.dN_tilde[i] - tree.bias[i]
@@ -464,8 +526,9 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
     and onto the Brownian and compensated jump increments (Z_i, psi_i), and
     Y_i solves the implicit-in-y equation with the driver (and, when given,
     the structured penalty -k_n, whose integral fills K by the left-endpoint
-    rule).  Without a penalty K is identically zero.  The components are
-    stored in node form; on a tree nothing is repeated onto the leaves here.
+    rule).  Without a penalty K is identically zero.  Y, Z, psi and K's
+    increments are computed and stored on the scenario's states; on a tree
+    nothing is gathered onto the nodes or repeated onto the leaves here.
     """
     driver.check_against(marks)
     project = _projection(scenario, backend)
@@ -490,9 +553,10 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
         Z[i] = z
         psi[i] = psi_i
 
-    K = NodeColumns.empty(scenario, [0, *range(n_steps)])  # K_{i+1} known at t_i
-    for c, k in enumerate(K.accumulate(np.subtract, [np.zeros(1), *pen])):
-        K[c] = k
+    K = NodeColumns.empty(scenario, [0, *range(n_steps)])   # K_{i+1} known at t_i
+    K[0] = 0.0
+    for i, p in enumerate(pen):
+        K[i + 1] = 0.0 - p      # no penalty reads +0.0, not -0.0
     meta = {"backend": backend.kind, "max_substeps": max_substeps,
             "penalty_level": None if penalty is None else penalty.level,
             "seed": getattr(scenario, "seed", None)}
@@ -532,24 +596,33 @@ class ResidualReport:
 
 def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
                    grid: TimeGrid, marks: MarkSpace) -> ResidualReport:
-    """Check the discretized dynamics step by step, on the nodes.
+    """Check the discretized dynamics step by step, on the states.
 
-    Step i's residual is one value per level-i node and branch:
+    Step i's residual is one value per level-i state and branch:
     R = Y_i - (Y_{i+1} + dt*f - Z_i*dW - psi_i.(dN - c) + K_{i+1} - K_i) with
-    f evaluated on ``scenario.state(i)``.  A tree node's branches are its
-    children, and c is their exact mean jump count, so on the tree the
+    f evaluated on ``scenario.state(i)``.  A tree state's branches lead to
+    its children, and c is their exact mean jump count, so on the tree the
     conditional mean of R for a solver output is zero to machine precision;
     so are its conditional covariances with the increments, which pin Z and
-    psi.  An ensemble node is a path with one branch, its own increment, and
-    c = lambda*dt.  Components stored as leaf arrays are read on the nodes
-    with ``scenario.to_level``, which raises ValueError on a tree column
-    that is not measurable at its time.
+    psi.  An ensemble state is a path with one branch, its own increment,
+    and c = lambda*dt.  A solution with a component off the states (glued,
+    or stored as leaf arrays) is checked on the tree's
+    :attr:`~mbsdej.scenario.ScenarioTree.node_view`; leaf arrays are read on
+    the nodes with ``scenario.to_level``, which raises ValueError on a tree
+    column that is not measurable at its time.
     """
     tree = isinstance(scenario, ScenarioTree)
     Y, Z, psi, K = map(solution.nodes, _PARTS)
+    if tree and not all(part.maps[c] is scenario.node_map(level)
+                        for part in (Y, Z, psi, K)
+                        for c, level in enumerate(part.levels)):
+        scenario = scenario.node_view
 
-    def at(part, c, level):
-        return scenario.to_level(part.levels[c], part[c], level)
+    def at(part, c, level):    # column c on the level's states
+        if part.levels[c] == level and part.maps[c] is scenario.node_map(level):
+            return part[c]
+        # on the node view (or an ensemble) the states are the nodes
+        return scenario.to_level(part.levels[c], part.on_nodes(c), level)
 
     n_steps = grid.n_steps
     mean_abs = np.empty(n_steps)
@@ -563,7 +636,7 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
         if tree:     # increments (B,) and (B, m), branch probabilities p
             p, dN = scenario.probs[i], scenario.dN[i]
             dW, centered = scenario.dW[i], dN - p @ dN
-            y_next = at(Y, i + 1, i + 1).reshape(y.size, scenario.branching)
+            y_next = at(Y, i + 1, i + 1)[scenario.child[i]]
         else:        # increments (n, 1) and (n, 1, m), one sure branch
             p, dW = np.ones(1), scenario.dW[:, i, None]
             centered = scenario.dN_tilde[:, i, None, :]
@@ -572,7 +645,7 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
         fval = driver.f(state.t, state, y, z, psi_i, marks)
         drift = grid.steps[i] * np.broadcast_to(fval, y.shape)
         jump = (psi_i[:, None, :] * centered).sum(axis=-1)
-        dk = scenario.to_level(K.levels[i + 1], K.increment(i), i)
+        dk = at(K, i + 1, i)
         R = y[:, None] - (y_next + drift[:, None] - z[:, None] * dW - jump
                           + dk[:, None])
         mean_abs[i] = float(scenario.level_probs(i) @ (np.abs(R) @ p))

@@ -182,7 +182,7 @@ def _suite_negative_controls(problem, scenario, sol, report):
     columns = list(Y.columns)
     columns[mid] = columns[mid] + 1.0
     corrupted = copy.copy(sol)      # shares Z, psi, K and the other columns
-    corrupted.Y = NodeColumns(columns, Y.probs, Y.levels, scenario.to_level)
+    corrupted.Y = NodeColumns(columns, Y.levels, Y.maps, scenario)
     resid = residual_check(corrupted, problem.driver, scenario, problem.grid,
                            problem.marks)
     detected = not resid.passed(**_RESIDUAL_GATE)

@@ -121,8 +121,9 @@ class PenalizationReport:
 
 def constraint_slack(solution: SolutionGrid,
                      family: MonotoneFamily) -> dict[int, np.ndarray]:
-    """Slack Y_i - a_{t_i} on the level-i nodes, keyed by the steps i < N
-    with a finite barrier (Y_N == xi is data, not solver output)."""
+    """Slack Y_i - a_{t_i} on the entries of Y's column i (the level-i
+    states of a solver output), keyed by the steps i < N with a finite
+    barrier (Y_N == xi is data, not solver output)."""
     Y = solution.nodes("Y")
     barriers = family.barriers(solution.grid.times[:-1])
     return {int(i): Y[i] - barriers[i]
@@ -131,10 +132,12 @@ def constraint_slack(solution: SolutionGrid,
 
 def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
                  prev: SolutionGrid | None) -> LevelStats:
-    """The level's monitors from its node arrays, as expectations under the
-    node probabilities; nothing is expanded to the leaves."""
+    """The level's monitors as expectations under the entries' probabilities:
+    on the states, except E[sup_i |Y_i|^2] and E[K_T^2], which depend on the
+    path and are read on the nodes; nothing is expanded to the leaves."""
     grid = problem.grid
-    Y, Z, psi, K = (sol.nodes(name) for name in ("Y", "Z", "psi", "K"))
+    Y, Z, psi = (sol.nodes(name) for name in ("Y", "Z", "psi"))
+    K = sol.k_nodes()
     if prev is None:
         delta, viol = np.nan, 0.0
     else:
@@ -147,15 +150,16 @@ def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
     energy = sum(float(dt * (Z.probs[i] @ (Z[i]**2
                                            + problem.marks.norm_pi_sq(psi[i]))))
                  for i, dt in enumerate(grid.steps))
-    run = Y.accumulate(np.maximum, [y**2 for y in Y.columns])[-1]
+    run = Y.accumulate(np.maximum, [Y.on_nodes(c, y**2)
+                                    for c, y in enumerate(Y.columns)])[-1]
     return LevelStats(
         level=level,
         y0=sol.y0(),
         delta_prev=delta,
         mono_violation=viol,
         min_constraint_slack=min_slack,
-        k_terminal_mean=sol.k_terminal_mean(),
-        sup_y_sq=float(Y.probs[-1] @ run),
+        k_terminal_mean=float(K.probs[-1] @ K[-1]),
+        sup_y_sq=float(Y.node_probs(-1) @ run),
         control_energy=energy,
         k_terminal_sq=float(K.probs[-1] @ K[-1]**2),
     )
@@ -227,7 +231,7 @@ def stopping_times(solution: SolutionGrid, envelope: GrowthEnvelope,
     """
     Y = solution.nodes("Y")
     n = grid.n_steps
-    first = [np.where(envelope(float(t), Y[i]) <= level, i, n)
+    first = [Y.on_nodes(i, np.where(envelope(float(t), Y[i]) <= level, i, n))
              for i, t in enumerate(grid.times[:-1])]
     return Y.accumulate(np.minimum, [*first, np.full(1, n)])[-1]
 
@@ -325,10 +329,14 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     tau[0] = n_steps
     record = ConcatenationRecord(levels=levels, tau=tau)
 
-    Y = NodeColumns.empty(scenario, range(n_steps + 1))
-    Z = NodeColumns.empty(scenario, range(n_steps))
-    psi = NodeColumns.empty(scenario, range(n_steps), (problem.marks.n_marks,))
-    K = NodeColumns.empty(scenario, [0, *range(n_steps)])   # dK until the sum
+    # the glue follows the path-dependent tau: every component is on nodes,
+    # and K is held by its increments until the end
+    Y = NodeColumns.empty_on_nodes(scenario, range(n_steps + 1))
+    Z = NodeColumns.empty_on_nodes(scenario, range(n_steps))
+    psi = NodeColumns.empty_on_nodes(scenario, range(n_steps),
+                                     (problem.marks.n_marks,))
+    K = NodeColumns.empty_on_nodes(scenario, [0, *range(n_steps)])
+    K[0] = 0.0
     free = [np.ones(p.size, dtype=bool) for p in Z.probs]   # cells unclaimed
     last = max_truncation
     prev = None
@@ -340,9 +348,13 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
         except MbsdejError as exc:
             raise type(exc)(f"truncation level {n}: {exc}") from exc
         Y_n, Z_n, psi_n, K_n = map(sol.nodes, ("Y", "Z", "psi", "K"))
-        # undo the shift in place: K^n_t = K-hat^n_t - n t (bounded variation)
-        for c, t in enumerate(grid.times):
-            K_n[c] = K_n[c] - n * t
+        # undo the shift: K^n_t = K-hat^n_t - n t (bounded variation), taken
+        # on the sums along the paths and stored back by its increments
+        sums = [k - n * t for k, t in zip(sol.k_nodes().columns, grid.times)]
+        sol.K = K_n = NodeColumns.empty_on_nodes(scenario, K_n.levels)
+        K_n[0] = sums[0]
+        for c in range(1, n_steps + 1):
+            K_n[c] = sums[c] - K_n.spread(c - 1, sums[c - 1], c)
         tau[n] = stopping_times(sol, envelope, n, grid)
         record.level_reports.append(rep)
         record.level_y0.append(sol.y0())
@@ -364,8 +376,8 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
                                            * (n_paths // claim.size))
                 claim = free[i]
             for glued, part in ((Y, Y_n), (Z, Z_n), (psi, psi_n)):
-                glued[i][claim] = part[i][claim]
-            K[i + 1][claim] = K_n.increment(i)[claim]
+                glued[i][claim] = part.on_nodes(i)[claim]
+            K[i + 1][claim] = K_n[i + 1][claim]
             free[i] &= ~claim
         prev = sol
         if n == last:
@@ -373,9 +385,7 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
         if not any(f.any() for f in free):       # every cell is claimed
             last = n + 1
 
-    Y[n_steps] = prev.nodes("Y")[n_steps]            # xi, the same on every level
-    for c, k in enumerate(K.accumulate(np.add, [np.zeros(1), *K.columns[1:]])):
-        K[c] = k
+    Y[n_steps] = prev.nodes("Y").on_nodes(n_steps)   # xi, the same on every level
 
     meta = {"backend": backend.kind, "truncation_levels": levels[:last]}
     return SolutionGrid(grid, problem.marks, Y, Z, psi, K, prev.weights,
@@ -384,24 +394,26 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
 
 def _overlap_stats(level: int, prev: SolutionGrid, cur: SolutionGrid,
                    tau_prev: np.ndarray, problem: Problem) -> OverlapStats:
-    """Level differences on the overlap [tau_{n-1}, T]: a level-i node counts
-    as the leaf cells under it, and the mean weighs them by probability."""
+    """Level differences on the overlap [tau_{n-1}, T], on the nodes: a
+    level-i node counts as the leaf cells under it, and the mean weighs them
+    by probability."""
     n_steps = problem.grid.n_steps
     Y, K = cur.nodes("Y"), cur.nodes("K")
     Y_prev, K_prev = prev.nodes("Y"), prev.nodes("K")
     inside = [Y.spread(n_steps, tau_prev <= i, i) for i in range(n_steps + 1)]
-    diffs = [(Y[i] - Y_prev[i])[m] for i, m in enumerate(inside)]
+    diffs = [Y.on_nodes(i, Y[i] - Y_prev[i])[m] for i, m in enumerate(inside)]
     leaves = [cur.n_paths // m.size for m in inside]      # leaf cells per node
     cells = sum(k * d.size for k, d in zip(leaves, diffs))
     if cells:
-        mean = (sum(float(p[m] @ d) for p, m, d in zip(Y.probs, inside, diffs))
-                / sum(float(p[m].sum()) for p, m in zip(Y.probs, inside)))
+        probs = [Y.node_probs(i) for i in range(n_steps + 1)]
+        mean = (sum(float(p[m] @ d) for p, m, d in zip(probs, inside, diffs))
+                / sum(float(p[m].sum()) for p, m in zip(probs, inside)))
         u = sum(k * float(d.sum()) for k, d in zip(leaves, diffs)) / cells
         ss = sum(k * float(((d - u)**2).sum()) for k, d in zip(leaves, diffs))
         se = float(np.sqrt(ss / (cells - 1) / cells)) if cells > 1 else 0.0
         mx = max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
     else:
         mean = se = mx = 0.0
-    mdk = max(float(np.max(np.abs(K.increment(i) - K_prev.increment(i))[m],
+    mdk = max(float(np.max(np.abs(K.on_nodes(i + 1) - K_prev.on_nodes(i + 1))[m],
                            initial=0.0)) for i, m in enumerate(inside[:-1]))
     return OverlapStats(level, cells, mean, se, mx, mdk)

@@ -7,11 +7,21 @@ Two interchangeable noise models:
   (seed, block of paths, kind of draw).
 * :func:`build_tree` builds an exact finite :class:`ScenarioTree` whose
   conditional expectations are plain weighted sums, usable as a brute-force
-  oracle at desk scale.
+  oracle at desk scale.  On a uniform grid the tree recombines: its nodes
+  share a few lattice states, one per (W_{t_i}, N_{t_i}), and a solver works
+  on those states.
+
+Both expose one interface to the solver and its readers.  A level's *states*
+carry the forward state (:meth:`state`, :meth:`level_probs`); its *nodes*
+are the histories that lead there (:meth:`node_probs`, :meth:`to_level`),
+and ``node_map(i)`` sends each level-i node to its state, None where every
+node is its own state.  On an ensemble the states and the nodes of every
+level are the paths.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -149,7 +159,32 @@ def _block_generator(seed: int, block: int, kind: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-class PathEnsemble:
+class PathNodes:
+    """Levels whose nodes are the paths, each its own state: the layout of
+    an ensemble, and of any array with one row per path."""
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+
+    def level_probs(self, i: int) -> np.ndarray:
+        """Every level's states are the paths: their weights."""
+        return self.weights
+
+    def node_probs(self, i: int) -> np.ndarray:
+        """Every level's nodes are the paths: their weights."""
+        return self.weights
+
+    def node_map(self, i: int) -> None:
+        """Every path is its own state: the identity."""
+        return None
+
+    def to_level(self, i: int, values: np.ndarray,
+                 level: int | None = None) -> np.ndarray:
+        """Every level's nodes are the paths: the identity."""
+        return values
+
+
+class PathEnsemble(PathNodes):
     """Monte Carlo increments: dW (n_paths, N) and dN (n_paths, N, m)."""
 
     def __init__(self, grid: TimeGrid, marks: MarkSpace, dW: np.ndarray,
@@ -187,19 +222,10 @@ class PathEnsemble:
     def weights(self) -> np.ndarray:
         return np.full(self.n_paths, 1.0 / self.n_paths)
 
-    def level_probs(self, i: int) -> np.ndarray:
-        """Every level's nodes are the paths: their uniform weights."""
-        return self.weights
-
     def state(self, i: int) -> ForwardState:
         """Forward state at grid time t_i, one entry per path."""
         return ForwardState(float(self.grid.times[i]), self.w_levels[:, i],
                             self.count_levels[:, i], self.marks, self.grid)
-
-    def to_level(self, i: int, values: np.ndarray,
-                 level: int | None = None) -> np.ndarray:
-        """Every level's nodes are the paths: the identity."""
-        return values
 
     def subset(self, rows) -> "PathEnsemble":
         """Ensemble restricted to a slice or index array of paths."""
@@ -259,7 +285,28 @@ class ScenarioTree:
     :attr:`bias`.
 
     Branch index layout: b = w_branch * 2^m + jump bits, where bit j of the
-    jump part is mark j's count.
+    jump part is mark j's count.  Node k of level i+1 is branch k % B of node
+    k // B of level i.
+
+    Every driver and terminal reads a node only through (t_i, W_{t_i},
+    N_{t_i}), so the solver works on *states*, not nodes.  When the grid's
+    times equal ``TimeGrid.uniform(T, N).times`` the tree recombines: a
+    level-i state is the lattice point (u, c_1, ..., c_m) of u Brownian
+    up-moves and c_j jumps of mark j, with W = (2u - i) sqrt(T/N); the
+    (i+1)^(1+m) points are numbered in mixed radix i+1, u first.  On any
+    other grid every node is its own state.  Two index maps tie the levels
+    together:
+
+    * ``child[i]``, per step: the (states_i, B) level-(i+1) state that each
+      branch of each level-i state leads to;
+    * ``node_map(i)``, per level: the state of each level-i node, in the
+      smallest unsigned integer dtype that holds it, or None where every
+      node is its own state.
+
+    A state's probability is the sum of its nodes'.  Path-dependent readers
+    gather states onto nodes through ``node_map`` and move node values
+    between levels with :meth:`to_level`; ``w_nodes``, ``count_nodes`` and
+    :attr:`node_view` give the tree node by node.
     """
 
     def __init__(self, grid: TimeGrid, marks: MarkSpace):
@@ -292,36 +339,75 @@ class ScenarioTree:
             # exact two-point variance of dN (shift-invariant for dN_tilde)
             self.var_dnt[i] = p_jump * (1.0 - p_jump)
 
-        # node states per level, built forward
-        self.w_nodes = [np.zeros(1)]
-        self.count_nodes = [np.zeros((1, m))]
+        if not np.array_equal(grid.times, TimeGrid.uniform(grid.horizon, n).times):
+            w, counts = [np.zeros(1)], [np.zeros((1, m))]
+            for i in range(n):       # one state per node, built forward
+                w.append((w[i][:, None] + self.dW[i][None, :]).ravel())
+                c = counts[i][:, None, :] + self.dN[i][None, :, :]
+                counts.append(c.reshape(w[-1].size, m))
+            self._one_state_per_node(w, counts)
+            return
+        # the lattice: a branch adds (1 - w_branch, jump bits) to the digits
+        moves = np.column_stack([np.repeat([1, 0], 1 << m),
+                                 np.tile(jump_bits, (2, 1))])
+        digits = [np.indices((i + 1,) * (1 + m)).reshape(1 + m, -1).T
+                  for i in range(n + 1)]
+        self._w = [(2.0 * d[:, 0] - i) * np.sqrt(grid.horizon / n)
+                   for i, d in enumerate(digits)]
+        self._counts = [d[:, 1:].astype(float) for d in digits]
+        # C order, so that a gathered (states, B) block is laid out as a
+        # reshaped node array is, and projects with the same arithmetic
+        self.child = [np.ascontiguousarray(np.ravel_multi_index(
+            np.moveaxis(d[:, None, :] + moves, -1, 0), (i + 2,) * (1 + m)))
+            for i, d in enumerate(digits[:-1])]
+        self._node_map = [np.zeros(1, np.uint8)]
         for i in range(n):
-            w = (self.w_nodes[i][:, None] + self.dW[i][None, :]).ravel()
-            self.w_nodes.append(w)
-            c = (self.count_nodes[i][:, None, :] + self.dN[i][None, :, :])
-            self.count_nodes.append(c.reshape(w.size, m))
+            nodes = self.child[i][self._node_map[i]].ravel()
+            self._node_map.append(
+                nodes.astype(np.min_scalar_type(self._w[i + 1].size - 1)))
+
+    def _one_state_per_node(self, w: list, counts: list) -> None:
+        """States of the given per-node (W, N): identity maps."""
+        self._w, self._counts = w, counts
+        self.child = [np.arange(v.size).reshape(-1, self.branching)
+                      for v in w[1:]]
+        self._node_map = [None] * len(w)
 
     @property
     def n_leaves(self) -> int:
         return self.branching**self.grid.n_steps
 
     def level_size(self, i: int) -> int:
+        """The number of level-i nodes."""
         return self.branching**i
 
+    def node_map(self, i: int) -> np.ndarray | None:
+        """The state of each level-i node, or None where they coincide."""
+        return self._node_map[i]
+
     @cached_property
-    def _level_probs(self) -> list:
+    def _node_probs(self) -> list:
         probs = [np.ones(1)]
         for i in range(self.grid.n_steps):
             probs.append((probs[i][:, None] * self.probs[i][None, :]).ravel())
         return probs
 
-    def level_probs(self, i: int) -> np.ndarray:
+    @cached_property
+    def _state_probs(self) -> list:
+        return [p if m is None else np.bincount(m, weights=p, minlength=w.size)
+                for p, m, w in zip(self._node_probs, self._node_map, self._w)]
+
+    def node_probs(self, i: int) -> np.ndarray:
         """Probabilities of the level-i nodes (products along their branches)."""
-        return self._level_probs[i]
+        return self._node_probs[i]
+
+    def level_probs(self, i: int) -> np.ndarray:
+        """Probabilities of the level-i states: sums over their nodes."""
+        return self._state_probs[i]
 
     @property
     def leaf_probs(self) -> np.ndarray:
-        return self._level_probs[-1]
+        return self._node_probs[-1]
 
     @property
     def weights(self) -> np.ndarray:
@@ -329,13 +415,29 @@ class ScenarioTree:
         return self.leaf_probs
 
     def state(self, i: int) -> ForwardState:
-        """Forward state at grid time t_i, one entry per level-i node."""
-        return ForwardState(float(self.grid.times[i]), self.w_nodes[i],
-                            self.count_nodes[i], self.marks, self.grid)
+        """Forward state at grid time t_i, one entry per level-i state."""
+        return ForwardState(float(self.grid.times[i]), self._w[i],
+                            self._counts[i], self.marks, self.grid)
 
-    def condexp_level(self, i: int, next_values: np.ndarray) -> np.ndarray:
-        """E[. | F_{t_i}] of level-(i+1) node values; exact weighted sums."""
-        return next_values.reshape(self.level_size(i), self.branching) @ self.probs[i]
+    @cached_property
+    def w_nodes(self) -> list:
+        """W_{t_i} per level-i node, one array per level."""
+        return [w if m is None else w[m] for w, m in zip(self._w, self._node_map)]
+
+    @cached_property
+    def count_nodes(self) -> list:
+        """Jump counts N_{t_i} per level-i node, one (nodes, m) array per level."""
+        return [c if m is None else c[m]
+                for c, m in zip(self._counts, self._node_map)]
+
+    @cached_property
+    def node_view(self) -> "ScenarioTree":
+        """This tree with one state per node, which carries the node's (W, N):
+        the tree a solver would walk without recombination."""
+        view = copy.copy(self)
+        view.__dict__.pop("_state_probs", None)
+        view._one_state_per_node(self.w_nodes, self.count_nodes)
+        return view
 
     def to_level(self, i: int, values: np.ndarray,
                  level: int | None = None) -> np.ndarray:

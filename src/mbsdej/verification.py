@@ -117,14 +117,16 @@ class GraphSelection:
     @classmethod
     def midpoint(cls, family: MonotoneFamily, grid: TimeGrid,
                  sol1: SolutionGrid, sol2: SolutionGrid) -> "GraphSelection":
-        """Lemma-1 style pairing (Y^1 + Y^2)/2 with boundary fallback."""
+        """Lemma-1 style pairing (Y^1 + Y^2)/2 with boundary fallback, formed
+        on the entries of Y and gathered onto the nodes."""
         Y1, Y2 = _paired(sol1, sol2, "Y")
         alpha, beta = [], []
         for i, a in enumerate(family.barriers(grid.times[:-1])):
-            alpha.append(0.5 * (Y1[i] + Y2[i]))
+            mid = 0.5 * (Y1[i] + Y2[i])
             if np.isfinite(a):
-                np.maximum(alpha[i], a + _MIDPOINT_OFFSET, out=alpha[i])
-            beta.append(family.k(float(grid.times[i]), alpha[i]))
+                np.maximum(mid, a + _MIDPOINT_OFFSET, out=mid)
+            alpha.append(Y1.on_nodes(i, mid))
+            beta.append(Y1.on_nodes(i, family.k(float(grid.times[i]), mid)))
         return cls("midpoint", alpha, beta)
 
     def validate(self, family: MonotoneFamily, grid: TimeGrid) -> None:
@@ -143,22 +145,30 @@ class GraphSelection:
 
 
 def _paired(sol1: SolutionGrid, sol2: SolutionGrid, name: str):
-    """Component ``name`` of two solutions on shared nodes: their own, or the
-    paths when one solution is read in leaf form."""
+    """Component ``name`` of two solutions in one layout: their own, or the
+    paths when their layouts differ (one read in leaf form, say)."""
     pair = sol1.nodes(name), sol2.nodes(name)
-    if pair[0].levels == pair[1].levels:
+    if pair[0].levels == pair[1].levels and all(
+            a is b for a, b in zip(pair[0].maps, pair[1].maps)):
         return pair
     return sol1.on_paths(name), sol2.on_paths(name)
 
 
-def _worst_cell(columns, n_paths: int) -> tuple[float, int, int]:
-    """(value, column, path) of the largest entry of node-form columns.  A
-    node is named by the first leaf path under it; ties go to the smallest
+def _worst_cell(columns, n_paths: int, maps=None) -> tuple[float, int, int]:
+    """(value, column, path) of the largest entry of the columns: column c
+    holds one value per node of its level, or per state under ``maps[c]``.
+    A node is named by the first leaf path under it; ties go to the smallest
     path, then column, as in an argmax over the (path, column) leaf array."""
+    maps = [None] * len(columns) if maps is None else maps
     tops = [float(np.max(col)) for col in columns]
     top = max(tops) + 0.0       # whichever zero max() met first, report 0.0
-    path, c = min((int(np.argmax(col)) * (n_paths // col.size), c)
-                  for c, (col, t) in enumerate(zip(columns, tops)) if t == top)
+
+    def first_path(col, m):
+        nodes = col if m is None else col[m]
+        return int(np.argmax(nodes)) * (n_paths // nodes.size)
+
+    path, c = min((first_path(col, m), c) for c, (col, m, t)
+                  in enumerate(zip(columns, maps, tops)) if t == top)
     return top, c, path
 
 
@@ -168,7 +178,9 @@ def check_constraint(solution: SolutionGrid, family: MonotoneFamily,
     slack = constraint_slack(solution, family)
     if not slack:
         return CheckResult("constraint", True, np.inf, tol)
-    low, c, path = _worst_cell([-s for s in slack.values()], solution.n_paths)
+    maps = [solution.nodes("Y").maps[i] for i in slack]
+    low, c, path = _worst_cell([-s for s in slack.values()], solution.n_paths,
+                               maps)
     stat = -low + 0.0       # a zero slack reads 0.0, not -0.0
     passed = stat >= -tol
     witness = None if passed else {"path": path, "step": list(slack)[c],
@@ -181,7 +193,8 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
     """All subinterval Riemann-Stieltjes sums of (Y-alpha)(dK + beta dt) <= tol.
 
     The measure statement is interval-wise, so negativity is checked on every
-    contiguous grid span, not just [0, T].
+    contiguous grid span, not just [0, T].  The sums depend on the path, so
+    they run on the nodes.
     """
     grid = solution.grid
     worst = -np.inf
@@ -190,13 +203,13 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
         sel.validate(family, grid)
         Y, K = solution.nodes("Y"), solution.nodes("K")
         alpha, beta = sel.alpha, sel.beta
-        if any(a.size not in (1, y.size) for a, y in zip(alpha, Y.columns)):
+        if any(a.size not in (1, Y.node_probs(i).size) for i, a in enumerate(alpha)):
             # the selection is on other nodes: read both on the paths
             Y, K = solution.on_paths("Y"), solution.on_paths("K")
             alpha, beta = ([np.repeat(v, solution.n_paths // v.size) for v in vs]
                            for vs in (alpha, beta))
-        terms = [(Y[i] - a) * (K.increment(i) + b * dt) for i, (a, b, dt)
-                 in enumerate(zip(alpha, beta, grid.steps))]
+        terms = [(Y.on_nodes(i) - a) * (K.on_nodes(i + 1) + b * dt)
+                 for i, (a, b, dt) in enumerate(zip(alpha, beta, grid.steps))]
         sums = Y.accumulate(np.add, terms)
         lows = Y.accumulate(np.minimum, [np.zeros(1), *(
             Y.spread(i, s, i + 1) for i, s in enumerate(sums[:-1]))])
@@ -265,19 +278,21 @@ def check_comparison(problem1: Problem, sol1: SolutionGrid, problem2: Problem,
     verified on samples first; a failure raises :class:`HypothesisViolated`
     before a solution is read.  Penalized solutions must share their levels
     (full ladders).  The pass gate is zero violating (path, step) cells on an
-    exact tree and at most 1% on an ensemble.
+    exact tree and at most 1% on an ensemble.  The excess is read on the
+    entries of Y, each counting as the leaf cells under its nodes.
     """
     _verify_comparison_hypotheses(problem1, problem2, scenario)
     Y1, Y2 = _paired(sol1, sol2, "Y")
     excess = [a - b for a, b in zip(Y1.columns, Y2.columns)]
-    n = sol1.n_paths      # a level-i node counts as the leaf cells under it
-    violating = sum(np.count_nonzero(e > tol) * (n // e.size) for e in excess)
-    frac = int(violating) / (n * len(excess))
+    n = sol1.n_paths
+    violating = sum(int(np.sum(Y1.cells(c) * (e > tol)))
+                    for c, e in enumerate(excess))
+    frac = violating / (n * len(excess))
     limit = 0.0 if isinstance(scenario, ScenarioTree) else 0.01
     passed = frac <= limit
     witness = None
     if not passed:
-        top, i, path = _worst_cell(excess, n)
+        top, i, path = _worst_cell(excess, n, Y1.maps)
         witness = {"path": path, "step": i, "excess": top, "fraction": frac}
     return CheckResult("comparison", passed, frac, limit, witness)
 
@@ -361,15 +376,17 @@ def _oracle_dp(tree: ScenarioTree, problem: Problem, barrier,
                level: int | None, project: bool) -> float:
     """Independent dynamic program on the tree (plain bisection per node).
 
-    Per node, the conditional mean and the Brownian and jump projections
-    z = E[V dW]/dt and psi_j = Cov(V, dN_j)/Var(dN_j) come from plain sums
-    over the children.  The penalized step solves
+    Per node of the tree's node view (no recombination), the conditional
+    mean and the Brownian and jump projections z = E[V dW]/dt and
+    psi_j = Cov(V, dN_j)/Var(dN_j) come from plain sums over the children.
+    The penalized step solves
     y = c + dt*(f(y) + level*(a - y)^+) and the projection step
     y = max(a, y*) with y* = c + dt*f(y*), its level -> infinity limit.
     """
     grid, marks = problem.grid, problem.marks
     n = grid.n_steps
     B = tree.branching
+    tree = tree.node_view
     v = problem.terminal(tree.state(n))
     for i in reversed(range(n)):
         V = v.reshape(-1, B)
@@ -508,9 +525,11 @@ def bounds_monitor(report: PenalizationReport) -> CheckResult:
 
 
 def _pairing_stat(sol1: SolutionGrid, sol2: SolutionGrid, weight) -> float:
-    """Max over paths of sum_i weight(Y^1_i, Y^2_i)(dK^1_i - dK^2_i)."""
+    """Max over paths of sum_i weight(Y^1_i, Y^2_i)(dK^1_i - dK^2_i), summed
+    on the nodes."""
     (Y1, Y2), (K1, K2) = _paired(sol1, sol2, "Y"), _paired(sol1, sol2, "K")
-    terms = [weight(Y1[i], Y2[i]) * (K1.increment(i) - K2.increment(i))
+    terms = [Y1.on_nodes(i, weight(Y1[i], Y2[i]))
+             * (K1.on_nodes(i + 1) - K2.on_nodes(i + 1))
              for i in range(sol1.grid.n_steps)]
     return float(np.max(Y1.accumulate(np.add, terms)[-1]))
 

@@ -160,3 +160,26 @@ def test_json_artifacts_are_strict(tmp_path):
                         parse_constant=_refuse)["checks"]
     assert checks[0]["check"] == "constraint"
     assert checks[0]["statistic"] is None
+
+
+def double_encoded_json(path, obj) -> None:
+    """The former writer: encode, read back with non-finite floats as null,
+    encode again."""
+    obj = json.loads(json.dumps(obj), parse_constant=lambda name: None)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_double_encoding(tmp_path):
+    rng = np.random.default_rng(4)
+    obj = {"b": [1, 2.5, (np.float64(np.nan), -np.inf), {"z": np.inf, "a": None}],
+           "a": {"nested": {"x": tuple(values(rng, 20).tolist()),
+                            "y": [np.float64(v) for v in SPECIAL]},
+                 "flag": True, "n": 7, "text": "NaN"},
+           3: "int key", 0.5: [np.float64(1e-310), -0.0, float("nan")]}
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    artifacts.write_json(got, obj)
+    double_encoded_json(want, obj)
+    assert got.read_bytes() == want.read_bytes()
+    assert json.loads(got.read_text(), parse_constant=_refuse)["a"]["nested"][
+        "y"][1:4] == [None] * 3

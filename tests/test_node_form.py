@@ -1,12 +1,15 @@
 """Node-form tree solutions against the leaf-form bookkeeping they replace.
 
 The ``leaf_form_*`` helpers are the slow references, each the previous code
-on (n_paths, ...) leaf arrays: the backward recursion with every step's
-values repeated onto the leaf paths, the level monitors as weighted sums
+on (n_paths, ...) leaf arrays: the backward recursion node by node on the
+tree's node view (no recombination) with every step's values repeated onto
+the leaf paths, the level monitors as weighted sums
 over those arrays, the residual check with the tree's increments repeated
 onto every leaf path, the constraint, Skorokhod and comparison checks, the
 Lemma-1 and Corollary-1 pairing statistics, the stopping times, the overlap
-statistics and the truncation-concatenation glue.
+statistics and the truncation-concatenation glue.  The readers that use K's
+increments take them as the solution stores them (:func:`leaf_dK`), so a
+running sum and its differences do not round differently.
 """
 
 import copy
@@ -20,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
-                    SolutionGrid, TimeGrid, build_tree, residual_check,
+                    SolutionGrid, TerminalSpec, TimeGrid, build_tree,
+                    residual_check,
                     simulate_paths, solve_mbsde, solve_penalized,
                     solve_unbounded)
 from mbsdej import bsde, penalization
@@ -45,8 +49,10 @@ TREE = CEBackend(kind="tree")
 
 
 def leaf_form_solve(problem, tree, penalty):
-    """(Y, Z, psi, K) of solve_bsde on a tree, stored leaf by leaf."""
+    """(Y, Z, psi, K) of solve_bsde on a tree, solved node by node on its
+    node view and stored leaf by leaf."""
     grid, marks, driver = problem.grid, problem.marks, problem.driver
+    tree = tree.node_view
     project = bsde._projection(tree, TREE)
     n_steps, n = grid.n_steps, tree.n_leaves
     Y = np.empty((n, n_steps + 1))
@@ -71,6 +77,11 @@ def leaf_form_solve(problem, tree, penalty):
         k -= tree.to_level(i, pen[i])
         K[:, i + 1] = k
     return Y, Z, psi, K
+
+
+def leaf_dK(sol):
+    """(n_paths, N) leaf array of K's increments K_{i+1} - K_i, as stored."""
+    return sol.on_paths("K").leaves()[:, 1:]
 
 
 def leaf_constraint_slack(Y, family, grid):
@@ -139,6 +150,7 @@ def leaf_form_residual(solution, driver, scenario, grid, marks):
         kind = "ensemble"
 
     w = solution.weights
+    dK = leaf_dK(solution)
     mean_abs = np.empty(n_steps)
     max_abs = np.empty(n_steps)
     cond_mean = np.empty(n_steps)
@@ -157,8 +169,7 @@ def leaf_form_residual(solution, driver, scenario, grid, marks):
             if m else 0.0
         resid = solution.Y[:, i] - (
             solution.Y[:, i + 1] + dt * np.asarray(fval)
-            - solution.Z[:, i] * dW[:, i] - jump_part
-            + (solution.K[:, i + 1] - solution.K[:, i]))
+            - solution.Z[:, i] * dW[:, i] - jump_part + dK[:, i])
         mean_abs[i] = float(w @ np.abs(resid))
         max_abs[i] = float(np.max(np.abs(resid)))
         if kind == "tree":
@@ -209,11 +220,10 @@ def leaf_form_midpoint(family, grid, Y1, Y2):
     return alpha, beta
 
 
-def leaf_form_skorokhod(Y, K, grid, selections):
+def leaf_form_skorokhod(Y, dK, grid, selections):
     """(statistic, witness) of check_skorokhod on leaf arrays; a selection
     is (name, alpha, beta) with (1 or n_paths, N) arrays."""
     n = grid.n_steps
-    dK = np.diff(K, axis=1)
     worst, witness = -np.inf, None
     for name, alpha, beta in selections:
         terms = (Y[:, :n] - alpha) * (dK + beta * grid.steps[None, :])
@@ -239,15 +249,15 @@ def leaf_form_comparison(Y1, Y2, tol):
                   "excess": float(excess[p, i]), "fraction": frac}
 
 
-def leaf_form_lemma1(Y1, K1, Y2, K2):
+def leaf_form_lemma1(Y1, dK1, Y2, dK2):
     n = Y1.shape[1] - 1
-    d_k = np.diff(K1, axis=1) - np.diff(K2, axis=1)
+    d_k = dK1 - dK2
     return float(np.max(np.sum((Y1[:, :n] - Y2[:, :n]) * d_k, axis=1)))
 
 
-def leaf_form_corollary1(Y1, K1, Y2, K2):
+def leaf_form_corollary1(Y1, dK1, Y2, dK2):
     n = Y1.shape[1] - 1
-    d_k = np.diff(K1, axis=1) - np.diff(K2, axis=1)
+    d_k = dK1 - dK2
     ind = (Y1[:, :n] > Y2[:, :n]).astype(float)
     return float(np.max(np.sum(ind * d_k, axis=1)))
 
@@ -260,11 +270,11 @@ def leaf_form_stopping_times(Y, envelope, level, grid):
 
 
 def leaf_form_overlap(level, prev, cur, tau_prev, weights):
-    """OverlapStats of leaf (Y, K) pairs ``prev`` and ``cur``."""
+    """OverlapStats of leaf (Y, dK) pairs ``prev`` and ``cur``."""
     n_steps = cur[0].shape[1] - 1
     mask = np.arange(n_steps + 1)[None, :] >= tau_prev[:, None]
     diff = (cur[0] - prev[0])[mask]
-    dk_diff = (np.diff(cur[1], axis=1) - np.diff(prev[1], axis=1))[mask[:, :-1]]
+    dk_diff = (cur[1] - prev[1])[mask[:, :-1]]
     cells = diff.size
     if cells:
         w = np.broadcast_to(weights[:, None], mask.shape)[mask]
@@ -298,7 +308,7 @@ def leaf_form_unbounded(problem, schedule, scenario, backend, max_truncation,
         prob_n = replace(problem, family=truncate_shift(problem.family, n),
                          driver=problem.driver.shifted(n))
         sol, _ = solve_mbsde(prob_n, schedule, scenario, backend)
-        cur = (sol.Y, sol.K - n * grid.times[None, :])
+        cur = (sol.Y, np.diff(sol.K - n * grid.times[None, :], axis=1))
         tau[n] = leaf_form_stopping_times(cur[0], envelope, n, grid)
         if prev is not None:
             stats = leaf_form_overlap(n, prev, cur, tau[n - 1], sol.weights)
@@ -313,7 +323,7 @@ def leaf_form_unbounded(problem, schedule, scenario, backend, max_truncation,
         Y[:, :-1][claim] = cur[0][:, :-1][claim]
         Z[claim] = sol.Z[claim]
         psi[claim] = sol.psi[claim]
-        K[:, 1:][claim] = np.diff(cur[1], axis=1)[claim]
+        K[:, 1:][claim] = cur[1][claim]
         free &= ~claim
         prev = cur
         if n == last:
@@ -358,6 +368,65 @@ def test_levels_match_leaf_form_reference(jump_problem, tree6_jumps):
         prev, prev_Y = sol, want[0]
     assert np.abs(prev.psi).max() > 0.1
     assert prev.K[:, -1].max() > 0.1
+
+
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+@given(n_steps=st.integers(1, 5), uniform=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), barrier=st.floats(-1.0, 1.0))
+@settings(max_examples=15, deadline=None)
+def test_state_solve_matches_node_by_node_reference(n_marks, n_steps, uniform,
+                                                    seed, barrier):
+    # a uniform grid recombines; any other keeps one state per node (a
+    # one-step grid is always uniform)
+    rng = np.random.default_rng(seed)
+    grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
+    if uniform:
+        grid = TimeGrid.uniform(grid.horizon, n_steps)
+    uniform = uniform or n_steps == 1
+    tree = build_tree(grid, marks)
+    for i in range(n_steps + 1):
+        node_map, probs = tree.node_map(i), tree.level_probs(i)
+        if not uniform:
+            assert node_map is None and probs is tree.node_probs(i)
+            continue
+        assert probs.size == (i + 1) ** (1 + n_marks)
+        assert node_map.dtype == np.min_scalar_type(probs.size - 1)
+        sums = [tree.node_probs(i)[node_map == s].sum() for s in range(probs.size)]
+        np.testing.assert_allclose(probs, sums, rtol=0, atol=1e-15)
+        if i < n_steps:      # the node view's (W, N) follow the branches
+            parent, branch = np.divmod(np.arange(tree.level_size(i + 1)),
+                                       tree.branching)
+            np.testing.assert_allclose(
+                tree.w_nodes[i + 1] - tree.w_nodes[i][parent],
+                tree.dW[i][branch], rtol=0, atol=1e-14)
+            assert np.array_equal(
+                tree.count_nodes[i + 1] - tree.count_nodes[i][parent],
+                tree.dN[i][branch])
+    family = make_family("reflect_at", {"a": barrier}, grid)
+    problem = Problem(grid, marks, _mixed_driver(marks),
+                      TerminalSpec(lambda s: np.sin(2.0 * s.w)
+                                   + 0.3 * s.ntilde.sum(axis=1)),
+                      family=family)
+    prev = prev_Y = None
+    for level in (1, 64):
+        sol = solve_penalized(problem, level, tree, TREE)
+        stats = penalization._level_stats(problem, sol, level, prev)
+        want = leaf_form_solve(problem, tree, PenalizedOperator(family, level))
+        for name, got, ref in zip("Y Z psi K".split(),
+                                  (sol.Y, sol.Z, sol.psi, sol.K), want):
+            assert got.shape == ref.shape, name
+            if n_marks < 2:
+                assert got.tobytes() == ref.tobytes(), name
+            else:
+                # BLAS sums the rows of an 8-column block in the matrix-
+                # vector product in an order that depends on the row's
+                # place in the block, so the states and the nodes of one
+                # projection can round apart in the last bit
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15,
+                                           err_msg=name)
+        assert_stats_close(stats, leaf_form_stats(problem, level, *want,
+                                                  tree.weights, prev_Y))
+        prev, prev_Y = sol, want[0]
 
 
 def _random_node_solution(tree, rng):
@@ -488,7 +557,7 @@ def test_ladder_leaves_levels_unexpanded(jump_problem, grid6, tree6_jumps,
 
     sol.K = sol.K - 2.0 * grid6.times[None, :]
     assert sol.k_terminal_mean() == pytest.approx(k_mean - 2.0, rel=1e-12)
-    np.testing.assert_array_equal(sol.nodes("K")[-1], sol.K[:, -1])
+    np.testing.assert_array_equal(sol.k_nodes()[-1], sol.K[:, -1])
 
 
 def test_overlap_mean_weighs_cells_by_path_probability(grid6, marks1,
@@ -553,9 +622,8 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
     family, grid = jump_problem.family, jump_problem.grid
     selections = [GraphSelection.interior_constant(family, grid, 0.5)]
     solved = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
-    K = solved.nodes("K")
-    for c in range(3, grid.n_steps + 1):
-        K[c] = K[c] + 1.0            # an impulse of K while Y > 0.5 somewhere
+    K = solved.nodes("K")           # K by its increments
+    K[3] = K[3] + 1.0                # an impulse of K while Y > 0.5 somewhere
     assigned = copy.copy(solved)
     assigned.Y = solved.Y + 0.0
     replaced = replace(solved, K=solved.K + 0.0)
@@ -576,7 +644,7 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
         assert repr((got.statistic, got.witness)) == repr(
             (frac, None if got.passed else witness))
         assert lemma1_pairing_stat(a, b) == pytest.approx(
-            leaf_form_lemma1(a.Y, a.K, b.Y, b.K), rel=1e-12)
+            leaf_form_lemma1(a.Y, leaf_dK(a), b.Y, leaf_dK(b)), rel=1e-12)
 
     # a midpoint selection is checked with solutions on other nodes too
     for a, b in ((solved, solved), (solved, other), (other, solved)):
@@ -587,7 +655,7 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
         ).tobytes() == alpha.tobytes()
         for sol in (solved, other):
             got = check_skorokhod(sol, family, [mid], tol=0.0)
-            stat, witness = leaf_form_skorokhod(sol.Y, sol.K, grid,
+            stat, witness = leaf_form_skorokhod(sol.Y, leaf_dK(sol), grid,
                                                 [("midpoint", alpha, beta)])
             assert repr((got.statistic, got.witness)) == repr(
                 (stat, None if got.passed else witness))
@@ -669,7 +737,7 @@ def _check_readers(scenario, rng, barrier):
         assert not any(s.nodes(name).expanded for s in (sol, other)
                        for name in ("Y", "Z", "psi", "K"))
 
-    Y, K, Y_o, K_o = sol.Y, sol.K, other.Y, other.K
+    Y, K, Y_o, K_o = sol.Y, leaf_dK(sol), other.Y, leaf_dK(other)
     assert repr((constraint.statistic, constraint.witness)) == repr(
         leaf_form_constraint(Y, family, grid, -np.inf))
     alpha, beta = leaf_form_midpoint(family, grid, Y, Y_o)

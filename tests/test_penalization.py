@@ -41,6 +41,26 @@ class TestSolvePenalized:
         proj = projection_value(tree6, tree6.w_nodes[6], barrier=0.0)
         assert abs(sol.y0() - proj) <= 1e-2
 
+    def test_reflected_value_converges_in_the_time_step(self, no_marks,
+                                                        tree_backend):
+        # f = 0, xi = W_T, reflection at 0: the reflected value is
+        # E[max(W_1, 0)] = 1/sqrt(2 pi), and the tree approaches it as
+        # O(1/N); level 2^16 is within 1% of the gap to the limit
+        limit = 1.0 / np.sqrt(2.0 * np.pi)
+        gaps = []
+        for n_steps in (4, 8, 16):          # 16 steps: 131,071 nodes
+            grid = TimeGrid.uniform(1.0, n_steps)
+            problem = Problem(grid, no_marks, make_driver("zero", {}, no_marks),
+                              make_terminal("brownian", {}, no_marks, grid),
+                              family=make_family("reflect_at", {"a": 0.0}, grid))
+            tree = build_tree(grid, no_marks)
+            y0 = solve_penalized(problem, 2**16, tree, tree_backend).y0()
+            gaps.append(limit - y0)
+            proj = projection_value(tree, tree.w_nodes[n_steps], barrier=0.0)
+            assert abs(proj - y0) < 0.01 * gaps[-1]
+            assert 0.09 <= n_steps * gaps[-1] <= 0.105
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
     def test_real_valued_family_rejected(self, grid6, no_marks, tree6,
                                          tree_backend):
         prob = Problem(grid6, no_marks,

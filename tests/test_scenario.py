@@ -14,7 +14,7 @@ def condexp_leaves(tree, i, leaf_values):
     conditional expectations from the leaves down to level i."""
     values = leaf_values
     for k in reversed(range(i, tree.grid.n_steps)):
-        values = tree.condexp_level(k, values)
+        values = values.reshape(-1, tree.branching) @ tree.probs[k]
     return tree.to_level(i, values)
 
 
