@@ -24,9 +24,8 @@ from hypothesis import strategies as st
 
 from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
                     SolutionGrid, TerminalSpec, TimeGrid, build_tree,
-                    residual_check,
-                    simulate_paths, solve_mbsde, solve_penalized,
-                    solve_unbounded)
+                    residual_check, simulate_paths, solve_mbsde,
+                    solve_penalized, solve_unbounded)
 from mbsdej import bsde, penalization
 from mbsdej.bsde import NodeColumns, ResidualReport
 from mbsdej.cli import run_verify
