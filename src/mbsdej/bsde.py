@@ -18,6 +18,9 @@ see a tree's values only through the read-only leaf view that
 :meth:`SolutionGrid.write_csv` builds.  An optional structured penalty term
 -k_n(t, y) is integrated exactly through the resolvent identity, which keeps
 the implicit step stable no matter how large the penalization level is.
+Each implicit step is a fixed point y = G(y) of a contraction, found per
+point by a secant iteration whose slope is clipped to keep it contracting;
+it is exact after two sweeps wherever G is affine.
 """
 
 from __future__ import annotations
@@ -358,22 +361,34 @@ class SolutionGrid:
 # -- implicit step -----------------------------------------------------------
 
 _MAX_SUBSTEPS = 4096  # sub-steps one grid step may be cut into
-_FP_RTOL = 1e-13      # relative sup-norm change that ends the fixed-point sweeps
+_FP_RTOL = 1e-13      # relative sup-norm of G(y) - y that ends the sweeps
 _FP_SWEEPS = 200      # sweeps per sub-step before ContractionFailure
 
 
 def _implicit_step(driver, t, state, target, z, q, dt, penalty):
     """Solve y = target + dt*(h(t,x,y,z,q) - k_n(t,y)) vectorized over paths.
 
-    The penalty is resolved exactly per fixed-point sweep via the identity
-    (I + dt*k_n)^{-1}(w) = w - dt*k_{n'}(w) with n' = n/(1 + dt*n); only the
-    driver's own y-dependence iterates, with contraction factor dt*L < 1
-    enforced by automatic sub-stepping.  A sweep whose w is bit-equal to the
-    previous sweep's ends the iteration without another resolvent call, so a
-    y-independent driver costs one resolvent call per sub-step.
+    The penalty is resolved exactly per sweep via the identity
+    (I + dt*k_n)^{-1}(w) = w - dt*k_{n'}(w) with n' = n/(1 + dt*n), so a
+    sweep evaluates G(y) = (I + dt*k_n)^{-1}(target + dt*h(y)) and only the
+    driver's own y-dependence iterates.  Sub-stepping keeps q = dt*L below
+    0.9, so G is a q-contraction and -F' lies in [1 - q, 1 + q] for
+    F(y) = G(y) - y.  The first sweep moves to G(y); every later one takes
+    the secant step y + F(y)/c per point, with c the chord slope -dF/dy of
+    the last two iterates clipped to [1 - r, 1 + r], r = min(q, (1 - q)/3)
+    (c = 1 where dy = 0).  Each step shrinks the error by at least
+    (q + r)/(1 - r) < 1, and G is piecewise affine for an affine driver and
+    a piecewise-linear k, where the secant is exact once both iterates lie
+    on one piece.  With q = 0 (a driver declared y-independent) every sweep
+    is the plain fixed-point update y = G(y).  The sweeps stop once
+    sup |G(y) - y| <= _FP_RTOL * (1 + sup |G(y)|) and return G(y); a sweep
+    whose w is bit-equal to the previous sweep's reuses its G without
+    another resolvent call, so a y-independent driver costs one resolvent
+    call per sub-step.
 
     Returns the solved y, the integral of k_n(t, y) over the step (zero
-    without a penalty) and the number of sub-steps.
+    without a penalty), the number of sub-steps and the number of sweeps
+    (driver evaluations) over all sub-steps.
     """
     L = driver.lipschitz_c
     nsub = 1
@@ -383,6 +398,7 @@ def _implicit_step(driver, t, state, target, z, q, dt, penalty):
             raise ContractionFailure(
                 f"dt*L = {dt * L:.3g} needs {nsub} substeps > budget {_MAX_SUBSTEPS}")
     dts = dt / nsub
+    r = min(dts * L, (1.0 - dts * L) / 3.0)
     slope = None
     if penalty is not None:
         n = float(penalty.level)
@@ -390,29 +406,39 @@ def _implicit_step(driver, t, state, target, z, q, dt, penalty):
 
     y = np.array(target, dtype=float, copy=True)
     pen_integral = np.zeros_like(y)
+    sweeps = 0
     for _ in range(nsub):
         right = y
         yy = np.array(right, copy=True)
         w_prev = None
-        for _ in range(_FP_SWEEPS):
+        for sweep in range(_FP_SWEEPS):
             w = right + dts * np.asarray(driver.shape(t, state, yy, z, q), dtype=float)
             w = np.broadcast_to(w, yy.shape).astype(float)
-            if w_prev is not None and np.array_equal(w, w_prev):
-                break   # the sweep would repeat the last one: yy is its fixed point
+            # a w bit-equal to the last sweep's keeps that sweep's G(y)
+            if w_prev is None or not np.array_equal(w, w_prev):
+                g = w
+                if penalty is not None:
+                    g = w - dts * resolvent_ordinate(penalty.family, t, w, slope)
             w_prev = w
-            y_new = w
-            if penalty is not None:
-                y_new = w - dts * resolvent_ordinate(penalty.family, t, w, slope)
-            change = np.max(np.abs(y_new - yy))
-            yy = y_new
-            if change <= _FP_RTOL * (1.0 + np.max(np.abs(yy))):
+            F = g - yy
+            if np.max(np.abs(F)) <= _FP_RTOL * (1.0 + np.max(np.abs(g))):
                 break
+            step = g
+            if sweep and r > 0:
+                c = np.divide(F_prev - F, yy - y_prev, out=np.ones_like(F),
+                              where=yy != y_prev)
+                step = yy + F / np.clip(c, 1.0 - r, 1.0 + r, out=c)
+            y_prev, F_prev, yy = yy, F, step
         else:
-            raise ContractionFailure("implicit step did not converge")
+            worst = int(np.argmax(np.abs(F)))
+            raise ContractionFailure(
+                f"implicit step at t = {t:g} did not converge in {_FP_SWEEPS} "
+                f"sweeps: |G(y) - y| = {abs(F[worst]):.3g} at point {worst}")
+        sweeps += sweep + 1
         if penalty is not None:
-            pen_integral += w - yy   # = dts * k_n(t, y*)
-        y = yy
-    return y, pen_integral, nsub
+            pen_integral += w - g    # = dts * k_n(t, y*)
+        y = g
+    return y, pen_integral, nsub, sweeps
 
 
 # -- regression machinery ----------------------------------------------------
@@ -465,14 +491,18 @@ def _ridge_predict(A: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _tree_projection(tree: ScenarioTree, i: int, y_next: np.ndarray):
     """Exact (E_i[Y_{i+1}], Z_i, psi_i) per level-i state from the values of
-    the level-(i+1) states, gathered onto each state's branches."""
+    the level-(i+1) states, gathered onto each state's branches.
+
+    Each sum runs over one row's branches alone (a BLAS matrix-vector product
+    rounds a row differently depending on its place in the matrix), so a
+    state and every node it stands for get the same bits."""
     V = y_next[tree.child[i]]
     p = tree.probs[i]
-    ey = V @ p
-    z = V @ (p * tree.dW[i]) / tree.grid.steps[i]
+    ey = (V * p).sum(axis=1)
+    z = (V * (p * tree.dW[i])).sum(axis=1) / tree.grid.steps[i]
     if tree.marks.n_marks:
         centered = tree.dN_tilde[i] - tree.bias[i]
-        psi = (V @ (p[:, None] * centered)) / tree.var_dnt[i]
+        psi = (V[:, :, None] * (p[:, None] * centered)).sum(axis=1) / tree.var_dnt[i]
     else:
         psi = np.zeros((ey.size, 0))
     return ey, z, psi
@@ -541,14 +571,16 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
     Y[n_steps] = y
     pen = [None] * n_steps
     max_substeps = 1
+    sweeps = 0
 
     for i in reversed(range(n_steps)):
         ey, z, psi_i = project(i, y)
-        y, pen[i], nsub = _implicit_step(driver, float(grid.times[i]),
-                                         scenario.state(i), ey, z,
-                                         driver.q_of(psi_i, marks),
-                                         grid.steps[i], penalty)
+        y, pen[i], nsub, n_sweeps = _implicit_step(driver, float(grid.times[i]),
+                                                   scenario.state(i), ey, z,
+                                                   driver.q_of(psi_i, marks),
+                                                   grid.steps[i], penalty)
         max_substeps = max(max_substeps, nsub)
+        sweeps += n_sweeps
         Y[i] = y
         Z[i] = z
         psi[i] = psi_i
@@ -558,6 +590,7 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
     for i, p in enumerate(pen):
         K[i + 1] = 0.0 - p      # no penalty reads +0.0, not -0.0
     meta = {"backend": backend.kind, "max_substeps": max_substeps,
+            "sweeps": sweeps,
             "penalty_level": None if penalty is None else penalty.level,
             "seed": getattr(scenario, "seed", None)}
     return SolutionGrid(grid, marks, Y, Z, psi, K, scenario.weights, meta)

@@ -21,7 +21,8 @@ class BudgetExceeded(MbsdejError):
 
 
 class ContractionFailure(MbsdejError):
-    """Implicit step could not be made contractive within the substep budget."""
+    """Implicit step could not be made contractive within the substep budget,
+    or its sweeps did not converge (the message names t and the worst point)."""
 
 
 class MonotonicityBreach(MbsdejError):
