@@ -9,11 +9,12 @@ polynomial least squares with a fixed small ridge on a
 recursion runs on the scenario's states: a level-i quantity is one value per
 level-i state of a tree (a lattice point of a recombining tree), or one per
 path of an ensemble.  Y, Z, psi and the penalty increments of K are stored
-that way; K itself, their running sum along the path, is formed on the
-nodes by the readers that need it.  Every reader of a
-solution reads it through :class:`NodeColumns`, whose columns each carry a
-layout (a level and the map from its nodes to the column's entries), and
-gathers states onto nodes only for path-dependent quantities.  Leaf paths
+that way, and K's moments are recursions over them on the states; only the
+truncation glue forms K itself, their running sum along the path, on the
+nodes.  Every reader of a solution reads it through :class:`NodeColumns`,
+whose columns each carry a layout (a level and the map from its nodes to
+the column's entries), and gathers states onto nodes only for the
+path-dependent quantities that have no recursion on the states.  Leaf paths
 see a tree's values only through the read-only leaf view that
 :meth:`SolutionGrid.write_csv` builds.  An optional structured penalty term
 -k_n(t, y) is integrated exactly through the resolvent identity, which keeps
@@ -210,6 +211,14 @@ class NodeColumns:
         return per_node if m is None else per_node * np.bincount(
             m, minlength=len(self[c]))
 
+    def states(self):
+        """The scenario whose level states are the columns' entries: a tree's
+        node view for columns on the nodes of a recombining tree."""
+        scenario = self.scenario
+        if all(m is scenario.node_map(i) for i, m in zip(self.levels, self.maps)):
+            return scenario
+        return scenario.node_view
+
     def spread(self, c: int, values: np.ndarray, d: int) -> np.ndarray:
         """Values on the nodes of column c's level, read on column d's."""
         return self.scenario.to_level(self.levels[c], values, self.levels[d])
@@ -275,8 +284,9 @@ class SolutionGrid:
     The solver stores each component as :class:`NodeColumns`: Y_i, Z_i and
     psi_i are level-i state values.  K is stored by its increments: column
     0 holds K_0 and column i+1 the increment K_{i+1} - K_i, a level-i state
-    value that the penalty at t_i fixes; :meth:`k_nodes` sums them along the
-    paths, on the nodes.  Every reader in the package reads :meth:`nodes`.
+    value that the penalty at t_i fixes; :meth:`k_terminal_mean` sums their
+    means, and :meth:`k_nodes` sums them along the paths, on the nodes.
+    Every reader in the package reads :meth:`nodes`.
     Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view for
     :meth:`write_csv` and tests: an (n_paths, ...) array that on a tree is
     expanded on first read, kept and read-only (K's running sums are formed
@@ -328,7 +338,8 @@ class SolutionGrid:
 
     def k_nodes(self) -> NodeColumns:
         """K in node form: column c holds K_c on the nodes of K's column c,
-        the running sums of the stored increments along the paths."""
+        the running sums of the stored increments along the paths.  Only
+        the truncation glue reads it; the moments of K need no node sums."""
         K = self.nodes("K")
         sums = NodeColumns.empty_on_nodes(K.scenario, K.levels)
         for c, k in enumerate(K.accumulate(
@@ -337,8 +348,9 @@ class SolutionGrid:
         return sums
 
     def k_terminal_mean(self) -> float:
-        K = self.k_nodes()
-        return float(K.probs[-1] @ K[-1])
+        """E[K_T], the sum of the stored increments' means (any layout)."""
+        K = self.nodes("K")
+        return sum(float(p @ k) for p, k in zip(K.probs, K.columns))
 
     def validate(self, tol: float = 1e-12) -> None:
         if not all(np.all(np.isfinite(col)) for name in _PARTS
@@ -646,9 +658,7 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     """
     tree = isinstance(scenario, ScenarioTree)
     Y, Z, psi, K = map(solution.nodes, _PARTS)
-    if tree and not all(part.maps[c] is scenario.node_map(level)
-                        for part in (Y, Z, psi, K)
-                        for c, level in enumerate(part.levels)):
+    if tree and any(part.states() is not scenario for part in (Y, Z, psi, K)):
         scenario = scenario.node_view
 
     def at(part, c, level):    # column c on the level's states

@@ -86,12 +86,11 @@ def run_solve(config: ProblemConfig, out_dir: Path, dump_paths: bool = False) ->
     se = block_y0_se(scenario, lambda sub: solve(sub)[0].y0())
 
     sol.write_csv(out_dir / "solution.csv")
-    summary.update({"y0": sol.y0(), "y0_se": se,
-                    "k_terminal_mean": sol.k_terminal_mean(),
+    k_mean = sol.k_terminal_mean()
+    summary.update({"y0": sol.y0(), "y0_se": se, "k_terminal_mean": k_mean,
                     "levels": list(map(int, levels_used))})
     artifacts.write_json(out_dir / "summary.json", summary)
-    print(f"Y0 = {sol.y0():.10g} +- {se:.3g}, "
-          f"K_T mean = {sol.k_terminal_mean():.10g}, "
+    print(f"Y0 = {sol.y0():.10g} +- {se:.3g}, K_T mean = {k_mean:.10g}, "
           f"levels = {list(map(int, levels_used))}")
     return code
 

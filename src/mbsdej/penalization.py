@@ -21,7 +21,7 @@ from .bsde import (CEBackend, DriverSpec, NodeColumns, SolutionGrid,
 from .errors import (MbsdejError, MonotonicityBreach, SegmentMismatch,
                      ValidationError)
 from .monotone import GrowthEnvelope, MonotoneFamily, PenalizedOperator, truncate_shift
-from .scenario import MarkSpace, TimeGrid
+from .scenario import MarkSpace, ScenarioTree, TimeGrid
 
 __all__ = [
     "Problem",
@@ -130,14 +130,43 @@ def constraint_slack(solution: SolutionGrid,
             for i in np.flatnonzero(np.isfinite(barriers))}
 
 
+def _k_terminal_sq(K: NodeColumns) -> float:
+    """E[K_T^2] by a backward recursion of R_i = K_T - K_i on the states:
+    E[R_i^2] = E[R_{i+1}^2] + E[dK_i (dK_i + 2 E_i[R_{i+1}])]."""
+    states, a, total = K.states(), 0.0, 0.0      # a = E_i[R_{i+1}]; R_N = 0
+    for i in reversed(range(len(K.columns) - 1)):   # column i+1 holds dK_i
+        dk = K[i + 1]
+        total += float(K.probs[i + 1] @ (dk * (dk + 2.0 * a)))
+        a = states.branch_mean(i - 1, dk + a) if i else dk + a
+    return total + float(K.probs[0] @ (K[0] * (K[0] + 2.0 * a)))
+
+
+def _sup_y_sq(Y: NodeColumns) -> float:
+    """E[sup_i |Y_i|^2] by a forward pass over (state, running max,
+    probability) triples; on a recombining level the triples of one state
+    and one running max merge, exactly, since a running max is one Y_i^2."""
+    states, sq = Y.states(), [y**2 for y in Y.columns]
+    if not isinstance(states, ScenarioTree):     # a path is its own state
+        return float(Y.probs[-1] @ np.maximum.reduce(sq))
+    at, run, p = np.zeros(1, np.intp), sq[0], Y.probs[0]
+    for i in range(len(sq) - 1):
+        at = states.child[i][at].ravel()
+        run = np.maximum(np.repeat(run, states.branching), sq[i + 1][at])
+        p = (p[:, None] * states.probs[i]).ravel()
+        if states.node_map(i + 1) is not None:
+            key, inv = np.unique(at + 1j * run, return_inverse=True)
+            at, run, p = key.real.astype(np.intp), key.imag, np.bincount(inv, p)
+    return float(p @ run)
+
+
 def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
                  prev: SolutionGrid | None) -> LevelStats:
-    """The level's monitors as expectations under the entries' probabilities:
-    on the states, except E[sup_i |Y_i|^2] and E[K_T^2], which depend on the
-    path and are read on the nodes; nothing is expanded to the leaves."""
+    """The level's monitors as expectations under the entries' probabilities,
+    all on the states: E[K_T] and E[K_T^2] from K's increments, and
+    E[sup_i |Y_i|^2] from (state, running max) pairs; nothing is gathered
+    onto the nodes."""
     grid = problem.grid
     Y, Z, psi = (sol.nodes(name) for name in ("Y", "Z", "psi"))
-    K = sol.k_nodes()
     if prev is None:
         delta, viol = np.nan, 0.0
     else:
@@ -150,18 +179,16 @@ def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
     energy = sum(float(dt * (Z.probs[i] @ (Z[i]**2
                                            + problem.marks.norm_pi_sq(psi[i]))))
                  for i, dt in enumerate(grid.steps))
-    run = Y.accumulate(np.maximum, [Y.on_nodes(c, y**2)
-                                    for c, y in enumerate(Y.columns)])[-1]
     return LevelStats(
         level=level,
         y0=sol.y0(),
         delta_prev=delta,
         mono_violation=viol,
         min_constraint_slack=min_slack,
-        k_terminal_mean=float(K.probs[-1] @ K[-1]),
-        sup_y_sq=float(Y.node_probs(-1) @ run),
+        k_terminal_mean=sol.k_terminal_mean(),
+        sup_y_sq=_sup_y_sq(Y),
         control_energy=energy,
-        k_terminal_sq=float(K.probs[-1] @ K[-1]**2),
+        k_terminal_sq=_k_terminal_sq(sol.nodes("K")),
     )
 
 

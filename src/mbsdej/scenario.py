@@ -178,6 +178,10 @@ class PathNodes:
         """Every path is its own state: the identity."""
         return None
 
+    def branch_mean(self, i: int, values: np.ndarray) -> np.ndarray:
+        """A path is its own one sure child: the values."""
+        return values
+
     def to_level(self, i: int, values: np.ndarray,
                  level: int | None = None) -> np.ndarray:
         """Every level's nodes are the paths: the identity."""
@@ -384,6 +388,10 @@ class ScenarioTree:
     def node_map(self, i: int) -> np.ndarray | None:
         """The state of each level-i node, or None where they coincide."""
         return self._node_map[i]
+
+    def branch_mean(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Per level-i state, the mean of its level-(i+1) children's values."""
+        return (values[self.child[i]] * self.probs[i]).sum(axis=1)
 
     @cached_property
     def _node_probs(self) -> list:

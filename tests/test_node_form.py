@@ -451,18 +451,26 @@ def _mixed_driver(marks):
 
 
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
-@given(n_steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       barrier=st.floats(-1.0, 1.0))
+@given(n_steps=st.integers(1, 3), uniform=st.booleans(), ties=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), barrier=st.floats(-1.0, 1.0))
 @settings(max_examples=15, deadline=None)
-def test_node_monitors_match_leaf_formulas(n_marks, n_steps, seed, barrier):
+def test_node_monitors_match_leaf_formulas(n_marks, n_steps, uniform, ties,
+                                           seed, barrier):
+    # a uniform grid recombines, so running maxima merge per state; Y drawn
+    # from {-2, ..., 2} makes histories tie on their running maximum
     rng = np.random.default_rng(seed)
     grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
+    if uniform:
+        grid = TimeGrid.uniform(grid.horizon, n_steps)
     tree = build_tree(grid, marks)
     problem = Problem(grid, marks, make_driver("zero", {}, marks),
                       make_terminal("zero", {}, marks, grid),
                       family=make_family("reflect_at", {"a": barrier}, grid))
     sol = _random_node_solution(tree, rng)
     prev = _random_node_solution(tree, rng)
+    if ties:
+        for column in sol.nodes("Y").columns:
+            column[...] = rng.integers(-2, 3, column.shape)
     got = penalization._level_stats(problem, sol, 4, prev)
     assert not any(sol.nodes(name).expanded for name in ("Y", "Z", "psi", "K"))
     assert_stats_close(got, leaf_form_stats(problem, 4, sol.Y, sol.Z, sol.psi,
@@ -505,6 +513,65 @@ def test_ensemble_residual_matches_leaf_form(n_marks):
     assert got.cond_cov_abs is want.cond_cov_abs is None
     for name in ("mean_abs", "max_abs", "cond_mean_abs", "cond_mean_z"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+def test_ensemble_monitors_match_leaf_formulas(n_marks):
+    rng = np.random.default_rng(10 + n_marks)
+    grid, marks = _random_grid_and_marks(rng, 4, n_marks)
+    ens = simulate_paths(grid, marks, 600, seed=n_marks)
+    problem = Problem(grid, marks, _mixed_driver(marks),
+                      TerminalSpec(lambda s: np.sin(2.0 * s.w)
+                                   + 0.3 * s.ntilde.sum(axis=1)),
+                      family=make_family("reflect_at", {"a": 0.0}, grid))
+    prev = solve_penalized(problem, 1, ens, CEBackend("regression"))
+    sol = solve_penalized(problem, 4, ens, CEBackend("regression"))
+    sol.nodes("K")[0] = rng.normal(size=ens.n_paths)       # K_0 != 0
+    assert leaf_dK(sol).max() > 0.1                   # the penalty acts
+    got = penalization._level_stats(problem, sol, 4, prev)
+    assert_stats_close(got, leaf_form_stats(problem, 4, sol.Y, sol.Z, sol.psi,
+                                            sol.K, ens.weights, prev.Y))
+
+
+@pytest.fixture
+def node_reads_in_level_stats(monkeypatch):
+    """The node readers called while penalization._level_stats runs, by
+    name, and the number of its calls."""
+    calls, runs = [], []
+    level_stats = penalization._level_stats
+
+    def tracked(*args):
+        runs.append(True)
+        try:
+            return level_stats(*args)
+        finally:
+            runs[-1] = False
+
+    def recording(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if runs and runs[-1]:
+                calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((NodeColumns, "on_nodes"), (NodeColumns, "accumulate"),
+                        (SolutionGrid, "k_nodes")):
+        recording(owner, name)
+    monkeypatch.setattr(penalization, "_level_stats", tracked)
+    return calls, runs
+
+
+def test_level_monitors_read_no_nodes(jump_problem, tree6_jumps,
+                                      node_reads_in_level_stats):
+    calls, runs = node_reads_in_level_stats
+    schedule = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=0.0)
+    _, report = solve_mbsde(jump_problem, schedule, tree6_jumps, TREE)
+    assert report.levels == [1, 4, 16] and len(runs) == 3
+    assert calls == []
+    assert report.rows[-1].k_terminal_sq > 0.0
 
 
 @pytest.fixture
