@@ -9,16 +9,14 @@ polynomial least squares with a fixed small ridge on a
 recursion runs on the scenario's states: a level-i quantity is one value per
 level-i state of a tree (a lattice point of a recombining tree), or one per
 path of an ensemble.  Y, Z, psi and the penalty increments of K are stored
-that way, and K's moments are recursions over them on the states; only the
-truncation glue forms K itself, their running sum along the path, on the
-nodes.  Every reader of a solution reads it through :class:`NodeColumns`,
-whose columns each carry a layout (a level and the map from its nodes to
-the column's entries), and gathers states onto nodes only for the
-path-dependent quantities that have no recursion on the states.  Leaf paths
-see a tree's values only through the read-only leaf view that
-:meth:`SolutionGrid.write_csv` builds.  An optional structured penalty term
--k_n(t, y) is integrated exactly through the resolvent identity, which keeps
-the implicit step stable no matter how large the penalization level is.
+that way, in :class:`NodeColumns`, whose columns are all on the states of
+one scenario.  K's moments and the verification checks are recursions and
+counts on those states; only the truncation glue, which follows the paths,
+gathers them onto the nodes.  Leaf paths see a tree's values only through
+the read-only leaf view that :meth:`SolutionGrid.write_csv` builds.  An
+optional structured penalty term -k_n(t, y) is integrated exactly through
+the resolvent identity, which keeps the implicit step stable no matter how
+large the penalization level is.
 Each implicit step is a fixed point y = G(y) of a contraction, found per
 point by a secant iteration whose slope is clipped to keep it contracting;
 it is exact after two sweeps wherever G is affine.
@@ -138,49 +136,38 @@ class CEBackend:
 
 
 class NodeColumns:
-    """One solution component: an array per grid column.
+    """One solution component: an array per grid column, on the states of
+    one scenario.
 
-    Column c has a layout: its scenario level ``levels[c]`` and ``maps[c]``,
-    the map from that level's nodes to the column's entries.  A column in
-    state form holds one value per level state (the map is the scenario's
-    ``node_map``); one in node form holds one value per node (the map is
-    None, the identity).  On an ensemble and on a tree that does not
-    recombine the two coincide.  ``probs[c]`` holds the entries'
-    probabilities.  Path-dependent quantities live on nodes: :meth:`on_nodes`
-    gathers entries onto their nodes, and :meth:`spread` and
-    :meth:`accumulate` work on nodes.  On an ensemble the columns are
-    views of one (n_paths, n_cols[, m]) array, which is also the leaf view.
-    On a tree :meth:`leaves` gathers and repeats each column onto the leaf
-    paths on its first call and keeps the result, read-only: the columns
-    stay the one store.
+    Column c holds one value per state of scenario level ``levels[c]``, and
+    ``probs[c]`` their probabilities.  A solver output is on its scenario's
+    states (a recombining tree's lattice points); a component that follows
+    the paths, as the truncation glue's does, is on the tree's
+    :attr:`~mbsdej.scenario.ScenarioTree.node_view`, whose states are the
+    nodes.  Path readers run on the states through the scenario's ``paths``
+    and ``push_max``.  The glue gathers states onto nodes (:meth:`on_nodes`)
+    and works there (:meth:`spread`, :meth:`accumulate`).  On an ensemble the
+    columns are views of one (n_paths, n_cols[, m]) array, which is also the
+    leaf view.  On a tree :meth:`leaves` gathers and repeats each column
+    onto the leaf paths on its first call and keeps the result, read-only:
+    the columns stay the one store.
     """
 
-    def __init__(self, columns, levels, maps, scenario, leaves=None):
+    def __init__(self, columns, levels, scenario, leaves=None):
         self.columns = columns
         self.levels = levels
-        self.maps = maps
         self.scenario = scenario
-        self.probs = [scenario.node_probs(i) if m is None
-                      else scenario.level_probs(i) for i, m in zip(levels, maps)]
+        self.probs = [scenario.level_probs(i) for i in levels]
         self._leaves = leaves
 
     @classmethod
     def empty(cls, scenario, levels, trailing=()) -> "NodeColumns":
         """Uninitialized columns on the states of the given scenario levels."""
-        return cls._empty(scenario, list(levels), trailing, scenario.node_map)
-
-    @classmethod
-    def empty_on_nodes(cls, scenario, levels, trailing=()) -> "NodeColumns":
-        """Uninitialized columns on the nodes of the given scenario levels."""
-        return cls._empty(scenario, list(levels), trailing, lambda i: None)
-
-    @classmethod
-    def _empty(cls, scenario, levels, trailing, node_map) -> "NodeColumns":
-        out = cls(None, levels, [node_map(i) for i in levels], scenario)
+        out = cls(None, list(levels), scenario)
         n = scenario.weights.size
         if all(p.size == n for p in out.probs):     # the entries are the paths
-            out._leaves = np.empty((n, len(levels), *trailing))
-            out.columns = [out._leaves[:, c] for c in range(len(levels))]
+            out._leaves = np.empty((n, len(out.levels), *trailing))
+            out.columns = [out._leaves[:, c] for c in range(len(out.levels))]
         else:
             out.columns = [np.empty((p.size, *trailing)) for p in out.probs]
         return out
@@ -192,32 +179,11 @@ class NodeColumns:
         self.columns[c][...] = values
 
     def on_nodes(self, c: int, values: np.ndarray | None = None) -> np.ndarray:
-        """Values on column c's entries (the column itself by default) read on
-        the nodes of its level; a single value is left to broadcast."""
+        """Values on column c's states (the column itself by default) read on
+        the nodes of its level."""
         values = self[c] if values is None else values
-        m = self.maps[c]
-        return values if m is None or len(values) == 1 else values[m]
-
-    def node_probs(self, c: int) -> np.ndarray:
-        """Probabilities of the nodes of column c's level."""
-        return self.scenario.node_probs(self.levels[c])
-
-    def cells(self, c: int):
-        """The leaf cells each entry of column c stands for: the leaf paths
-        under its nodes."""
-        m = self.maps[c]
-        nodes = len(self[c]) if m is None else m.size
-        per_node = self.scenario.weights.size // nodes
-        return per_node if m is None else per_node * np.bincount(
-            m, minlength=len(self[c]))
-
-    def states(self):
-        """The scenario whose level states are the columns' entries: a tree's
-        node view for columns on the nodes of a recombining tree."""
-        scenario = self.scenario
-        if all(m is scenario.node_map(i) for i, m in zip(self.levels, self.maps)):
-            return scenario
-        return scenario.node_view
+        m = self.scenario.node_map(self.levels[c])
+        return values if m is None else values[m]
 
     def spread(self, c: int, values: np.ndarray, d: int) -> np.ndarray:
         """Values on the nodes of column c's level, read on column d's."""
@@ -285,8 +251,7 @@ class SolutionGrid:
     psi_i are level-i state values.  K is stored by its increments: column
     0 holds K_0 and column i+1 the increment K_{i+1} - K_i, a level-i state
     value that the penalty at t_i fixes; :meth:`k_terminal_mean` sums their
-    means, and :meth:`k_nodes` sums them along the paths, on the nodes.
-    Every reader in the package reads :meth:`nodes`.
+    means.  Every reader in the package reads :meth:`nodes`.
     Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view for
     :meth:`write_csv` and tests: an (n_paths, ...) array that on a tree is
     expanded on first read, kept and read-only (K's running sums are formed
@@ -294,7 +259,7 @@ class SolutionGrid:
     itself.
     Assigning a component (``sol.K = ...``, ``dataclasses.replace``) stores
     it as given.  A solution with a component stored as a leaf array is read
-    in leaf form throughout, with the paths as nodes.
+    in leaf form throughout, with the paths as states.
     """
 
     grid: TimeGrid
@@ -311,16 +276,16 @@ class SolutionGrid:
         return self.weights.size
 
     def nodes(self, name: str) -> NodeColumns:
-        """Component ``name`` in node form, or, once any component is stored
-        as a leaf array, its leaf array with the paths as nodes of the last
-        grid level: the columns of one solution always share their nodes."""
+        """Component ``name`` on its states, or, once any component is
+        stored as a leaf array, its leaf array with the paths as states: the
+        columns of one solution always share their states."""
         if all(isinstance(self.__dict__["_" + n], NodeColumns) for n in _PARTS):
             return self.__dict__["_" + name]
         return self.on_paths(name)
 
     def on_paths(self, name: str) -> NodeColumns:
         """Component ``name`` column by column on its leaf array (K by its
-        increments): each column's nodes are the paths, the nodes of the
+        increments): each column's states are the paths, the nodes of the
         last grid level."""
         stored = self.__dict__["_" + name]
         if isinstance(stored, NodeColumns):
@@ -329,23 +294,11 @@ class SolutionGrid:
             leaves = np.diff(stored, axis=1, prepend=0.0) if name == "K" else stored
         n_cols, level = leaves.shape[1], self.grid.n_steps
         return NodeColumns([leaves[:, c] for c in range(n_cols)],
-                           [level] * n_cols, [None] * n_cols,
-                           PathNodes(self.weights), leaves)
+                           [level] * n_cols, PathNodes(self.weights), leaves)
 
     def y0(self) -> float:
         Y = self.nodes("Y")
         return float(Y.probs[0] @ Y[0])
-
-    def k_nodes(self) -> NodeColumns:
-        """K in node form: column c holds K_c on the nodes of K's column c,
-        the running sums of the stored increments along the paths.  Only
-        the truncation glue reads it; the moments of K need no node sums."""
-        K = self.nodes("K")
-        sums = NodeColumns.empty_on_nodes(K.scenario, K.levels)
-        for c, k in enumerate(K.accumulate(
-                np.add, [K.on_nodes(c) for c in range(len(K.columns))])):
-            sums[c] = k
-        return sums
 
     def k_terminal_mean(self) -> float:
         """E[K_T], the sum of the stored increments' means (any layout)."""
@@ -383,8 +336,8 @@ def _implicit_step(driver, t, state, target, z, q, dt, penalty):
     The penalty is resolved exactly per sweep via the identity
     (I + dt*k_n)^{-1}(w) = w - dt*k_{n'}(w) with n' = n/(1 + dt*n), so a
     sweep evaluates G(y) = (I + dt*k_n)^{-1}(target + dt*h(y)) and only the
-    driver's own y-dependence iterates.  Sub-stepping keeps q = dt*L below
-    0.9, so G is a q-contraction and -F' lies in [1 - q, 1 + q] for
+    driver's own y-dependence iterates.  Sub-stepping keeps q = dt*L at
+    most 0.85, so G is a q-contraction and -F' lies in [1 - q, 1 + q] for
     F(y) = G(y) - y.  The first sweep moves to G(y); every later one takes
     the secant step y + F(y)/c per point, with c the chord slope -dF/dy of
     the last two iterates clipped to [1 - r, 1 + r], r = min(q, (1 - q)/3)
@@ -404,7 +357,7 @@ def _implicit_step(driver, t, state, target, z, q, dt, penalty):
     """
     L = driver.lipschitz_c
     nsub = 1
-    if dt * L >= 0.9:
+    if dt * L > 0.85:
         nsub = math.ceil(dt * L / 0.45)
         if nsub > _MAX_SUBSTEPS:
             raise ContractionFailure(
@@ -650,21 +603,21 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     conditional mean of R for a solver output is zero to machine precision;
     so are its conditional covariances with the increments, which pin Z and
     psi.  An ensemble state is a path with one branch, its own increment,
-    and c = lambda*dt.  A solution with a component off the states (glued,
-    or stored as leaf arrays) is checked on the tree's
-    :attr:`~mbsdej.scenario.ScenarioTree.node_view`; leaf arrays are read on
-    the nodes with ``scenario.to_level``, which raises ValueError on a tree
+    and c = lambda*dt.  A solution off the tree's states (glued, so on the
+    tree's :attr:`~mbsdej.scenario.ScenarioTree.node_view`, or stored as
+    leaf arrays) is checked on the node view; leaf arrays are read on the
+    nodes with ``scenario.to_level``, which raises ValueError on a tree
     column that is not measurable at its time.
     """
     tree = isinstance(scenario, ScenarioTree)
-    Y, Z, psi, K = map(solution.nodes, _PARTS)
-    if tree and any(part.states() is not scenario for part in (Y, Z, psi, K)):
+    Y, Z, psi, K = map(solution.nodes, _PARTS)    # on one scenario's states
+    if Y.scenario is not scenario:
         scenario = scenario.node_view
 
     def at(part, c, level):    # column c on the level's states
-        if part.levels[c] == level and part.maps[c] is scenario.node_map(level):
+        if part.scenario is scenario:
             return part[c]
-        # on the node view (or an ensemble) the states are the nodes
+        # a leaf array: on the node view (or an ensemble) the states are nodes
         return scenario.to_level(part.levels[c], part.on_nodes(c), level)
 
     n_steps = grid.n_steps

@@ -181,7 +181,7 @@ def _suite_negative_controls(problem, scenario, sol, report):
     columns = list(Y.columns)
     columns[mid] = columns[mid] + 1.0
     corrupted = copy.copy(sol)      # shares Z, psi, K and the other columns
-    corrupted.Y = NodeColumns(columns, Y.levels, Y.maps, scenario)
+    corrupted.Y = NodeColumns(columns, Y.levels, Y.scenario)
     resid = residual_check(corrupted, problem.driver, scenario, problem.grid,
                            problem.marks)
     detected = not resid.passed(**_RESIDUAL_GATE)

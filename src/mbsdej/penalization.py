@@ -105,11 +105,8 @@ class PenalizationReport:
         return [r.level for r in self.rows]
 
     def monitor_series(self) -> dict:
-        return {
-            "sup_y_sq": [r.sup_y_sq for r in self.rows],
-            "control_energy": [r.control_energy for r in self.rows],
-            "k_terminal_sq": [r.k_terminal_sq for r in self.rows],
-        }
+        return {name: [getattr(r, name) for r in self.rows]
+                for name in ("sup_y_sq", "control_energy", "k_terminal_sq")}
 
     def to_dict(self) -> dict:
         return {"converged": self.converged, "reason": self.reason,
@@ -133,7 +130,7 @@ def constraint_slack(solution: SolutionGrid,
 def _k_terminal_sq(K: NodeColumns) -> float:
     """E[K_T^2] by a backward recursion of R_i = K_T - K_i on the states:
     E[R_i^2] = E[R_{i+1}^2] + E[dK_i (dK_i + 2 E_i[R_{i+1}])]."""
-    states, a, total = K.states(), 0.0, 0.0      # a = E_i[R_{i+1}]; R_N = 0
+    states, a, total = K.scenario, 0.0, 0.0      # a = E_i[R_{i+1}]; R_N = 0
     for i in reversed(range(len(K.columns) - 1)):   # column i+1 holds dK_i
         dk = K[i + 1]
         total += float(K.probs[i + 1] @ (dk * (dk + 2.0 * a)))
@@ -145,7 +142,7 @@ def _sup_y_sq(Y: NodeColumns) -> float:
     """E[sup_i |Y_i|^2] by a forward pass over (state, running max,
     probability) triples; on a recombining level the triples of one state
     and one running max merge, exactly, since a running max is one Y_i^2."""
-    states, sq = Y.states(), [y**2 for y in Y.columns]
+    states, sq = Y.scenario, [y**2 for y in Y.columns]
     if not isinstance(states, ScenarioTree):     # a path is its own state
         return float(Y.probs[-1] @ np.maximum.reduce(sq))
     at, run, p = np.zeros(1, np.intp), sq[0], Y.probs[0]
@@ -321,7 +318,8 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
 
     For each truncation level n the family is clamped and shifted
     (k ^ n - n, graphs in R x R_-), the MBSDE with driver f - n is solved by
-    penalization, and K is recovered as K-hat_t - n t.  Stopping times
+    penalization, and K is recovered as K-hat_t - n t, increment by
+    increment (dK-hat_i - n dt_i on each state).  Stopping times
     tau_n = first time ell(t, Y^n_t) <= n cut the horizon into segments
     [tau_n, tau_{n-1}]; consecutive levels must agree on the overlap
     [tau_{n-1}, T].  Each level is glued in once solved: cell (path, i)
@@ -356,13 +354,13 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
     tau[0] = n_steps
     record = ConcatenationRecord(levels=levels, tau=tau)
 
-    # the glue follows the path-dependent tau: every component is on nodes,
-    # and K is held by its increments until the end
-    Y = NodeColumns.empty_on_nodes(scenario, range(n_steps + 1))
-    Z = NodeColumns.empty_on_nodes(scenario, range(n_steps))
-    psi = NodeColumns.empty_on_nodes(scenario, range(n_steps),
-                                     (problem.marks.n_marks,))
-    K = NodeColumns.empty_on_nodes(scenario, [0, *range(n_steps)])
+    # the glue follows the path-dependent tau: every component is on the
+    # nodes, the node view's states, and K is held by its increments
+    nodes = scenario.node_view
+    Y = NodeColumns.empty(nodes, range(n_steps + 1))
+    Z = NodeColumns.empty(nodes, range(n_steps))
+    psi = NodeColumns.empty(nodes, range(n_steps), (problem.marks.n_marks,))
+    K = NodeColumns.empty(nodes, [0, *range(n_steps)])
     K[0] = 0.0
     free = [np.ones(p.size, dtype=bool) for p in Z.probs]   # cells unclaimed
     last = max_truncation
@@ -375,13 +373,11 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
         except MbsdejError as exc:
             raise type(exc)(f"truncation level {n}: {exc}") from exc
         Y_n, Z_n, psi_n, K_n = map(sol.nodes, ("Y", "Z", "psi", "K"))
-        # undo the shift: K^n_t = K-hat^n_t - n t (bounded variation), taken
-        # on the sums along the paths and stored back by its increments
-        sums = [k - n * t for k, t in zip(sol.k_nodes().columns, grid.times)]
-        sol.K = K_n = NodeColumns.empty_on_nodes(scenario, K_n.levels)
-        K_n[0] = sums[0]
-        for c in range(1, n_steps + 1):
-            K_n[c] = sums[c] - K_n.spread(c - 1, sums[c - 1], c)
+        # undo the shift K^n_t = K-hat^n_t - n t on the stored K_0 (by 0)
+        # and increments (by n dt_i), each on its states
+        shift = n * np.diff(grid.times, prepend=0.0)
+        sol.K = K_n = NodeColumns([k - s for k, s in zip(K_n.columns, shift)],
+                                  K_n.levels, K_n.scenario)
         tau[n] = stopping_times(sol, envelope, n, grid)
         record.level_reports.append(rep)
         record.level_y0.append(sol.y0())
@@ -402,9 +398,9 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
                 record.uncovered_cells += (int(np.count_nonzero(free[i] & ~claim))
                                            * (n_paths // claim.size))
                 claim = free[i]
-            for glued, part in ((Y, Y_n), (Z, Z_n), (psi, psi_n)):
-                glued[i][claim] = part.on_nodes(i)[claim]
-            K[i + 1][claim] = K_n[i + 1][claim]
+            for glued, part, c in ((Y, Y_n, i), (Z, Z_n, i), (psi, psi_n, i),
+                                   (K, K_n, i + 1)):
+                glued[c][claim] = part.on_nodes(c)[claim]
             free[i] &= ~claim
         prev = sol
         if n == last:
@@ -423,24 +419,27 @@ def _overlap_stats(level: int, prev: SolutionGrid, cur: SolutionGrid,
                    tau_prev: np.ndarray, problem: Problem) -> OverlapStats:
     """Level differences on the overlap [tau_{n-1}, T], on the nodes: a
     level-i node counts as the leaf cells under it, and the mean weighs them
-    by probability."""
+    by probability.  The levels are merged one at a time, as in Welford's
+    update, so no level's differences outlive its turn."""
     n_steps = problem.grid.n_steps
     Y, K = cur.nodes("Y"), cur.nodes("K")
     Y_prev, K_prev = prev.nodes("Y"), prev.nodes("K")
-    inside = [Y.spread(n_steps, tau_prev <= i, i) for i in range(n_steps + 1)]
-    diffs = [Y.on_nodes(i, Y[i] - Y_prev[i])[m] for i, m in enumerate(inside)]
-    leaves = [cur.n_paths // m.size for m in inside]      # leaf cells per node
-    cells = sum(k * d.size for k, d in zip(leaves, diffs))
-    if cells:
-        probs = [Y.node_probs(i) for i in range(n_steps + 1)]
-        mean = (sum(float(p[m] @ d) for p, m, d in zip(probs, inside, diffs))
-                / sum(float(p[m].sum()) for p, m in zip(probs, inside)))
-        u = sum(k * float(d.sum()) for k, d in zip(leaves, diffs)) / cells
-        ss = sum(k * float(((d - u)**2).sum()) for k, d in zip(leaves, diffs))
-        se = float(np.sqrt(ss / (cells - 1) / cells)) if cells > 1 else 0.0
-        mx = max(float(np.max(np.abs(d), initial=0.0)) for d in diffs)
-    else:
-        mean = se = mx = 0.0
-    mdk = max(float(np.max(np.abs(K.on_nodes(i + 1) - K_prev.on_nodes(i + 1))[m],
-                           initial=0.0)) for i, m in enumerate(inside[:-1]))
-    return OverlapStats(level, cells, mean, se, mx, mdk)
+    cells, u, ss, weighted, mass, mx, mdk = 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    for i in range(n_steps + 1):
+        inside = Y.spread(n_steps, tau_prev <= i, i)
+        d = Y.on_nodes(i, Y[i] - Y_prev[i])[inside]
+        p = Y.scenario.node_view.level_probs(i)[inside]
+        weighted, mass = weighted + float(p @ d), mass + float(p.sum())
+        if d.size:        # each node counts as the k leaf cells under it
+            k, centre = cur.n_paths // inside.size, float(d.mean())
+            cells, step = cells + k * d.size, centre - u
+            u += step * k * d.size / cells
+            ss += (k * float(((d - centre)**2).sum())
+                   + step**2 * k * d.size * (cells - k * d.size) / cells)
+            mx = max(mx, float(np.max(np.abs(d))))
+        if i < n_steps:
+            dk = np.abs(K.on_nodes(i + 1) - K_prev.on_nodes(i + 1))[inside]
+            mdk = max(mdk, float(np.max(dk, initial=0.0)))
+    se = float(np.sqrt(ss / (cells - 1) / cells)) if cells > 1 else 0.0
+    return OverlapStats(level, cells, weighted / mass if cells else 0.0, se, mx,
+                        mdk)

@@ -13,10 +13,11 @@ Two interchangeable noise models:
 
 Both expose one interface to the solver and its readers.  A level's *states*
 carry the forward state (:meth:`state`, :meth:`level_probs`); its *nodes*
-are the histories that lead there (:meth:`node_probs`, :meth:`to_level`),
+are the histories that lead there (:attr:`node_view`, :meth:`to_level`),
 and ``node_map(i)`` sends each level-i node to its state, None where every
-node is its own state.  On an ensemble the states and the nodes of every
-level are the paths.
+node is its own state.  Path readers run on the states (:meth:`paths`,
+:meth:`push_max`).  On an ensemble the states and the nodes of every level
+are the paths.
 """
 
 from __future__ import annotations
@@ -170,10 +171,6 @@ class PathNodes:
         """Every level's states are the paths: their weights."""
         return self.weights
 
-    def node_probs(self, i: int) -> np.ndarray:
-        """Every level's nodes are the paths: their weights."""
-        return self.weights
-
     def node_map(self, i: int) -> None:
         """Every path is its own state: the identity."""
         return None
@@ -186,6 +183,20 @@ class PathNodes:
                  level: int | None = None) -> np.ndarray:
         """Every level's nodes are the paths: the identity."""
         return values
+
+    @property
+    def node_view(self) -> "PathNodes":
+        """Every path is its own node already: these levels."""
+        return self
+
+    def paths(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each path is one path through itself, and the first."""
+        return np.ones(self.weights.size, np.int64), np.arange(self.weights.size)
+
+    def push_max(self, i: int, values: np.ndarray,
+                 first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A path's one branch leads to itself: the values and their paths."""
+        return values, first
 
 
 class PathEnsemble(PathNodes):
@@ -307,10 +318,11 @@ class ScenarioTree:
       smallest unsigned integer dtype that holds it, or None where every
       node is its own state.
 
-    A state's probability is the sum of its nodes'.  Path-dependent readers
-    gather states onto nodes through ``node_map`` and move node values
-    between levels with :meth:`to_level`; ``w_nodes``, ``count_nodes`` and
-    :attr:`node_view` give the tree node by node.
+    A state's probability is the sum of its nodes'.  Path readers run
+    forward over ``child`` (:meth:`paths`, :meth:`push_max`).  The
+    truncation glue gathers states onto nodes through ``node_map`` and
+    moves node values between levels with :meth:`to_level`; ``w_nodes``,
+    ``count_nodes`` and :attr:`node_view` give the tree node by node.
     """
 
     def __init__(self, grid: TimeGrid, marks: MarkSpace):
@@ -394,6 +406,38 @@ class ScenarioTree:
         return (values[self.child[i]] * self.probs[i]).sum(axis=1)
 
     @cached_property
+    def _paths(self) -> list:
+        """(leaf paths through, first of them) per state of each level; more
+        than 2^63 - 1 leaf paths raise OverflowError."""
+        out = [(np.full(1, self.n_leaves, np.int64), np.zeros(1, np.int64))]
+        for i, child in enumerate(self.child):
+            count, first = out[i]
+            through = np.zeros(self._w[i + 1].size, np.int64)
+            np.add.at(through, child, count[:, None] // self.branching)
+            out.append((through, self.push_max(i, np.zeros(first.size), first)[1]))
+        return out
+
+    def paths(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per level-i state, the number of leaf paths through it, the first."""
+        return self._paths[i]
+
+    def push_max(self, i: int, values: np.ndarray,
+                 first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per level-(i+1) state, the largest of ``values`` (per level-i
+        state) over the branches into it, and the smallest leaf path that
+        attains it, where ``first`` is the first leaf path of a history
+        ending in each level-i state and branch b adds b * B^(N-i-1)."""
+        child, size = self.child[i], self._w[i + 1].size
+        top = np.full(size, -np.inf)
+        np.maximum.at(top, child, values[:, None])
+        hit = values[:, None] == top[child]
+        leads = first[:, None] + self.branching**(self.grid.n_steps - i - 1) \
+            * np.arange(self.branching)
+        lead = np.full(size, np.iinfo(np.int64).max)
+        np.minimum.at(lead, child[hit], leads[hit])
+        return top, lead
+
+    @cached_property
     def _node_probs(self) -> list:
         probs = [np.ones(1)]
         for i in range(self.grid.n_steps):
@@ -405,10 +449,6 @@ class ScenarioTree:
         return [p if m is None else np.bincount(m, weights=p, minlength=w.size)
                 for p, m, w in zip(self._node_probs, self._node_map, self._w)]
 
-    def node_probs(self, i: int) -> np.ndarray:
-        """Probabilities of the level-i nodes (products along their branches)."""
-        return self._node_probs[i]
-
     def level_probs(self, i: int) -> np.ndarray:
         """Probabilities of the level-i states: sums over their nodes."""
         return self._state_probs[i]
@@ -417,10 +457,7 @@ class ScenarioTree:
     def leaf_probs(self) -> np.ndarray:
         return self._node_probs[-1]
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Path probabilities: those of the leaves."""
-        return self.leaf_probs
+    weights = leaf_probs       # path probabilities: those of the leaves
 
     def state(self, i: int) -> ForwardState:
         """Forward state at grid time t_i, one entry per level-i state."""
@@ -441,9 +478,13 @@ class ScenarioTree:
     @cached_property
     def node_view(self) -> "ScenarioTree":
         """This tree with one state per node, which carries the node's (W, N):
-        the tree a solver would walk without recombination."""
+        the tree a solver would walk without recombination.  A tree where no
+        level recombines is its own node view."""
+        if all(m is None for m in self._node_map):
+            return self
         view = copy.copy(self)
-        view.__dict__.pop("_state_probs", None)
+        for key in ("_state_probs", "_paths"):
+            view.__dict__.pop(key, None)
         view._one_state_per_node(self.w_nodes, self.count_nodes)
         return view
 

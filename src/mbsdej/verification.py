@@ -5,8 +5,10 @@ tolerance it was held to, and a witness when it fails.  Checks read solver
 outputs on a shared scenario; only :func:`oracle_compare` and
 :func:`lipschitz_remark_check` solve, as they compare the solver with an
 independent computation.  Almost-sure statements are tested pathwise at grid
-resolution; Monte Carlo quantities get 4-standard-error gates and tree-exact
-quantities 1e-10 gates unless stated otherwise.
+resolution, on the scenario's states: a cell count weighs each state by its
+leaf paths, a largest sum over paths is a forward recursion over the states.
+Monte Carlo quantities get 4-standard-error gates and tree-exact quantities
+1e-10 gates unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import artifacts
-from .bsde import CEBackend, SolutionGrid, solve_bsde
+from .bsde import CEBackend, NodeColumns, SolutionGrid, solve_bsde
 from .errors import HypothesisViolated, InvalidSelection
 from .monotone import MonotoneFamily, _integrability_item
 from .penalization import (PenalizationReport, PenalizationSchedule, Problem,
@@ -90,11 +92,13 @@ class PropertyReport:
 @dataclass
 class GraphSelection:
     """Optional pair (alpha_t, beta_t) with values in Gr(k_t), per step:
-    ``alpha[i]`` holds one value, or one per level-i node (so does beta)."""
+    ``alpha[i]`` holds one value, or one per level-i state of ``states``,
+    the scenario a midpoint was formed on (so does beta)."""
 
     name: str
     alpha: list
     beta: list
+    states: object = field(default=None, init=False, repr=False)
 
     @classmethod
     def interior_constant(cls, family: MonotoneFamily, grid: TimeGrid,
@@ -117,17 +121,19 @@ class GraphSelection:
     @classmethod
     def midpoint(cls, family: MonotoneFamily, grid: TimeGrid,
                  sol1: SolutionGrid, sol2: SolutionGrid) -> "GraphSelection":
-        """Lemma-1 style pairing (Y^1 + Y^2)/2 with boundary fallback, formed
-        on the entries of Y and gathered onto the nodes."""
+        """Lemma-1 style pairing (Y^1 + Y^2)/2 with boundary fallback, on
+        the states of Y."""
         Y1, Y2 = _paired(sol1, sol2, "Y")
         alpha, beta = [], []
         for i, a in enumerate(family.barriers(grid.times[:-1])):
             mid = 0.5 * (Y1[i] + Y2[i])
             if np.isfinite(a):
                 np.maximum(mid, a + _MIDPOINT_OFFSET, out=mid)
-            alpha.append(Y1.on_nodes(i, mid))
-            beta.append(Y1.on_nodes(i, family.k(float(grid.times[i]), mid)))
-        return cls("midpoint", alpha, beta)
+            alpha.append(mid)
+            beta.append(family.k(float(grid.times[i]), mid))
+        selection = cls("midpoint", alpha, beta)
+        selection.states = Y1.scenario
+        return selection
 
     def validate(self, family: MonotoneFamily, grid: TimeGrid) -> None:
         for i in range(grid.n_steps):
@@ -138,38 +144,47 @@ class GraphSelection:
                 k = int(np.argmin(ok))
                 raise InvalidSelection(
                     f"selection '{self.name}' leaves the graph at step {i}, "
-                    f"node {k}: ({alpha[k % alpha.size]}, {beta[k % beta.size]})")
+                    f"state {k}: ({alpha[k % alpha.size]}, {beta[k % beta.size]})")
 
 
 # -- individual checks --------------------------------------------------------
 
 
 def _paired(sol1: SolutionGrid, sol2: SolutionGrid, name: str):
-    """Component ``name`` of two solutions in one layout: their own, or the
-    paths when their layouts differ (one read in leaf form, say)."""
+    """Component ``name`` of two solutions on one scenario's states: their
+    own, or the paths when their states differ (one read in leaf form, say)."""
     pair = sol1.nodes(name), sol2.nodes(name)
-    if pair[0].levels == pair[1].levels and all(
-            a is b for a, b in zip(pair[0].maps, pair[1].maps)):
+    if pair[0].scenario is pair[1].scenario:
         return pair
     return sol1.on_paths(name), sol2.on_paths(name)
 
 
-def _worst_cell(columns, n_paths: int, maps=None) -> tuple[float, int, int]:
-    """(value, column, path) of the largest entry of the columns: column c
-    holds one value per node of its level, or per state under ``maps[c]``.
-    A node is named by the first leaf path under it; ties go to the smallest
-    path, then column, as in an argmax over the (path, column) leaf array."""
-    maps = [None] * len(columns) if maps is None else maps
+def _worst_cell(columns, paths) -> tuple[float, int, int]:
+    """(value, column, path) of the largest entry, ``paths[c]`` naming each
+    entry's leaf path; ties go to the smallest path, then column, as in an
+    argmax over the (path, column) leaf array."""
     tops = [float(np.max(col)) for col in columns]
     top = max(tops) + 0.0       # whichever zero max() met first, report 0.0
-
-    def first_path(col, m):
-        nodes = col if m is None else col[m]
-        return int(np.argmax(nodes)) * (n_paths // nodes.size)
-
-    path, c = min((first_path(col, m), c) for c, (col, m, t)
-                  in enumerate(zip(columns, maps, tops)) if t == top)
+    path, c = min((int(np.min(p[col == t])), c) for c, (col, p, t)
+                  in enumerate(zip(columns, paths, tops)) if t == top)
     return top, c, path
+
+
+def _path_sums(part: NodeColumns, terms, reset: bool) -> tuple[list, list]:
+    """(sums, paths): per state of each column of ``part``, the largest sum
+    of ``terms`` along a history ending there and its smallest leaf path.
+    Sums start at column 0, or with ``reset`` wherever the largest does
+    (Kadane: a sum so far that is not positive is dropped)."""
+    scenario, levels = part.scenario, part.levels
+    sums, leads = [terms[0]], [scenario.paths(levels[0])[1]]
+    for c in range(1, len(terms)):
+        carry, lead = scenario.push_max(levels[c - 1], sums[-1], leads[-1])
+        if reset:      # a restart may take any path: the state's first
+            lead = np.where(carry > 0.0, lead, scenario.paths(levels[c])[1])
+            carry = np.maximum(carry, 0.0)
+        sums.append(terms[c] + carry)
+        leads.append(lead)
+    return sums, leads
 
 
 def check_constraint(solution: SolutionGrid, family: MonotoneFamily,
@@ -178,9 +193,9 @@ def check_constraint(solution: SolutionGrid, family: MonotoneFamily,
     slack = constraint_slack(solution, family)
     if not slack:
         return CheckResult("constraint", True, np.inf, tol)
-    maps = [solution.nodes("Y").maps[i] for i in slack]
-    low, c, path = _worst_cell([-s for s in slack.values()], solution.n_paths,
-                               maps)
+    Y = solution.nodes("Y")
+    low, c, path = _worst_cell([-s for s in slack.values()],
+                               [Y.scenario.paths(Y.levels[i])[1] for i in slack])
     stat = -low + 0.0       # a zero slack reads 0.0, not -0.0
     passed = stat >= -tol
     witness = None if passed else {"path": path, "step": list(slack)[c],
@@ -193,8 +208,10 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
     """All subinterval Riemann-Stieltjes sums of (Y-alpha)(dK + beta dt) <= tol.
 
     The measure statement is interval-wise, so negativity is checked on every
-    contiguous grid span, not just [0, T].  The sums depend on the path, so
-    they run on the nodes.
+    contiguous grid span, not just [0, T]: the largest span sum that ends in
+    each state comes from Kadane's recursion over the states.  A selection
+    formed on other states (a midpoint of solutions read in another layout)
+    is read with the solution on the paths.
     """
     grid = solution.grid
     worst = -np.inf
@@ -203,18 +220,13 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
         sel.validate(family, grid)
         Y, K = solution.nodes("Y"), solution.nodes("K")
         alpha, beta = sel.alpha, sel.beta
-        if any(a.size not in (1, Y.node_probs(i).size) for i, a in enumerate(alpha)):
-            # the selection is on other nodes: read both on the paths
+        if sel.states is not None and sel.states is not Y.scenario:
             Y, K = solution.on_paths("Y"), solution.on_paths("K")
-            alpha, beta = ([np.repeat(v, solution.n_paths // v.size) for v in vs]
-                           for vs in (alpha, beta))
-        terms = [(Y.on_nodes(i) - a) * (K.on_nodes(i + 1) + b * dt)
+            alpha, beta = (list(NodeColumns(vs, range(grid.n_steps), sel.states)
+                                .leaves().T) for vs in (alpha, beta))
+        terms = [(Y[i] - a) * (K[i + 1] + b * dt)
                  for i, (a, b, dt) in enumerate(zip(alpha, beta, grid.steps))]
-        sums = Y.accumulate(np.add, terms)
-        lows = Y.accumulate(np.minimum, [np.zeros(1), *(
-            Y.spread(i, s, i + 1) for i, s in enumerate(sums[:-1]))])
-        stat, i, path = _worst_cell([s - low for s, low in zip(sums, lows)],
-                                    solution.n_paths)
+        stat, i, path = _worst_cell(*_path_sums(Y, terms, reset=True))
         if stat > worst:
             worst = stat
             witness = {"selection": sel.name, "path": path,
@@ -279,20 +291,20 @@ def check_comparison(problem1: Problem, sol1: SolutionGrid, problem2: Problem,
     before a solution is read.  Penalized solutions must share their levels
     (full ladders).  The pass gate is zero violating (path, step) cells on an
     exact tree and at most 1% on an ensemble.  The excess is read on the
-    entries of Y, each counting as the leaf cells under its nodes.
+    states of Y, each counting as the leaf paths through it.
     """
     _verify_comparison_hypotheses(problem1, problem2, scenario)
     Y1, Y2 = _paired(sol1, sol2, "Y")
     excess = [a - b for a, b in zip(Y1.columns, Y2.columns)]
-    n = sol1.n_paths
-    violating = sum(int(np.sum(Y1.cells(c) * (e > tol)))
-                    for c, e in enumerate(excess))
-    frac = violating / (n * len(excess))
+    paths = [Y1.scenario.paths(level) for level in Y1.levels]
+    violating = sum(int(count[e > tol].sum())
+                    for (count, _), e in zip(paths, excess))
+    frac = violating / (sol1.n_paths * len(excess))
     limit = 0.0 if isinstance(scenario, ScenarioTree) else 0.01
     passed = frac <= limit
     witness = None
     if not passed:
-        top, i, path = _worst_cell(excess, n, Y1.maps)
+        top, i, path = _worst_cell(excess, [first for _, first in paths])
         witness = {"path": path, "step": i, "excess": top, "fraction": frac}
     return CheckResult("comparison", passed, frac, limit, witness)
 
@@ -525,13 +537,12 @@ def bounds_monitor(report: PenalizationReport) -> CheckResult:
 
 
 def _pairing_stat(sol1: SolutionGrid, sol2: SolutionGrid, weight) -> float:
-    """Max over paths of sum_i weight(Y^1_i, Y^2_i)(dK^1_i - dK^2_i), summed
-    on the nodes."""
+    """Max over paths of sum_i weight(Y^1_i, Y^2_i)(dK^1_i - dK^2_i), forward
+    over the states."""
     (Y1, Y2), (K1, K2) = _paired(sol1, sol2, "Y"), _paired(sol1, sol2, "K")
-    terms = [Y1.on_nodes(i, weight(Y1[i], Y2[i]))
-             * (K1.on_nodes(i + 1) - K2.on_nodes(i + 1))
+    terms = [weight(Y1[i], Y2[i]) * (K1[i + 1] - K2[i + 1])
              for i in range(sol1.grid.n_steps)]
-    return float(np.max(Y1.accumulate(np.add, terms)[-1]))
+    return float(np.max(_path_sums(Y1, terms, reset=False)[0][-1]))
 
 
 def lemma1_pairing_stat(sol1: SolutionGrid, sol2: SolutionGrid) -> float:

@@ -124,3 +124,40 @@ def test_only_the_csv_writer_reads_leaf_views():
                               "        s.K = 0\n"
                               "        return [x.psi for x in s]\n"
                               "y = a.Z + b.W\n") == ["<module>", "C.g", "f"]
+
+
+_NODE_READERS = ("on_nodes", "spread", "accumulate", "to_level", "node_map",
+                 "node_view")
+
+
+def _node_readers(source: str) -> list:
+    """Qualified names of the scopes that name a node reader, as an
+    attribute (x.to_level) or a bare name."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Attribute)
+                  and child.attr in _NODE_READERS
+                  or isinstance(child, ast.Name) and child.id in _NODE_READERS):
+                found.add(scope or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_verification_reads_the_states_only():
+    # every check runs on the states of the solution's scenario; only the
+    # independent tree oracle walks the tree node by node
+    path = Path(mbsdej.__file__).parent / "verification.py"
+    assert _node_readers(path.read_text()) == ["_oracle_dp"]
+    assert _node_readers("def f(Y):\n    return Y.on_nodes(0)\n"
+                         "class C:\n    def g(self, t):\n"
+                         "        return t.node_view, [spread for _ in ()]\n"
+                         "x = y.node_map(1) + z.accumulate\n") == [
+                             "<module>", "C.g", "f"]

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbsdej import (CEBackend, ContractionFailure, DriverSpec, MarkSpace,
@@ -224,6 +224,7 @@ class TestSecantStep:
                                       qL, seed):
         rng = np.random.default_rng(seed)
         L = qL / dt
+        assume(dt * L <= 0.85)     # qL / dt * dt may round above qL
         target = rng.uniform(-3.0, 3.0, 40)
         z = rng.normal(size=40)
         q = np.zeros(40)
@@ -246,16 +247,15 @@ class TestSecantStep:
         residual = y - target - dt * drv.shape(0.25, None, y, z, q) + pen
         assert np.abs(residual).max() <= bound
 
-    @pytest.mark.xfail(raises=ContractionFailure, strict=True,
-                       reason="the sweeps contract by about 0.875 at dt*L = "
-                              "0.88, and 200 of them fall short of _FP_RTOL")
     def test_expanding_driver_just_below_the_substep_threshold(self, no_marks):
-        # G' = dt*L = 0.88 < 0.9 is not sub-stepped, and the clip holds the
-        # secant near a plain sweep there, so dt*L is drawn up to 0.85 above
+        # G' = dt*L = 0.88: in one step the sweeps contract by about 0.875
+        # and 200 of them fall short of _FP_RTOL, so the step is cut in two
         drv = make_driver("linear", {"a": 4.4}, no_marks)
         target = np.linspace(-1.0, 1.0, 5)
-        bsde._implicit_step(drv, 0.0, None, target, np.zeros(5), np.zeros(5),
-                            0.2, None)
+        y, _, nsub, _ = bsde._implicit_step(drv, 0.0, None, target, np.zeros(5),
+                                            np.zeros(5), 0.2, None)
+        assert nsub == 2       # two implicit steps of y = target + 0.44 y
+        np.testing.assert_allclose(y, target / 0.56**2, rtol=1e-12, atol=0)
 
     @pytest.mark.xfail(raises=ContractionFailure, strict=True,
                        reason="k_n is resolved to slope*_ROOT_WIDTH/2 on a jump "

@@ -9,7 +9,8 @@ onto every leaf path, the constraint, Skorokhod and comparison checks, the
 Lemma-1 and Corollary-1 pairing statistics, the stopping times, the overlap
 statistics and the truncation-concatenation glue.  The readers that use K's
 increments take them as the solution stores them (:func:`leaf_dK`), so a
-running sum and its differences do not round differently.
+running sum and its differences do not round differently; the glue
+references un-shift K by those increments too.
 """
 
 import copy
@@ -26,7 +27,7 @@ from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
                     SolutionGrid, TerminalSpec, TimeGrid, build_tree,
                     residual_check, simulate_paths, solve_mbsde,
                     solve_penalized, solve_unbounded)
-from mbsdej import bsde, penalization
+from mbsdej import bsde, cli, penalization
 from mbsdej.bsde import NodeColumns, ResidualReport
 from mbsdej.cli import run_verify
 from mbsdej.config import build_problem, parse_config
@@ -35,7 +36,7 @@ from mbsdej.monotone import PenalizedOperator, truncate_shift
 from mbsdej.penalization import ConcatenationRecord, LevelStats, OverlapStats
 from mbsdej.registry import (make_driver, make_envelope, make_family,
                              make_terminal)
-from mbsdej.scenario import ScenarioTree
+from mbsdej.scenario import PathNodes, ScenarioTree
 from mbsdej.verification import (GraphSelection, check_comparison,
                                  check_constraint, check_skorokhod,
                                  corollary1_ordering_stat, lemma1_pairing_stat)
@@ -219,17 +220,22 @@ def leaf_form_midpoint(family, grid, Y1, Y2):
     return alpha, beta
 
 
+def leaf_spans(Y, dK, grid, alpha, beta):
+    """(n_paths, N) largest sum of (Y - alpha)(dK + beta dt) over the spans
+    of each path that end at each step, as prefix-sum differences."""
+    n = grid.n_steps
+    terms = (Y[:, :n] - alpha) * (dK + beta * grid.steps[None, :])
+    prefix = np.zeros((terms.shape[0], n + 1))
+    np.cumsum(terms, axis=1, out=prefix[:, 1:])
+    return prefix[:, 1:] - np.minimum.accumulate(prefix[:, :-1], axis=1)
+
+
 def leaf_form_skorokhod(Y, dK, grid, selections):
     """(statistic, witness) of check_skorokhod on leaf arrays; a selection
     is (name, alpha, beta) with (1 or n_paths, N) arrays."""
-    n = grid.n_steps
     worst, witness = -np.inf, None
     for name, alpha, beta in selections:
-        terms = (Y[:, :n] - alpha) * (dK + beta * grid.steps[None, :])
-        prefix = np.zeros((terms.shape[0], n + 1))
-        np.cumsum(terms, axis=1, out=prefix[:, 1:])
-        run_min = np.minimum.accumulate(prefix[:, :-1], axis=1)
-        spans = prefix[:, 1:] - run_min
+        spans = leaf_spans(Y, dK, grid, alpha, beta)
         stat = float(spans.max())
         if stat > worst:
             worst = stat
@@ -237,6 +243,36 @@ def leaf_form_skorokhod(Y, dK, grid, selections):
             witness = {"selection": name, "path": int(p),
                        "end_step": int(i) + 1, "sum": stat}
     return worst, witness
+
+
+def assert_skorokhod_close(got, Y, dK, grid, selections, exact_witness):
+    """check_skorokhod's result against leaf_form_skorokhod: the statistic to
+    rtol 1e-12, since Kadane's recursion sums a span from its start where
+    the reference subtracts prefix sums.  Where histories recombine another
+    path may tie the sum to rounding, so the witness is checked by its own
+    leaf span sum; elsewhere it is the reference's."""
+    stat, witness = leaf_form_skorokhod(Y, dK, grid, selections)
+    np.testing.assert_allclose(got.statistic, stat, rtol=1e-12, atol=0)
+    if got.passed:
+        assert got.witness is None
+        return
+    found = dict(got.witness)
+    assert found.pop("sum") == got.statistic
+    if exact_witness:
+        want = dict(witness)
+        want.pop("sum")
+        assert found == want
+        return
+    _, alpha, beta = next(s for s in selections if s[0] == found["selection"])
+    span = leaf_spans(Y, dK, grid, alpha, beta)[found["path"],
+                                               found["end_step"] - 1]
+    np.testing.assert_allclose(span, got.statistic, rtol=1e-12, atol=0)
+
+
+def state_leaves(scenario, i, values):
+    """Level-i state values read on the leaf paths through node_map."""
+    m = scenario.node_map(i)
+    return scenario.to_level(i, values if m is None else values[m])
 
 
 def leaf_form_comparison(Y1, Y2, tol):
@@ -307,7 +343,7 @@ def leaf_form_unbounded(problem, schedule, scenario, backend, max_truncation,
         prob_n = replace(problem, family=truncate_shift(problem.family, n),
                          driver=problem.driver.shifted(n))
         sol, _ = solve_mbsde(prob_n, schedule, scenario, backend)
-        cur = (sol.Y, np.diff(sol.K - n * grid.times[None, :], axis=1))
+        cur = (sol.Y, leaf_dK(sol) - n * grid.steps[None, :])   # un-shifted
         tau[n] = leaf_form_stopping_times(cur[0], envelope, n, grid)
         if prev is not None:
             stats = leaf_form_overlap(n, prev, cur, tau[n - 1], sol.weights)
@@ -386,11 +422,12 @@ def test_state_solve_matches_node_by_node_reference(n_marks, n_steps, uniform,
     for i in range(n_steps + 1):
         node_map, probs = tree.node_map(i), tree.level_probs(i)
         if not uniform:
-            assert node_map is None and probs is tree.node_probs(i)
+            assert node_map is None and tree.node_view is tree
             continue
         assert probs.size == (i + 1) ** (1 + n_marks)
         assert node_map.dtype == np.min_scalar_type(probs.size - 1)
-        sums = [tree.node_probs(i)[node_map == s].sum() for s in range(probs.size)]
+        nodes = tree.node_view.level_probs(i)
+        sums = [nodes[node_map == s].sum() for s in range(probs.size)]
         np.testing.assert_allclose(probs, sums, rtol=0, atol=1e-15)
         if i < n_steps:      # the node view's (W, N) follow the branches
             parent, branch = np.divmod(np.arange(tree.level_size(i + 1)),
@@ -418,6 +455,59 @@ def test_state_solve_matches_node_by_node_reference(n_marks, n_steps, uniform,
         assert_stats_close(stats, leaf_form_stats(problem, level, *want,
                                                   tree.weights, prev_Y))
         prev, prev_Y = sol, want[0]
+
+
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+@given(n_steps=st.integers(1, 4), uniform=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_path_primitives_match_the_enumerated_nodes(n_marks, n_steps, uniform,
+                                                    seed):
+    # paths: the leaf paths under each state's nodes and the first of them;
+    # push_max: the largest value over the nodes that enter each state, the
+    # smallest leaf path under them breaking ties.  Half the values are
+    # drawn from {-1, 0, 1}, so that ties occur
+    rng = np.random.default_rng(seed)
+    grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
+    if uniform:
+        grid = TimeGrid.uniform(grid.horizon, n_steps)
+    tree = build_tree(grid, marks)
+    B = tree.branching
+
+    def states(i):      # the state of each level-i node
+        m = tree.node_map(i)
+        return np.arange(tree.level_size(i)) if m is None else m.astype(int)
+
+    for i in range(n_steps + 1):
+        at, size, per_node = states(i), tree.level_probs(i).size, B**(n_steps - i)
+        count, first = tree.paths(i)
+        assert count.dtype == first.dtype == np.int64
+        assert np.array_equal(count, np.bincount(at, minlength=size) * per_node)
+        assert np.array_equal(first, np.array(
+            [np.flatnonzero(at == s)[0] for s in range(size)]) * per_node)
+        if i == n_steps:
+            break
+        values = rng.normal(size=size)
+        tied = rng.random(size) < 0.5
+        values[tied] = rng.integers(-1, 2, int(tied.sum()))
+        top, lead = tree.push_max(i, values, first)
+        into, nodes = states(i + 1), np.arange(tree.level_size(i + 1))
+        entering = values[at[nodes // B]]      # node k enters from its parent
+        for s in range(top.size):
+            here = into == s
+            assert top[s] == entering[here].max()
+            best = nodes[here][entering[here] == top[s]]
+            assert lead[s] == best.min() * per_node // B
+
+
+def test_path_primitives_on_paths_are_the_identity():
+    paths = PathNodes(np.full(5, 0.2))
+    count, first = paths.paths(3)
+    assert count.tolist() == [1] * 5 and first.tolist() == list(range(5))
+    values = np.arange(5.0)
+    top, lead = paths.push_max(3, values, first)
+    assert top is values and lead is first
+    assert paths.node_view is paths
 
 
 def _random_node_solution(tree, rng):
@@ -533,19 +623,16 @@ def test_ensemble_monitors_match_leaf_formulas(n_marks):
                                             sol.K, ens.weights, prev.Y))
 
 
-@pytest.fixture
-def node_reads_in_level_stats(monkeypatch):
-    """The node readers called while penalization._level_stats runs, by
-    name, and the number of its calls."""
-    calls, runs = [], []
-    level_stats = penalization._level_stats
+_NODE_READERS = ((NodeColumns, "on_nodes"), (NodeColumns, "spread"),
+                 (NodeColumns, "accumulate"), (NodeColumns, "leaves"),
+                 (ScenarioTree, "to_level"))
 
-    def tracked(*args):
-        runs.append(True)
-        try:
-            return level_stats(*args)
-        finally:
-            runs[-1] = False
+
+@pytest.fixture
+def node_reads(monkeypatch):
+    """watch(module, name): the node readers called while module.name runs,
+    by name, and one entry per run of it."""
+    calls, runs = [], []
 
     def recording(owner, name):
         original = getattr(owner, name)
@@ -557,21 +644,44 @@ def node_reads_in_level_stats(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((NodeColumns, "on_nodes"), (NodeColumns, "accumulate"),
-                        (SolutionGrid, "k_nodes")):
+    for owner, name in _NODE_READERS:
         recording(owner, name)
-    monkeypatch.setattr(penalization, "_level_stats", tracked)
-    return calls, runs
+
+    def watch(module, name):
+        original = getattr(module, name)
+
+        def tracked(*args):
+            runs.append(True)
+            try:
+                return original(*args)
+            finally:
+                runs[-1] = False
+
+        monkeypatch.setattr(module, name, tracked)
+        return calls, runs
+
+    return watch
 
 
-def test_level_monitors_read_no_nodes(jump_problem, tree6_jumps,
-                                      node_reads_in_level_stats):
-    calls, runs = node_reads_in_level_stats
+def test_level_monitors_read_no_nodes(jump_problem, tree6_jumps, node_reads):
+    calls, runs = node_reads(penalization, "_level_stats")
     schedule = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=0.0)
     _, report = solve_mbsde(jump_problem, schedule, tree6_jumps, TREE)
     assert report.levels == [1, 4, 16] and len(runs) == 3
     assert calls == []
     assert report.rows[-1].k_terminal_sq > 0.0
+
+
+def test_tree_verify_reads_no_nodes(tmp_path, node_reads):
+    # every check of the suite reads the solutions on the 385 lattice
+    # states; none gathers them onto the tree's nodes or leaves
+    calls, runs = node_reads(cli, "run_verify")
+    config = tmp_path / "tree_verify.cfg"
+    shutil.copyfile(TREE_VERIFY_CONFIG, config)
+    code = cli.run_verify(parse_config(config.read_text()), "all",
+                          tmp_path / "out")
+    assert code == 0 and len(runs) == 1
+    assert calls == []
 
 
 @pytest.fixture
@@ -615,7 +725,6 @@ def test_ladder_leaves_levels_unexpanded(jump_problem, grid6, tree6_jumps,
 
     sol.K = sol.K - 2.0 * grid6.times[None, :]
     assert sol.k_terminal_mean() == pytest.approx(k_mean - 2.0, rel=1e-12)
-    np.testing.assert_array_equal(sol.k_nodes()[-1], sol.K[:, -1])
 
 
 def test_overlap_mean_weighs_cells_by_path_probability(grid6, marks1,
@@ -709,14 +818,13 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
         mid = GraphSelection.midpoint(family, grid, a, b)
         alpha, beta = leaf_form_midpoint(family, grid, a.Y, b.Y)
         assert np.column_stack(
-            [np.repeat(x, tree6_jumps.n_leaves // x.size) for x in mid.alpha]
+            [state_leaves(mid.states, i, x) for i, x in enumerate(mid.alpha)]
         ).tobytes() == alpha.tobytes()
         for sol in (solved, other):
             got = check_skorokhod(sol, family, [mid], tol=0.0)
-            stat, witness = leaf_form_skorokhod(sol.Y, leaf_dK(sol), grid,
-                                                [("midpoint", alpha, beta)])
-            assert repr((got.statistic, got.witness)) == repr(
-                (stat, None if got.passed else witness))
+            assert_skorokhod_close(got, sol.Y, leaf_dK(sol), grid,
+                                   [("midpoint", alpha, beta)],
+                                   exact_witness=False)
 
 
 def test_ensemble_leaf_arrays_are_the_store(reflected_problem, grid6,
@@ -768,9 +876,10 @@ def _assert_overlaps_close(got: OverlapStats, want: OverlapStats):
 
 
 def _check_readers(scenario, rng, barrier):
-    """Every node-form reader of a solution against its leaf-form reference,
-    on random solutions: the Skorokhod sums are non-zero and many comparison
-    cells violate, so the statistics and witnesses are exercised."""
+    """Every reader of a solution on its states against its leaf-form
+    reference, on random solutions: the Skorokhod sums are non-zero and many
+    comparison cells violate, so the statistics and witnesses are
+    exercised."""
     grid, marks = scenario.grid, scenario.marks
     family = make_family("reflect_at", {"a": barrier}, grid)
     problem = Problem(grid, marks, make_driver("zero", {}, marks),
@@ -800,12 +909,12 @@ def _check_readers(scenario, rng, barrier):
         leaf_form_constraint(Y, family, grid, -np.inf))
     alpha, beta = leaf_form_midpoint(family, grid, Y, Y_o)
     for i, (a, b) in enumerate(zip(selections[2].alpha, selections[2].beta)):
-        assert scenario.to_level(i, a).tobytes() == alpha[:, i].tobytes()
-        assert scenario.to_level(i, b).tobytes() == beta[:, i].tobytes()
+        assert state_leaves(scenario, i, a).tobytes() == alpha[:, i].tobytes()
+        assert state_leaves(scenario, i, b).tobytes() == beta[:, i].tobytes()
     leaf_selections = [(s.name, np.column_stack(s.alpha), np.column_stack(s.beta))
                        for s in selections[:2]] + [("midpoint", alpha, beta)]
-    assert repr((skorokhod.statistic, skorokhod.witness)) == repr(
-        leaf_form_skorokhod(Y, K, grid, leaf_selections))
+    assert_skorokhod_close(skorokhod, Y, K, grid, leaf_selections,
+                           exact_witness=scenario.node_view is scenario)
     assert skorokhod.statistic != 0.0
     assert repr((comparison.statistic, comparison.witness)) == repr(
         leaf_form_comparison(Y, Y_o, 0.0))
@@ -864,12 +973,16 @@ def _check_glue(scenario, backend, scale):
 
 
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
-@given(n_steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       barrier=st.floats(-1.0, 1.0))
+@given(n_steps=st.integers(1, 3), uniform=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), barrier=st.floats(-1.0, 1.0))
 @settings(max_examples=15, deadline=None)
-def test_node_readers_match_leaf_form(n_marks, n_steps, seed, barrier):
+def test_node_readers_match_leaf_form(n_marks, n_steps, uniform, seed,
+                                      barrier):
+    # a uniform grid recombines, so the readers merge histories per state
     rng = np.random.default_rng(seed)
     grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
+    if uniform:
+        grid = TimeGrid.uniform(grid.horizon, n_steps)
     _check_readers(build_tree(grid, marks), rng, barrier)
 
 

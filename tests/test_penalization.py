@@ -308,13 +308,14 @@ def _every_level_reference(prob, sched, scenario, backend, max_truncation):
     which every cell is claimed (None if no level up to the cap is one).
     """
     grid = prob.grid
-    sols, taus = [], []
+    sols, dks, taus = [], [], []
     for n in range(1, max_truncation + 1):
         prob_n = replace(prob, family=truncate_shift(prob.family, n),
                          driver=prob.driver.shifted(n))
         sol_n, _ = solve_mbsde(prob_n, sched, scenario, backend)
-        sol_n.K = sol_n.K - n * grid.times[None, :]
         sols.append(sol_n)
+        # K^n = K-hat - n t by increments: the stored dK-hat_i - n dt_i
+        dks.append(sol_n.on_paths("K").leaves()[:, 1:] - n * grid.steps)
         taus.append(stopping_times(sol_n, prob.envelope, n, grid))
 
     n_paths, n_steps = sols[0].Z.shape
@@ -327,11 +328,11 @@ def _every_level_reference(prob, sched, scenario, backend, max_truncation):
         for i in range(n_steps):
             started = [n for n in range(max_truncation) if taus[n][p] <= i]
             uncovered += not started
-            owner = sols[started[0] if started else -1]
-            Y[p, i] = owner.Y[p, i]
-            Z[p, i] = owner.Z[p, i]
-            psi[p, i] = owner.psi[p, i]
-            dK[p, i] = owner.K[p, i + 1] - owner.K[p, i]
+            owner = started[0] if started else -1
+            Y[p, i] = sols[owner].Y[p, i]
+            Z[p, i] = sols[owner].Z[p, i]
+            psi[p, i] = sols[owner].psi[p, i]
+            dK[p, i] = dks[owner][p, i]
     K = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(dK, axis=1)],
                        axis=1)
     # every cell of a path is claimed once some level's tau is 0 on it
