@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -283,10 +283,14 @@ class SolutionGrid:
             return self.__dict__["_" + name]
         return self.on_paths(name)
 
+    @cached_property
+    def _paths(self) -> PathNodes:
+        return PathNodes(self.weights)
+
     def on_paths(self, name: str) -> NodeColumns:
         """Component ``name`` column by column on its leaf array (K by its
         increments): each column's states are the paths, the nodes of the
-        last grid level."""
+        last grid level, held in one scenario per solution."""
         stored = self.__dict__["_" + name]
         if isinstance(stored, NodeColumns):
             leaves = stored.leaves()
@@ -294,7 +298,7 @@ class SolutionGrid:
             leaves = np.diff(stored, axis=1, prepend=0.0) if name == "K" else stored
         n_cols, level = leaves.shape[1], self.grid.n_steps
         return NodeColumns([leaves[:, c] for c in range(n_cols)],
-                           [level] * n_cols, PathNodes(self.weights), leaves)
+                           [level] * n_cols, self._paths, leaves)
 
     def y0(self) -> float:
         Y = self.nodes("Y")

@@ -134,7 +134,7 @@ def _lowered_terminal(problem, shift: float):
 def _lowered_family(problem, drop: float):
     fam = problem.family
     return replace(problem, family=fam.map_values(
-        lambda v: v - drop, name=f"{fam.name}-{drop:g}"))
+        shift=-drop, name=f"{fam.name}-{drop:g}"))
 
 
 def _suite_comparison(problem, backend, full, scenario, sol, report):

@@ -2,15 +2,19 @@
 
 A :class:`MonotoneFamily` wraps pointwise evaluators of an increasing,
 right-continuous map x -> k(t, x) on a moving domain with lower boundary a_t,
-and declares its left limits and whether a_t is attained.  The associated
-set-valued operator fills jumps with vertical segments and, at a closed
-boundary, attaches the ray ]-inf, k(t, a_t)] at x = a_t; at an open one k
-tends to -inf and k is never evaluated at a_t.  :class:`PenalizedOperator`
-produces the n-Lipschitz approximants k_n(t, .) (Yosida approximations) by
-intersecting that graph with lines of slope -n: a bracket walk and a
-safeguarded Illinois (regula falsi) search for the root of the strictly
-increasing map u -> u + k(t, u)/n, both as whole-array ``np.where`` updates
-that neither gather nor scatter the points still moving.
+and declares its left limits, whether a_t is attained and, where k(t, .) is
+piecewise affine, its pieces.  The associated set-valued operator fills jumps
+with vertical segments and, at a closed boundary, attaches the ray
+]-inf, k(t, a_t)] at x = a_t; at an open one k tends to -inf and k is never
+evaluated at a_t.  :class:`PenalizedOperator` produces the n-Lipschitz
+approximants k_n(t, .) (Yosida approximations) by intersecting that graph
+with lines of slope -n.  On declared pieces the resolvent (I + k/n)^-1 has a
+closed form (Brezis 1973, ch. II): one ``searchsorted`` over the values of
+u + k(t, u)/n at the breaks and one affine solve, with no evaluation of k.
+Other families take a bracket walk and a safeguarded Illinois (regula falsi)
+search for the root of the strictly increasing map u -> u + k(t, u)/n, both
+as whole-array ``np.where`` updates that neither gather nor scatter the
+points still moving.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ class MonotoneFamily:
     """Evaluators for k(t, .), its left limits and its moving boundary.
 
     The family declares the facts of the operator that no finite number of
-    evaluations can settle: where k(t, .) jumps (through ``left_body``) and
-    whether a_t is attained (``closed``).
+    evaluations can settle: where k(t, .) jumps (through ``left_body``),
+    whether a_t is attained (``closed``) and, optionally, the affine pieces of
+    k(t, .) (``pieces``), on which k_n needs no evaluation of k.
 
     Parameters
     ----------
@@ -55,6 +60,16 @@ class MonotoneFamily:
     left_body : callable, optional
         ``left_body(t, x)`` -> k_-(t, x) at interior points.  None declares
         k(t, .) continuous, so that k_- = k.
+    pieces : callable, optional
+        ``pieces(t)`` -> ``(breaks, k_left, k_right, slopes)``, float arrays
+        that declare k(t, .) piecewise affine on the domain: increasing
+        breaks b_j (at least one; a constant k uses one as its anchor),
+        k_-(t, b_j) and k(t, b_j), and the slope of k on each of the
+        intervals between and beyond the breaks (one more than the breaks).
+        The pieces must describe ``body`` and ``left_body``: a family made by
+        replacing ``body`` alone keeps the old pieces, so use
+        :meth:`map_values` or replace ``pieces`` as well.  None (the default)
+        leaves k_n to the numeric root search.
     closed : bool
         True declares a finite a_t part of the domain: k(t, a_t) is finite
         and the ray ]-inf, k(t, a_t)] is attached at x = a_t.  False declares
@@ -68,6 +83,7 @@ class MonotoneFamily:
     body: Callable[[float, np.ndarray], np.ndarray]
     boundary: Callable[[float], float]
     left_body: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    pieces: Optional[Callable[[float], tuple]] = None
     closed: bool = False
     sign: str = "negative"
     name: str = ""
@@ -116,13 +132,22 @@ class MonotoneFamily:
         return np.asarray(self.left_body(t, np.asarray(x, dtype=float)),
                           dtype=float)
 
-    def map_values(self, fn, **changes) -> "MonotoneFamily":
-        """This family with the nondecreasing ``fn`` applied to every value of
-        k and k_-; ``changes`` replace other fields."""
-        body, left = self.body, self.left_body
+    def map_values(self, cap: float = np.inf, shift: float = 0.0,
+                   **changes) -> "MonotoneFamily":
+        """This family with every value v of k and k_- mapped to
+        min(v, cap) + shift; ``changes`` replace other fields.  Declared
+        pieces are mapped too: a break is added where a piece reaches the
+        cap."""
+        body, left, pieces = self.body, self.left_body, self.pieces
+
+        def fn(v):
+            return np.minimum(v, cap) + shift
+
         return replace(
             self, body=lambda t, x: fn(body(t, x)),
             left_body=None if left is None else lambda t, x: fn(left(t, x)),
+            pieces=None if pieces is None else
+            lambda t: _capped(pieces(t), cap, shift),
             **changes)
 
     def graph_contains(self, t: float, x: float, y: float, atol: float = 1e-12) -> bool:
@@ -197,7 +222,7 @@ def _floored_k(family: MonotoneFamily, t: float, a: float):
     return k
 
 
-def _walk(k, x, slope, candidate, steps, upper):
+def _walk(k, t, x, slope, candidate, steps, upper):
     """Move each point along candidate(0), candidate(1), ... until it brackets x.
 
     A point stops once g(u) = u + k(u)/slope >= x (``upper``) or g(u) < x, and
@@ -212,7 +237,9 @@ def _walk(k, x, slope, candidate, steps, upper):
             return u, ku
         if j > steps:
             raise NoBracket(f"no {'upper' if upper else 'lower'} bracket "
-                            "within the search range; is k monotone?")
+                            f"within the search range at t={t:g}, "
+                            f"slope={slope:g}, x={x[np.argmax(need)]:.17g}; "
+                            "is k monotone?")
         u = np.where(need, candidate(j), u)
         ku = np.where(need, k(u), ku)
 
@@ -225,9 +252,10 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
 
     # upper end: k is nondecreasing, so g(u) -> +inf; start inside the domain
     base = np.maximum(x, a)
-    hi, khi = _walk(k, x, slope, lambda j: base + 2.0**j, _DOUBLINGS, True)
+    hi, khi = _walk(k, t, x, slope, lambda j: base + 2.0**j, _DOUBLINGS, True)
     if not np.isfinite(a):
-        lo, klo = _walk(k, x, slope, lambda j: x - 2.0**j, _DOUBLINGS, False)
+        lo, klo = _walk(k, t, x, slope, lambda j: x - 2.0**j, _DOUBLINGS,
+                        False)
     elif family.closed:
         # callers exclude the vertical segment, so g(a) < x holds here
         lo, klo = np.full_like(x, a), k(np.full_like(x, a))
@@ -237,9 +265,131 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
         # ends the walk there with k = _K_FLOOR; the ordinate is then
         # slope*(x - a_t), up to the root search's width
         gap = np.maximum(1.0, x - a)
-        lo, klo = _walk(k_floored, x, slope, lambda j: a + gap / 2.0**j,
+        lo, klo = _walk(k_floored, t, x, slope, lambda j: a + gap / 2.0**j,
                         _HALVINGS, False)
     return lo, klo, hi, khi
+
+
+def _piece_value(pieces, u: float) -> float:
+    """k(t, u) read off the pieces."""
+    b, k_left, k_right, slopes = pieces
+    j = int(np.searchsorted(b, u, side="right"))
+    if j == 0:
+        return float(k_left[0] + slopes[0] * (u - b[0]))
+    return float(k_right[j - 1] + slopes[j] * (u - b[j - 1]))
+
+
+def _affine_ordinate(pieces, x: np.ndarray, slope: float) -> np.ndarray:
+    """k_n at x in closed form on the pieces (see :func:`resolvent_ordinate`).
+
+    Region 2j of x is the piece up to break j, anchored there; region 2j+1
+    the jump at break j; region 2m the piece after the last break, anchored
+    at it.  Each region's ordinate is the line v0 + c (x - x0).
+    """
+    b, k_left, k_right, slopes = pieces
+    m = b.size
+    g_left, g_right = b + k_left / slope, b + k_right / slope
+    edges = np.empty(2 * m)
+    edges[0::2], edges[1::2] = g_left, g_right
+    x0, v0, c = np.empty((3, 2 * m + 1))
+    x0[0:-1:2], x0[1::2], x0[-1] = g_left, b, g_right[-1]
+    v0[0:-1:2], v0[1::2], v0[-1] = k_left, 0.0, k_right[-1]
+    c[0::2], c[1::2] = slopes / (1.0 + slopes / slope), slope
+    j = np.searchsorted(edges, x)
+    return v0[j] + (x - x0[j]) * c[j]
+
+
+def _capped(pieces, cap: float, shift: float) -> tuple:
+    """The pieces of min(k, cap) + shift, given those of k.
+
+    k is flat from the first point where it reaches the cap: a break is put
+    there when the point lies inside a piece, and later breaks go.
+    """
+    b, k_left, k_right, slopes = (np.asarray(p, dtype=float) for p in pieces)
+    if cap < np.inf:
+        # k at the right end of each piece, the last one's as its limit
+        end = np.append(k_left, k_right[-1] if slopes[-1] == 0 else np.inf)
+        i = int(np.searchsorted(end, cap))   # the first piece to reach it
+        if i <= b.size:
+            start = k_right[i - 1] if i else \
+                (k_left[0] if slopes[0] == 0 else -np.inf)
+            if start < cap:                   # inside piece i
+                at, k_at = (b[i - 1], k_right[i - 1]) if i else \
+                    (b[0], k_left[0])
+                b = np.append(b[:i], at + (cap - k_at) / slopes[i])
+                k_left = np.append(k_left[:i], cap)
+                k_right = np.append(k_right[:i], cap)
+            else:                             # at the break before it
+                keep = max(i, 1)
+                b, k_left, k_right = b[:keep], k_left[:keep], k_right[:keep]
+            slopes = np.append(slopes[:b.size], 0.0)
+    return (b, np.minimum(k_left, cap) + shift,
+            np.minimum(k_right, cap) + shift, slopes)
+
+
+def _root_ordinate(family: MonotoneFamily, t: float, x: np.ndarray,
+                   slope: float, a: float) -> np.ndarray:
+    """k_n at points off the closed boundary's segment by the root search."""
+    # a resolved point's midpoint may round onto lo = a_t
+    k_floored = _floored_k(family, t, a)
+    lo, klo, hi, khi = _bracket(family, t, x, slope, a, k_floored)
+    for step in range(_HALVINGS + 1):
+        lower = np.maximum(slope * (x - hi), klo)
+        upper = np.minimum(slope * (x - lo), khi)
+        # no float lies inside a bracket whose midpoint rounds onto an end
+        mid = 0.5 * (lo + hi)
+        active = (hi - lo > _ROOT_WIDTH) & (lo < mid) & (mid < hi) & \
+            (upper - lower > 1e-14 * (1 + np.abs(lower)))
+        if not active.any():
+            break
+        if step == _HALVINGS:
+            gap = np.where(active, upper - lower, -np.inf)
+            worst = int(np.argmax(gap))
+            raise NoBracket(
+                f"root search did not converge in {_HALVINGS} steps "
+                f"at t={t:g}, slope={slope:g}, x={x[worst]:.17g}")
+        if step == 0:
+            # secant state: residuals f = g - x at the ends (f_lo < 0 <=
+            # f_hi), which end moved last, and the widths one and two
+            # steps back
+            f_lo = lo + klo / slope - x
+            f_hi = hi + khi / slope - x
+            moved = np.zeros(x.shape, dtype=np.int8)
+            width_1 = width_2 = np.full_like(x, np.inf)
+        width = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = lo - f_lo * (width / (f_hi - f_lo))
+        # fmax/fmin also replace a nan secant by a clip bound
+        secant = np.fmin(np.fmax(secant, lo + 0.5 * _ROOT_WIDTH),
+                         hi - 0.5 * _ROOT_WIDTH)
+        # where floats are wider apart than the clip, one float inside
+        at_lo, at_hi = active & (secant <= lo), active & (secant >= hi)
+        if at_lo.any() or at_hi.any():
+            secant = np.where(at_lo, np.nextafter(lo, hi), np.where(
+                at_hi, np.nextafter(hi, lo), secant))
+        # a midpoint wherever the last two steps did not halve the bracket
+        bisect = width > 0.5 * width_2
+        mid = np.where(bisect, mid, secant)
+        width_2, width_1 = width_1, width
+        kmid = k_floored(mid)
+        f_mid = mid + kmid / slope - x
+        below = f_mid < 0
+        up, down = active & below, active & ~below
+        # Illinois: halve the residual of an end kept twice in a row;
+        # midpoint steps leave the memory of the last secant step alone
+        f_hi = np.where(up & (moved == 1), 0.5 * f_hi, f_hi)
+        f_lo = np.where(down & (moved == -1), 0.5 * f_lo, f_lo)
+        moved = np.where(active & ~bisect, np.where(below, 1, -1), moved)
+        lo, klo = np.where(up, mid, lo), np.where(up, kmid, klo)
+        hi, khi = np.where(down, mid, hi), np.where(down, kmid, khi)
+        f_lo = np.where(up, f_mid, f_lo)
+        f_hi = np.where(down, f_mid, f_hi)
+    # u is resolved to about one float spacing, which slope scales
+    if np.any(upper < lower - 1e-6 * (1.0 + np.abs(lower)) - 4 * slope
+              * np.spacing(np.fmax(np.abs(x), np.abs(hi)))):
+        raise NoBracket("inconsistent root-search state; "
+                        "family evaluator is likely non-monotone")
+    return 0.5 * (lower + upper)
 
 
 def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
@@ -248,26 +398,35 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     This is the Lipschitz approximant value k_n(t, x) for slope = n.  The
     intersection abscissa u solves u + k_t(u)/slope = x.  When the line passes
     below the graph's lower end at an attained boundary, the intersection lies
-    on the vertical segment: v = slope*(x - a_t).  Other points are bracketed
-    by :func:`_walk`, and the bracket lo < hi with g(lo) < x <= g(hi) shrinks
-    by masked whole-array updates.  Each step evaluates the regula falsi point
-    of the residuals g - x at the ends, with the Illinois rule (Dowell and
-    Jarratt 1971) and clipped _ROOT_WIDTH/2, and at least one float, inside
-    the bracket, or the midpoint wherever the last two steps did not halve the
-    bracket, so the bracket halves at least every third step.  On
-    piecewise-linear k the secant lands on the root.  A point is resolved once
-    its bracket is _ROOT_WIDTH narrow or holds no float.  The ordinate is
-    pinned by the intersection of the line interval [slope*(x-hi),
-    slope*(x-lo)] with the graph interval [k(t,lo), k(t,hi)], which the
-    brackets shrink around.  a_t is read once per call, and k is evaluated at
-    a_t only when the family declares it ``closed``.
+    on the vertical segment: v = slope*(x - a_t).
+
+    Where the family declares ``pieces``, g(u) = u + k_t(u)/slope is affine
+    between the breaks b_j and jumps from g(b_j-) to g(b_j) at them.  One
+    ``searchsorted`` of x over those values places each point on a piece or
+    on a jump, and one affine solve gives the ordinate: on a piece with slope
+    beta anchored at a break b, k(b) + (x - g(b)) beta/(1 + beta/slope); on a
+    jump at b_j, u = b_j exactly and v = slope*(x - b_j).  k(t, a_t) comes
+    from the pieces too, so k is never evaluated.
+
+    Other points are bracketed by :func:`_walk`, and the bracket lo < hi with
+    g(lo) < x <= g(hi) shrinks by masked whole-array updates.  Each step
+    evaluates the regula falsi point of the residuals g - x at the ends, with
+    the Illinois rule (Dowell and Jarratt 1971) and clipped _ROOT_WIDTH/2,
+    and at least one float, inside the bracket, or the midpoint wherever the
+    last two steps did not halve the bracket, so the bracket halves at least
+    every third step.  On piecewise-linear k the secant lands on the root.  A
+    point is resolved once its bracket is _ROOT_WIDTH narrow or holds no
+    float.  The ordinate is pinned by the intersection of the line interval
+    [slope*(x-hi), slope*(x-lo)] with the graph interval [k(t,lo), k(t,hi)],
+    which the brackets shrink around.  a_t is read once per call, and k is
+    evaluated at a_t only when the family declares it ``closed``.
 
     Raises
     ------
     NoBracket
-        If no bracket exists within the search range, if a point is still
-        unresolved after _HALVINGS steps, or if the final intervals are
-        inconsistent (a non-monotone evaluator).
+        Without pieces: if no bracket exists within the search range, if a
+        point is still unresolved after _HALVINGS steps, or if the final
+        intervals are inconsistent (a non-monotone evaluator).
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -277,75 +436,20 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     v = np.empty_like(xs)
 
     a = float(family.barriers(t)[0])
+    pieces = None if family.pieces is None else \
+        [np.asarray(p, dtype=float) for p in family.pieces(t)]
     todo = np.ones(xs.shape, dtype=bool)
     if np.isfinite(a) and family.closed:
-        k_at_a = float(family.k(t, [a])[0])
+        k_at_a = (float(family.k(t, [a])[0]) if pieces is None
+                  else _piece_value(pieces, a))
         on_segment = xs <= a + k_at_a / slope
         v[on_segment] = slope * (xs[on_segment] - a)
         todo &= ~on_segment
 
     if todo.any():
         xi = xs[todo]
-        # a resolved point's midpoint may round onto lo = a_t
-        k_floored = _floored_k(family, t, a)
-        lo, klo, hi, khi = _bracket(family, t, xi, slope, a, k_floored)
-        for step in range(_HALVINGS + 1):
-            lower = np.maximum(slope * (xi - hi), klo)
-            upper = np.minimum(slope * (xi - lo), khi)
-            # no float lies inside a bracket whose midpoint rounds onto an end
-            mid = 0.5 * (lo + hi)
-            active = (hi - lo > _ROOT_WIDTH) & (lo < mid) & (mid < hi) & \
-                (upper - lower > 1e-14 * (1 + np.abs(lower)))
-            if not active.any():
-                break
-            if step == _HALVINGS:
-                gap = np.where(active, upper - lower, -np.inf)
-                worst = int(np.argmax(gap))
-                raise NoBracket(
-                    f"root search did not converge in {_HALVINGS} steps "
-                    f"at t={t:g}, slope={slope:g}, x={xi[worst]:.17g}")
-            if step == 0:
-                # secant state: residuals f = g - x at the ends (f_lo < 0 <=
-                # f_hi), which end moved last, and the widths one and two
-                # steps back
-                f_lo = lo + klo / slope - xi
-                f_hi = hi + khi / slope - xi
-                moved = np.zeros(xi.shape, dtype=np.int8)
-                width_1 = width_2 = np.full_like(xi, np.inf)
-            width = hi - lo
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                secant = lo - f_lo * (width / (f_hi - f_lo))
-            # fmax/fmin also replace a nan secant by a clip bound
-            secant = np.fmin(np.fmax(secant, lo + 0.5 * _ROOT_WIDTH),
-                             hi - 0.5 * _ROOT_WIDTH)
-            # where floats are wider apart than the clip, one float inside
-            at_lo, at_hi = active & (secant <= lo), active & (secant >= hi)
-            if at_lo.any() or at_hi.any():
-                secant = np.where(at_lo, np.nextafter(lo, hi), np.where(
-                    at_hi, np.nextafter(hi, lo), secant))
-            # a midpoint wherever the last two steps did not halve the bracket
-            bisect = width > 0.5 * width_2
-            mid = np.where(bisect, mid, secant)
-            width_2, width_1 = width_1, width
-            kmid = k_floored(mid)
-            f_mid = mid + kmid / slope - xi
-            below = f_mid < 0
-            up, down = active & below, active & ~below
-            # Illinois: halve the residual of an end kept twice in a row;
-            # midpoint steps leave the memory of the last secant step alone
-            f_hi = np.where(up & (moved == 1), 0.5 * f_hi, f_hi)
-            f_lo = np.where(down & (moved == -1), 0.5 * f_lo, f_lo)
-            moved = np.where(active & ~bisect, np.where(below, 1, -1), moved)
-            lo, klo = np.where(up, mid, lo), np.where(up, kmid, klo)
-            hi, khi = np.where(down, mid, hi), np.where(down, kmid, khi)
-            f_lo = np.where(up, f_mid, f_lo)
-            f_hi = np.where(down, f_mid, f_hi)
-        # u is resolved to about one float spacing, which slope scales
-        if np.any(upper < lower - 1e-6 * (1.0 + np.abs(lower)) - 4 * slope
-                  * np.spacing(np.fmax(np.abs(xi), np.abs(hi)))):
-            raise NoBracket("inconsistent root-search state; "
-                            "family evaluator is likely non-monotone")
-        v[todo] = 0.5 * (lower + upper)
+        v[todo] = (_root_ordinate(family, t, xi, slope, a) if pieces is None
+                   else _affine_ordinate(pieces, xi, slope))
 
     if family.sign == "negative":
         np.minimum(v, 0.0, out=v)
@@ -376,9 +480,7 @@ def truncate_shift(family: MonotoneFamily, n: int) -> MonotoneFamily:
         raise ValueError("truncate_shift applies to real-valued families")
     if n < 1:
         raise ValueError("truncation level must be >= 1")
-    cap = float(n)
-    return family.map_values(lambda v: np.minimum(v, cap) - cap,
-                             sign="negative",
+    return family.map_values(cap=float(n), shift=-float(n), sign="negative",
                              name=f"{family.name or 'family'}^min{n}-{n}")
 
 

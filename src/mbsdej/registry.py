@@ -59,11 +59,18 @@ def _flag(params, key: str) -> bool:
 # -- families -----------------------------------------------------------------
 
 
+def _pieces(at: float, left: float, right: float, slopes) -> tuple:
+    """The pieces of a family with one break (``MonotoneFamily.pieces``)."""
+    return (np.array([at]), np.array([left]), np.array([right]),
+            np.array(slopes, dtype=float))
+
+
 def _family_reflect_at(params: dict, grid: TimeGrid) -> MonotoneFamily:
     a = _real(params.pop("a", 0.0), "a")
     return MonotoneFamily(
         body=lambda t, x: np.zeros_like(x),
         boundary=lambda t: a,
+        pieces=lambda t: _pieces(a, 0.0, 0.0, (0.0, 0.0)),
         closed=True,
         sign="negative",
         name=f"reflect_at(a={a:g})")
@@ -75,6 +82,7 @@ def _family_constant(params: dict, grid: TimeGrid) -> MonotoneFamily:
     return MonotoneFamily(
         body=lambda t, x: np.full_like(x, c),
         boundary=lambda t: -np.inf,
+        pieces=lambda t: _pieces(0.0, c, c, (0.0, 0.0)),
         sign=sign,
         name=f"constant(c={c:g})")
 
@@ -83,6 +91,7 @@ def _family_min_zero(params: dict, grid: TimeGrid) -> MonotoneFamily:
     return MonotoneFamily(
         body=lambda t, x: np.minimum(x, 0.0),
         boundary=lambda t: -np.inf,
+        pieces=lambda t: _pieces(0.0, 0.0, 0.0, (1.0, 0.0)),
         sign="negative",
         name="min_zero")
 
@@ -110,7 +119,9 @@ def _family_step(params: dict, grid: TimeGrid) -> MonotoneFamily:
         return np.where(x <= at, lo, hi)
 
     return MonotoneFamily(body=body, boundary=lambda t: -np.inf,
-                          left_body=left, sign=sign,
+                          left_body=left,
+                          pieces=lambda t: _pieces(at, lo, hi, (0.0, 0.0)),
+                          sign=sign,
                           name=f"step(at={at:g})")
 
 
@@ -119,10 +130,17 @@ def _family_linear_decay(params: dict, grid: TimeGrid) -> MonotoneFamily:
     horizon = grid.horizon
     scale = _real(params.pop("scale", 1.0), "scale")
 
-    def body(t, x):
-        return scale * (horizon - t) * x
+    def rate(t):
+        return scale * (horizon - t)
 
-    return MonotoneFamily(body=body, boundary=lambda t: -np.inf, sign="real",
+    def body(t, x):
+        return rate(t) * x
+
+    def pieces(t):
+        return _pieces(0.0, 0.0, 0.0, (rate(t), rate(t)))
+
+    return MonotoneFamily(body=body, boundary=lambda t: -np.inf,
+                          pieces=pieces, sign="real",
                           name=f"linear_decay(scale={scale:g})")
 
 
@@ -130,11 +148,18 @@ def _family_blowup_near_terminal(params: dict, grid: TimeGrid) -> MonotoneFamily
     """Negative control: k(t, x) = -1/(T-t), violating (B.2) at every z."""
     horizon = grid.horizon
 
+    def value(t):
+        return -1.0 / max(horizon - t, 1e-300)
+
     def body(t, x):
-        return np.full_like(x, -1.0 / max(horizon - t, 1e-300))
+        return np.full_like(x, value(t))
+
+    def pieces(t):
+        return _pieces(0.0, value(t), value(t), (0.0, 0.0))
 
     return MonotoneFamily(body=body, boundary=lambda t: -np.inf,
-                          sign="negative", name="blowup_near_terminal")
+                          pieces=pieces, sign="negative",
+                          name="blowup_near_terminal")
 
 
 FAMILIES = {

@@ -184,8 +184,7 @@ def _comparison_variations(problem):
         lambda s: s.w - 0.5, name="w-0.5"))
     dominated = replace(problem, driver=problem.driver.shifted(1.0))
     fam = problem.family
-    lowered_fam = replace(fam, body=lambda t, x, _b=fam.body: _b(t, x) - 0.5,
-                          left_body=None, name="lowered")
+    lowered_fam = fam.map_values(shift=-0.5, name="lowered")
     return [(lower_term, problem), (dominated, problem),
             (problem, replace(problem, family=lowered_fam))]
 

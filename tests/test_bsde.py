@@ -257,18 +257,22 @@ class TestSecantStep:
         assert nsub == 2       # two implicit steps of y = target + 0.44 y
         np.testing.assert_allclose(y, target / 0.56**2, rtol=1e-12, atol=0)
 
-    @pytest.mark.xfail(raises=ContractionFailure, strict=True,
-                       reason="k_n is resolved to slope*_ROOT_WIDTH/2 on a jump "
-                              "of k, far above the sweeps' tolerance")
     def test_step_family_on_its_jump(self, no_marks):
         # w lands where the resolvent line crosses the step's vertical
-        # segment; the plain fixed-point sweeps fail here as well, so the
-        # step family is left out of the property above
+        # segment; the family declares its pieces, so k_n there is exact and
+        # the secant meets the sweeps' stop, as plain sweeps do
         drv = make_driver("linear", {"a": 2.0}, no_marks)
         penalty = PenalizedOperator(
             make_family("step", {}, TimeGrid.uniform(1.0, 4)), 4)
-        bsde._implicit_step(drv, 0.0, None, np.array([0.53]), np.zeros(1),
-                            np.zeros(1), 0.2, penalty)
+        target, zeros = np.array([0.53]), np.zeros(1)
+        y, pen, nsub, sweeps = bsde._implicit_step(drv, 0.0, None, target,
+                                                   zeros, zeros, 0.2, penalty)
+        want_y, want_pen = picard_step(drv, 0.0, target, zeros, zeros, 0.2,
+                                       penalty)
+        bound = 10 * bsde._FP_RTOL * (1.0 + np.abs(y).max())
+        assert nsub == 1 and sweeps <= 10
+        assert np.abs(y - want_y).max() <= bound
+        assert np.abs(pen - want_pen).max() <= bound
 
 
 def condexp(backend, scenario, i, y_next):

@@ -181,6 +181,15 @@ class TestPenalizedEval:
         with pytest.raises(NoBracket):
             resolvent_ordinate(bad, 0.0, np.linspace(-3, 3, 7), 1.0)
 
+    def test_no_bracket_names_its_witness(self):
+        # g(u) = u - u^2/2 never reaches x = 1 or more, so the upper walk
+        # stops at the first of those points
+        bad = MonotoneFamily(body=lambda t, x: -x**2,
+                             boundary=lambda t: -np.inf, sign="negative")
+        with pytest.raises(NoBracket, match=r"^no upper bracket within the "
+                           r"search range at t=0\.25, slope=2, x=1; "):
+            resolvent_ordinate(bad, 0.25, np.linspace(-3, 3, 7), 2.0)
+
     @given(st.integers(1, 12), st.floats(-2, 2))
     @settings(max_examples=150, deadline=None)
     def test_decreasing_in_level(self, exponent, x):
@@ -263,8 +272,13 @@ def _resolvent_cases():
         fam = make_family(name, params, GRID)
         assert fam.sign == "real"
         cases[f"{name}[real]"] = fam
-        for n in (1, 4):
+        for n in (1, 4, 8):
             cases[f"{name}[real]^min{n}-{n}"] = truncate_shift(fam, n)
+    # the shift of the comparison check's lowered family
+    for name in FAMILIES:
+        fam = make_family(name, {}, GRID)
+        if fam.pieces is not None:
+            cases[f"{name}-0.5"] = fam.map_values(shift=-0.5)
     cases["open_inverse"] = MonotoneFamily(body=lambda t, x: -1.0 / x,
                                            boundary=lambda t: 0.0)
     cases["open_inverse_moving"] = INVERSE_OPEN
@@ -317,18 +331,83 @@ def reference_ordinate(fam, t, x, slope):
     return min(v, 0.0) if fam.sign == "negative" else v
 
 
+def break_abscissas(fam, t, slope):
+    """g(b_j-) and g(b_j) for g(u) = u + k(t, u)/slope at the declared
+    breaks, and the floats on either side of each."""
+    b, k_left, k_right, _ = fam.pieces(t)
+    g = np.concatenate([b + k_left / slope, b + k_right / slope])
+    return np.concatenate([g, np.nextafter(g, -np.inf),
+                           np.nextafter(g, np.inf)])
+
+
+def piece_values(pieces, u):
+    """(k_-(u), k(u)) read off the pieces, independently of the package."""
+    b, k_left, k_right, slopes = pieces
+    right, left = np.empty_like(u), np.empty_like(u)
+    for n, x in enumerate(u):
+        j = int(np.sum(b <= x))         # breaks at or left of x
+        right[n] = (k_left[0] + slopes[0] * (x - b[0]) if j == 0 else
+                    k_right[j - 1] + slopes[j] * (x - b[j - 1]))
+        j = int(np.sum(b < x))          # breaks strictly left of x
+        left[n] = (k_left[j] + slopes[j] * (x - b[j]) if j < b.size else
+                   k_right[-1] + slopes[-1] * (x - b[-1]))
+    return left, right
+
+
+PIECES_CASES = sorted(n for n, f in RESOLVENT_CASES.items()
+                      if f.pieces is not None)
+
+
 class TestResolventProperty:
     # t <= 0.9 keeps blowup_near_terminal's k = -1/(T - t) inside the
-    # bracket radius
+    # bracket radius.  ``search`` sets declared pieces aside, so the root
+    # search stays pinned on the same families; the declared breaks add
+    # points on the jumps and at the caps
     @given(st.sampled_from(sorted(RESOLVENT_CASES)), st.floats(0.0, 0.9),
            st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
-           st.floats(0.5, 4096.0))
+           st.floats(0.5, 4096.0), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_matches_scalar_bisection(self, name, t, xs, slope):
+    def test_matches_scalar_bisection(self, name, t, xs, slope, search):
         fam = RESOLVENT_CASES[name]
+        if fam.pieces is not None:
+            xs = np.concatenate([xs, break_abscissas(fam, t, slope)])
+        if search:
+            fam = replace(fam, pieces=None)
         got = resolvent_ordinate(fam, t, np.array(xs), slope)
         want = [reference_ordinate(fam, t, x, slope) for x in xs]
         assert np.all(np.abs(got - want) <= slope * 2e-10 + 1e-12)
+
+    @pytest.mark.parametrize("name", PIECES_CASES)
+    def test_pieces_describe_the_body(self, name):
+        fam = RESOLVENT_CASES[name]
+        rng = np.random.default_rng(11)
+        for t in (0.0, 0.3, 0.9, 1.0):
+            if name.startswith("blowup") and t == 1.0:
+                continue       # k = -1/(T - t) has no value at T
+            pieces = fam.pieces(t)
+            b = pieces[0]
+            assert np.all(np.diff(b) > 0) and pieces[3].size == b.size + 1
+            a = fam.barriers(t)[0]
+            u = np.concatenate([rng.uniform(-6.0, 6.0, 200), b])
+            u = u[u > a]
+            left, right = piece_values(pieces, u)
+            np.testing.assert_allclose(right, fam.k(t, u), rtol=1e-12,
+                                       atol=1e-12)
+            np.testing.assert_allclose(left, fam.left(t, u), rtol=1e-12,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("name", PIECES_CASES)
+    def test_declared_pieces_evaluate_no_k(self, name):
+        fam, calls = _counted(RESOLVENT_CASES[name], raising=True)
+        variants = [fam]
+        if fam.sign == "real":
+            variants += [truncate_shift(fam, n) for n in (1, 4, 8)]
+        xs = np.linspace(-5.0, 5.0, 41)
+        for variant in variants:
+            for t in (0.0, 0.5, 0.9):
+                for slope in (0.5, 16.0, 2.0**20):
+                    resolvent_ordinate(variant, t, xs, slope)
+        assert calls == []
 
 
 class TestOpenMovingBoundary:
@@ -359,12 +438,15 @@ class TestOpenMovingBoundary:
         assert np.all(np.abs(got - slope * (xs - a_t(t))) <= slope * 2e-10)
 
 
-def _counted(fam):
-    """The family with a counter of its k-evaluations (calls of ``body``)."""
+def _counted(fam, raising=False):
+    """The family with a counter of its k-evaluations (calls of ``body``);
+    with ``raising``, each evaluation also raises."""
     calls = []
 
     def body(t, x, _b=fam.body):
         calls.append(t)
+        if raising:
+            raise AssertionError(f"k evaluated at t={t}")
         return _b(t, x)
 
     return replace(fam, body=body), calls
@@ -378,7 +460,8 @@ class TestResolventRootSearch:
     SLOPES = 2.0 ** np.arange(-1, 21, 3)
 
     def evaluations_per_call(self, fam):
-        counted, calls = _counted(fam)
+        # the root search's evaluations: declared pieces are set aside
+        counted, calls = _counted(replace(fam, pieces=None))
         counts = []
         for t in self.TIMES:
             for slope in self.SLOPES:
@@ -433,4 +516,5 @@ class TestResolventRootSearch:
     def test_step_cap_raises_instead_of_returning(self, monkeypatch):
         monkeypatch.setattr(monotone, "_HALVINGS", 2)
         with pytest.raises(NoBracket, match="did not converge"):
-            resolvent_ordinate(MIN_ZERO, 0.5, np.linspace(-3.0, 3.0, 13), 8.0)
+            resolvent_ordinate(replace(MIN_ZERO, pieces=None), 0.5,
+                               np.linspace(-3.0, 3.0, 13), 8.0)

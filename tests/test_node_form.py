@@ -37,7 +37,7 @@ from mbsdej.penalization import ConcatenationRecord, LevelStats, OverlapStats
 from mbsdej.registry import (make_driver, make_envelope, make_family,
                              make_terminal)
 from mbsdej.scenario import PathNodes, ScenarioTree
-from mbsdej.verification import (GraphSelection, check_comparison,
+from mbsdej.verification import (GraphSelection, _paired, check_comparison,
                                  check_constraint, check_skorokhod,
                                  corollary1_ordering_stat, lemma1_pairing_stat)
 from test_config_cli import UNBOUNDED_REG
@@ -825,6 +825,22 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
             assert_skorokhod_close(got, sol.Y, leaf_dK(sol), grid,
                                    [("midpoint", alpha, beta)],
                                    exact_witness=False)
+
+
+def test_leaf_form_reads_share_one_scenario(jump_problem, tree6_jumps):
+    # every read of a solution on the paths is on one PathNodes, so a
+    # leaf-form solution pairs with itself, and a midpoint formed on it is
+    # read on its own states
+    solved = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
+    sol = replace(solved, Y=solved.Y + 0.0)
+    paths = sol.nodes("Y").scenario
+    assert isinstance(paths, PathNodes)
+    assert sol.nodes("Y").scenario is paths
+    assert sol.on_paths("K").scenario is paths
+    assert all(c.scenario is paths for c in _paired(sol, sol, "Y"))
+    mid = GraphSelection.midpoint(jump_problem.family, jump_problem.grid,
+                                  sol, sol)
+    assert mid.states is paths
 
 
 def test_ensemble_leaf_arrays_are_the_store(reflected_problem, grid6,

@@ -122,9 +122,7 @@ class TestComparison:
             terminal=TerminalSpec(lambda s: s.w - 0.5, name="w-0.5"))
         dominated = replace(problem, driver=problem.driver.shifted(1.0))
         fam = problem.family
-        lowered = replace(fam,
-                          body=lambda t, x, _b=fam.body: _b(t, x) - 0.5,
-                          left_body=None, name="lowered")
+        lowered = fam.map_values(shift=-0.5, name="lowered")
         ordered_k = replace(problem, family=lowered)
         return [(lower_term, problem), (dominated, problem),
                 (problem, ordered_k)]
@@ -143,9 +141,7 @@ class TestComparison:
         # k1 = 0 >= k2 = -1 on [0, inf): the -1 branch adds +1 drift, so
         # Y1 <= Y2 with a visible gap
         p1 = reflected_problem
-        fam2 = replace(p1.family,
-                       body=lambda t, x: np.full_like(x, -1.0),
-                       left_body=None, name="reflect_minus_one")
+        fam2 = p1.family.map_values(shift=-1.0, name="reflect_minus_one")
         p2 = replace(p1, family=fam2)
         entry = check_comparison(
             p1, full_solution(p1, tree6, tree_backend, full_schedule),
@@ -235,9 +231,7 @@ class TestComparisonProperty:
                      terminal=TerminalSpec(
                          lambda s: p1.terminal(s) + c, name="xi1+c"),
                      driver=driver1.shifted(-d),
-                     family=replace(fam1,
-                                    body=lambda t, x: fam1.body(t, x) - e,
-                                    left_body=None, name="k1-e"))
+                     family=fam1.map_values(shift=-e, name="k1-e"))
         backend = CEBackend(kind="tree")
         entry = check_comparison(
             p1, full_solution(p1, tree, backend, self.SCHEDULE),
