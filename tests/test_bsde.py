@@ -216,7 +216,7 @@ def picard_step(driver, t, target, z, q, dt, penalty):
 class TestSecantStep:
     @given(affine=st.booleans(), a_sign=st.sampled_from([-1.0, 1.0]),
            family=st.sampled_from([None, "reflect_at", "min_zero",
-                                   "neg_exp"]),
+                                   "neg_exp", "step"]),
            level=st.integers(1, 4096), dt=st.floats(0.01, 0.5),
            qL=st.floats(0.0, 0.85), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
