@@ -2,19 +2,19 @@
 
 A :class:`MonotoneFamily` wraps pointwise evaluators of an increasing,
 right-continuous map x -> k(t, x) on a moving domain with lower boundary a_t,
-and declares its left limits, whether a_t is attained and, where k(t, .) is
-piecewise affine, its pieces.  The associated set-valued operator fills jumps
-with vertical segments and, at a closed boundary, attaches the ray
-]-inf, k(t, a_t)] at x = a_t; at an open one k tends to -inf and k is never
-evaluated at a_t.  :class:`PenalizedOperator` produces the n-Lipschitz
-approximants k_n(t, .) (Yosida approximations) by intersecting that graph
-with lines of slope -n.  On declared pieces the resolvent (I + k/n)^-1 has a
-closed form (Brezis 1973, ch. II): one ``searchsorted`` over the values of
-u + k(t, u)/n at the breaks and one affine solve, with no evaluation of k.
-Other families take a bracket walk and a safeguarded Illinois (regula falsi)
-search for the root of the strictly increasing map u -> u + k(t, u)/n, both
-as whole-array ``np.where`` updates that neither gather nor scatter the
-points still moving.
+and declares its left limits and whether a_t is attained.  A piecewise-affine
+k(t, .) is described once, by its pieces (:meth:`MonotoneFamily.piecewise`);
+evaluators that disagree with declared pieces are refused.  The set-valued
+operator fills jumps with vertical segments and, at a closed boundary,
+attaches the ray ]-inf, k(t, a_t)] at x = a_t; at an open one k tends to -inf
+and k is never evaluated at a_t.  :class:`PenalizedOperator` produces the
+n-Lipschitz approximants k_n(t, .) (Yosida approximations) by intersecting
+that graph with lines of slope -n.  On declared pieces the resolvent
+(I + k/n)^-1 has a closed form (Brezis 1973, ch. II): one ``searchsorted``
+over the values of u + k(t, u)/n at the breaks and one affine solve, with no
+evaluation of k.  Other families take a bracket walk and a safeguarded
+Illinois (regula falsi) search for the root of the strictly increasing map
+u -> u + k(t, u)/n, as whole-array ``np.where`` updates.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ class MonotoneFamily:
     evaluations can settle: where k(t, .) jumps (through ``left_body``),
     whether a_t is attained (``closed``) and, optionally, the affine pieces of
     k(t, .) (``pieces``), on which k_n needs no evaluation of k.
+    :meth:`piecewise` derives ``body`` and ``left_body`` from the pieces.
 
     Parameters
     ----------
@@ -66,10 +67,12 @@ class MonotoneFamily:
         breaks b_j (at least one; a constant k uses one as its anchor),
         k_-(t, b_j) and k(t, b_j), and the slope of k on each of the
         intervals between and beyond the breaks (one more than the breaks).
-        The pieces must describe ``body`` and ``left_body``: a family made by
-        replacing ``body`` alone keeps the old pieces, so use
-        :meth:`map_values` or replace ``pieces`` as well.  None (the default)
-        leaves k_n to the numeric root search.
+        Construction checks ``body`` and ``left_body`` against them at t = 0
+        only (the family knows no horizon): at each break, inside each
+        interior piece and one beyond each end, where these lie in the
+        domain, to 1e-12 relative and absolute.  A mismatch, such as a
+        ``dataclasses.replace`` of one of the three alone, raises ValueError.
+        None (the default) leaves k_n to the numeric root search.
     closed : bool
         True declares a finite a_t part of the domain: k(t, a_t) is finite
         and the ray ]-inf, k(t, a_t)] is attached at x = a_t.  False declares
@@ -91,6 +94,31 @@ class MonotoneFamily:
     def __post_init__(self):
         if self.sign not in ("negative", "real"):
             raise ValueError("sign must be 'negative' or 'real'")
+        if self.pieces is None:
+            return
+        pieces, a = self.pieces(0.0), float(self.barriers(0.0)[0])
+        b = np.asarray(pieces[0], dtype=float)
+        xs = np.concatenate([b, 0.5 * (b[:-1] + b[1:]), [b[0] - 1, b[-1] + 1]])
+        right, left = xs[(xs > a) | ((xs == a) & self.closed)], xs[xs > a]
+        got = np.append(self.k(0.0, right), self.left(0.0, left))
+        want = np.append(_piece_values(pieces, right),
+                         _piece_values(pieces, left, True))
+        bad = np.flatnonzero(~np.isclose(got, want, rtol=1e-12, atol=1e-12))
+        if bad.size:
+            j, x = bad[0], np.append(right, left)[bad[0]]
+            raise ValueError(
+                f"{'body' if j < right.size else 'left_body'} of family '{self.name}' "
+                f"disagrees with its pieces at t=0, x={x:.17g}: {got[j]:.17g} "
+                f"against {want[j]:.17g}")
+
+    @classmethod
+    def piecewise(cls, pieces, boundary, closed: bool = False,
+                  sign: str = "negative", name: str = "") -> "MonotoneFamily":
+        """The family whose k(t, .) is the piecewise-affine map declared by
+        ``pieces(t)``; ``body`` and ``left_body`` read it off the pieces."""
+        def reader(left):
+            return lambda t, x: _piece_values(pieces(t), x, left)
+        return cls(reader(False), boundary, reader(True), pieces, closed, sign, name)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -127,18 +155,22 @@ class MonotoneFamily:
 
     def left(self, t: float, x: np.ndarray) -> np.ndarray:
         """Vectorized left limits at interior points."""
-        if self.left_body is None:
-            return self.k(t, x)
-        return np.asarray(self.left_body(t, np.asarray(x, dtype=float)),
-                          dtype=float)
+        body = self.body if self.left_body is None else self.left_body
+        return np.asarray(body(t, np.asarray(x, dtype=float)), dtype=float)
 
     def map_values(self, cap: float = np.inf, shift: float = 0.0,
                    **changes) -> "MonotoneFamily":
         """This family with every value v of k and k_- mapped to
-        min(v, cap) + shift; ``changes`` replace other fields.  Declared
-        pieces are mapped too: a break is added where a piece reaches the
-        cap."""
-        body, left, pieces = self.body, self.left_body, self.pieces
+        min(v, cap) + shift; ``changes`` replace other fields.  A family
+        with pieces maps only them, with a break where a piece reaches the
+        cap, and is rebuilt by :meth:`piecewise`."""
+        if self.pieces is not None:
+            pieces = self.pieces
+            return MonotoneFamily.piecewise(
+                lambda t: _capped(pieces(t), cap, shift), **{
+                    "boundary": self.boundary, "closed": self.closed,
+                    "sign": self.sign, "name": self.name, **changes})
+        body, left = self.body, self.left_body
 
         def fn(v):
             return np.minimum(v, cap) + shift
@@ -146,8 +178,6 @@ class MonotoneFamily:
         return replace(
             self, body=lambda t, x: fn(body(t, x)),
             left_body=None if left is None else lambda t, x: fn(left(t, x)),
-            pieces=None if pieces is None else
-            lambda t: _capped(pieces(t), cap, shift),
             **changes)
 
     def graph_contains(self, t: float, x: float, y: float, atol: float = 1e-12) -> bool:
@@ -270,13 +300,18 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
     return lo, klo, hi, khi
 
 
-def _piece_value(pieces, u: float) -> float:
-    """k(t, u) read off the pieces."""
-    b, k_left, k_right, slopes = pieces
-    j = int(np.searchsorted(b, u, side="right"))
-    if j == 0:
-        return float(k_left[0] + slopes[0] * (u - b[0]))
-    return float(k_right[j - 1] + slopes[j] * (u - b[j - 1]))
+def _piece_values(pieces, x, left: bool = False) -> np.ndarray:
+    """k(t, x) read off the pieces of k(t, .), or with ``left`` k_-(t, x).
+    Region j of x follows break j - 1 and is anchored there, region 0 at the
+    first break; x is its region's anchor only at a break, where k_- differs."""
+    b, k_left, k_right, slopes = (np.asarray(p, dtype=float) for p in pieces)
+    x = np.asarray(x, dtype=float)
+    j = np.searchsorted(b, x, side="right")
+    at = np.concatenate([b[:1], b])[j]
+    v = np.concatenate([k_left[:1], k_right])[j] + slopes[j] * (x - at)
+    if left:
+        v = np.where(x == at, np.concatenate([k_left[:1], k_left])[j], v)
+    return v
 
 
 def _affine_ordinate(pieces, x: np.ndarray, slope: float) -> np.ndarray:
@@ -440,8 +475,8 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
         [np.asarray(p, dtype=float) for p in family.pieces(t)]
     todo = np.ones(xs.shape, dtype=bool)
     if np.isfinite(a) and family.closed:
-        k_at_a = (float(family.k(t, [a])[0]) if pieces is None
-                  else _piece_value(pieces, a))
+        k_at_a = float((family.k(t, [a]) if pieces is None
+                        else _piece_values(pieces, [a]))[0])
         on_segment = xs <= a + k_at_a / slope
         v[on_segment] = slope * (xs[on_segment] - a)
         todo &= ~on_segment

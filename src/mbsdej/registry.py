@@ -67,41 +67,27 @@ def _pieces(at: float, left: float, right: float, slopes) -> tuple:
 
 def _family_reflect_at(params: dict, grid: TimeGrid) -> MonotoneFamily:
     a = _real(params.pop("a", 0.0), "a")
-    return MonotoneFamily(
-        body=lambda t, x: np.zeros_like(x),
-        boundary=lambda t: a,
-        pieces=lambda t: _pieces(a, 0.0, 0.0, (0.0, 0.0)),
-        closed=True,
-        sign="negative",
+    return MonotoneFamily.piecewise(
+        lambda t: _pieces(a, 0.0, 0.0, (0.0, 0.0)), lambda t: a, closed=True,
         name=f"reflect_at(a={a:g})")
 
 
 def _family_constant(params: dict, grid: TimeGrid) -> MonotoneFamily:
     c = _real(params.pop("c", -1.0), "c")
-    sign = "negative" if c <= 0 else "real"
-    return MonotoneFamily(
-        body=lambda t, x: np.full_like(x, c),
-        boundary=lambda t: -np.inf,
-        pieces=lambda t: _pieces(0.0, c, c, (0.0, 0.0)),
-        sign=sign,
-        name=f"constant(c={c:g})")
+    return MonotoneFamily.piecewise(
+        lambda t: _pieces(0.0, c, c, (0.0, 0.0)), lambda t: -np.inf,
+        sign="negative" if c <= 0 else "real", name=f"constant(c={c:g})")
 
 
 def _family_min_zero(params: dict, grid: TimeGrid) -> MonotoneFamily:
-    return MonotoneFamily(
-        body=lambda t, x: np.minimum(x, 0.0),
-        boundary=lambda t: -np.inf,
-        pieces=lambda t: _pieces(0.0, 0.0, 0.0, (1.0, 0.0)),
-        sign="negative",
+    return MonotoneFamily.piecewise(
+        lambda t: _pieces(0.0, 0.0, 0.0, (1.0, 0.0)), lambda t: -np.inf,
         name="min_zero")
 
 
 def _family_neg_exp(params: dict, grid: TimeGrid) -> MonotoneFamily:
-    return MonotoneFamily(
-        body=lambda t, x: -np.exp(-x),
-        boundary=lambda t: -np.inf,
-        sign="negative",
-        name="neg_exp")
+    return MonotoneFamily(body=lambda t, x: -np.exp(-x),
+                          boundary=lambda t: -np.inf, name="neg_exp")
 
 
 def _family_step(params: dict, grid: TimeGrid) -> MonotoneFamily:
@@ -110,19 +96,9 @@ def _family_step(params: dict, grid: TimeGrid) -> MonotoneFamily:
     hi = _real(params.pop("hi", 0.0), "hi")
     if lo > hi:
         raise ValueError("step family needs lo <= hi")
-    sign = "negative" if hi <= 0 else "real"
-
-    def body(t, x):
-        return np.where(x < at, lo, hi)
-
-    def left(t, x):
-        return np.where(x <= at, lo, hi)
-
-    return MonotoneFamily(body=body, boundary=lambda t: -np.inf,
-                          left_body=left,
-                          pieces=lambda t: _pieces(at, lo, hi, (0.0, 0.0)),
-                          sign=sign,
-                          name=f"step(at={at:g})")
+    return MonotoneFamily.piecewise(
+        lambda t: _pieces(at, lo, hi, (0.0, 0.0)), lambda t: -np.inf,
+        sign="negative" if hi <= 0 else "real", name=f"step(at={at:g})")
 
 
 def _family_linear_decay(params: dict, grid: TimeGrid) -> MonotoneFamily:
@@ -130,36 +106,21 @@ def _family_linear_decay(params: dict, grid: TimeGrid) -> MonotoneFamily:
     horizon = grid.horizon
     scale = _real(params.pop("scale", 1.0), "scale")
 
-    def rate(t):
-        return scale * (horizon - t)
-
-    def body(t, x):
-        return rate(t) * x
-
-    def pieces(t):
-        return _pieces(0.0, 0.0, 0.0, (rate(t), rate(t)))
-
-    return MonotoneFamily(body=body, boundary=lambda t: -np.inf,
-                          pieces=pieces, sign="real",
-                          name=f"linear_decay(scale={scale:g})")
+    return MonotoneFamily.piecewise(
+        lambda t: _pieces(0.0, 0.0, 0.0, [scale * (horizon - t)] * 2),
+        lambda t: -np.inf, sign="real", name=f"linear_decay(scale={scale:g})")
 
 
 def _family_blowup_near_terminal(params: dict, grid: TimeGrid) -> MonotoneFamily:
     """Negative control: k(t, x) = -1/(T-t), violating (B.2) at every z."""
     horizon = grid.horizon
 
-    def value(t):
-        return -1.0 / max(horizon - t, 1e-300)
-
-    def body(t, x):
-        return np.full_like(x, value(t))
-
     def pieces(t):
-        return _pieces(0.0, value(t), value(t), (0.0, 0.0))
+        value = -1.0 / max(horizon - t, 1e-300)
+        return _pieces(0.0, value, value, (0.0, 0.0))
 
-    return MonotoneFamily(body=body, boundary=lambda t: -np.inf,
-                          pieces=pieces, sign="negative",
-                          name="blowup_near_terminal")
+    return MonotoneFamily.piecewise(pieces, lambda t: -np.inf,
+                                    name="blowup_near_terminal")
 
 
 FAMILIES = {

@@ -49,6 +49,9 @@ _ORACLE_TOL_GAP = 2e-2     # last oracle level to projection value
 _ORACLE_Z_GATE = 4.0       # MC level values against the tree oracle, in se
 _LIPSCHITZ_RANGE = (-3.0, 3.0)   # where k is sampled for its Lipschitz bound
 _BOUNDS_FACTOR = 10.0      # monitors may grow this much over the first level
+# (y, z, q) samples of the driver ordering, y slowest and q fastest
+_YZQ = [(y, z, q) for y in (-2.0, -0.5, 0.0, 1.0, 3.0)
+        for z in (-1.0, 0.0, 2.0) for q in (-1.0, 0.0, 1.0)]
 
 
 @dataclass
@@ -245,24 +248,17 @@ def _verify_comparison_hypotheses(p1: Problem, p2: Problem, scenario) -> None:
         raise HypothesisViolated(
             f"terminal ordering fails: xi1={xi1[j]:.6g} > xi2={xi2[j]:.6g}")
 
-    y_grid = (-2.0, -0.5, 0.0, 1.0, 3.0)
-    z_grid = (-1.0, 0.0, 2.0)
-    q_grid = (-1.0, 0.0, 1.0)
     for i in range(grid.n_steps):
         state = scenario.state(i)
-        t = state.t
-        ones = np.ones_like(state.w)
-        for y in y_grid:
-            for z in z_grid:
-                for q in q_grid:
-                    f1 = np.asarray(p1.driver.shape(t, state, y * ones,
-                                                    z * ones, q * ones))
-                    f2 = np.asarray(p2.driver.shape(t, state, y * ones,
-                                                    z * ones, q * ones))
-                    if np.any(f1 > f2 + 1e-10):
-                        raise HypothesisViolated(
-                            f"driver ordering fails at t={t:g}, "
-                            f"(y,z,q)=({y},{z},{q})")
+        y, z, q = (np.array(c)[:, None] * np.ones_like(state.w)
+                   for c in zip(*_YZQ))
+        f1, f2 = (np.asarray(p.driver.shape(state.t, state, y, z, q))
+                  for p in (p1, p2))
+        bad = np.broadcast_to(f1 > f2 + 1e-10, y.shape).any(axis=1)
+        if bad.any():
+            raise HypothesisViolated(
+                f"driver ordering fails at t={state.t:g}, "
+                "(y,z,q)=({},{},{})".format(*_YZQ[int(np.argmax(bad))]))
 
     if (p1.family is None) != (p2.family is None):
         raise HypothesisViolated("both problems must carry a family, or none")

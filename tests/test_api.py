@@ -86,6 +86,28 @@ def test_only_barriers_reads_the_boundary():
                              "x = y.boundary(1)\n") == ["<module>", "C.g", "f"]
 
 
+def _double_declarations(source: str) -> list:
+    """Lines of the calls that pass ``pieces=`` together with ``body=`` or
+    ``left_body=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            names = {kw.arg for kw in node.keywords}
+            if "pieces" in names and names & {"body", "left_body"}:
+                found.append(node.lineno)
+    return found
+
+
+def test_registry_families_are_described_once():
+    # a family with pieces is built from them (MonotoneFamily.piecewise);
+    # a hand-written body beside them is a second description of k
+    path = Path(mbsdej.__file__).parent / "registry.py"
+    assert _double_declarations(path.read_text()) == []
+    assert _double_declarations(
+        "MonotoneFamily(body=f, pieces=p)\nMonotoneFamily.piecewise(p, a)\n"
+        "f(left_body=g,\n  pieces=p)\nf(body=g)\n") == [1, 3]
+
+
 _LEAF_FIELDS = ("Y", "Z", "psi", "K")
 
 

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -69,7 +70,7 @@ class TestEval:
 
     def test_continuous_family_left_limit_is_k(self):
         # no left_body declares k continuous: k_- is k, at one evaluation
-        fam, calls = _counted(MIN_ZERO)
+        fam, calls = _counted(NEG_EXP)
         xs = np.linspace(-2.0, 2.0, 9)
         assert fam.left_body is None
         assert np.array_equal(fam.left(0.0, xs), fam.k(0.0, xs))
@@ -265,20 +266,49 @@ class TestValidateAssumptions:
             validate_assumptions(REFLECT, None, GRID, [-0.5])
 
 
+T = GRID.horizon
+# k and k_- of each registry family that declares pieces, written out by
+# hand: a reference that does not read the pieces
+HAND_WRITTEN = {
+    "reflect_at": lambda p: (lambda t, x: np.zeros_like(x), None),
+    "constant": lambda p: (lambda t, x: np.full_like(x, p.get("c", -1.0)),
+                           None),
+    "min_zero": lambda p: (lambda t, x: np.minimum(x, 0.0), None),
+    "step": lambda p: (lambda t, x: np.where(x < 1.0, -1.0, p.get("hi", 0.0)),
+                       lambda t, x: np.where(x <= 1.0, -1.0,
+                                             p.get("hi", 0.0))),
+    "linear_decay": lambda p: (lambda t, x: (T - t) * x, None),
+    "blowup_near_terminal": lambda p: (
+        lambda t, x: np.full_like(x, -1.0 / max(T - t, 1e-300)), None),
+}
+
+
+def _hand_written(name, params):
+    """The registry family ``name`` with its hand-written k and k_- and no
+    pieces, so that ``map_values`` composes the evaluators."""
+    fam = make_family(name, params, GRID)
+    body, left = HAND_WRITTEN[name](params)
+    return MonotoneFamily(body=body, left_body=left, boundary=fam.boundary,
+                          closed=fam.closed, sign=fam.sign)
+
+
 def _resolvent_cases():
+    """The resolvent's test families, and for each one that declares pieces
+    the same family from the hand-written evaluators."""
     cases = {name: make_family(name, {}, GRID) for name in FAMILIES}
+    refs = {name: _hand_written(name, {}) for name in HAND_WRITTEN}
     real = {"linear_decay": {}, "constant": {"c": 0.5}, "step": {"hi": 1.0}}
     for name, params in real.items():
-        fam = make_family(name, params, GRID)
+        fam, ref = make_family(name, params, GRID), _hand_written(name, params)
         assert fam.sign == "real"
-        cases[f"{name}[real]"] = fam
+        cases[f"{name}[real]"], refs[f"{name}[real]"] = fam, ref
         for n in (1, 4, 8):
             cases[f"{name}[real]^min{n}-{n}"] = truncate_shift(fam, n)
+            refs[f"{name}[real]^min{n}-{n}"] = truncate_shift(ref, n)
     # the shift of the comparison check's lowered family
-    for name in FAMILIES:
-        fam = make_family(name, {}, GRID)
-        if fam.pieces is not None:
-            cases[f"{name}-0.5"] = fam.map_values(shift=-0.5)
+    for name in HAND_WRITTEN:
+        cases[f"{name}-0.5"] = cases[name].map_values(shift=-0.5)
+        refs[f"{name}-0.5"] = refs[name].map_values(shift=-0.5)
     cases["open_inverse"] = MonotoneFamily(body=lambda t, x: -1.0 / x,
                                            boundary=lambda t: 0.0)
     cases["open_inverse_moving"] = INVERSE_OPEN
@@ -293,10 +323,10 @@ def _resolvent_cases():
     cases["cliff"] = MonotoneFamily(
         body=lambda t, x: np.where(x < 0.0, -1e6, 0.0),
         boundary=lambda t: -np.inf)
-    return cases
+    return cases, refs
 
 
-RESOLVENT_CASES = _resolvent_cases()
+RESOLVENT_CASES, HAND_WRITTEN_CASES = _resolvent_cases()
 
 
 def reference_ordinate(fam, t, x, slope):
@@ -356,13 +386,15 @@ def piece_values(pieces, u):
 
 PIECES_CASES = sorted(n for n, f in RESOLVENT_CASES.items()
                       if f.pieces is not None)
+assert PIECES_CASES == sorted(HAND_WRITTEN_CASES)
 
 
 class TestResolventProperty:
     # t <= 0.9 keeps blowup_near_terminal's k = -1/(T - t) inside the
     # bracket radius.  ``search`` sets declared pieces aside, so the root
     # search stays pinned on the same families; the declared breaks add
-    # points on the jumps and at the caps
+    # points on the jumps and at the caps.  The reference bisects the
+    # hand-written k where there is one
     @given(st.sampled_from(sorted(RESOLVENT_CASES)), st.floats(0.0, 0.9),
            st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
            st.floats(0.5, 4096.0), st.booleans())
@@ -374,12 +406,15 @@ class TestResolventProperty:
         if search:
             fam = replace(fam, pieces=None)
         got = resolvent_ordinate(fam, t, np.array(xs), slope)
-        want = [reference_ordinate(fam, t, x, slope) for x in xs]
+        ref = HAND_WRITTEN_CASES.get(name, fam)
+        want = [reference_ordinate(ref, t, x, slope) for x in xs]
         assert np.all(np.abs(got - want) <= slope * 2e-10 + 1e-12)
 
     @pytest.mark.parametrize("name", PIECES_CASES)
     def test_pieces_describe_the_body(self, name):
-        fam = RESOLVENT_CASES[name]
+        # the pieces, read independently, and the evaluators derived from
+        # them both match the hand-written k and k_-
+        fam, ref = RESOLVENT_CASES[name], HAND_WRITTEN_CASES[name]
         rng = np.random.default_rng(11)
         for t in (0.0, 0.3, 0.9, 1.0):
             if name.startswith("blowup") and t == 1.0:
@@ -388,26 +423,80 @@ class TestResolventProperty:
             b = pieces[0]
             assert np.all(np.diff(b) > 0) and pieces[3].size == b.size + 1
             a = fam.barriers(t)[0]
-            u = np.concatenate([rng.uniform(-6.0, 6.0, 200), b])
+            u = np.concatenate([rng.uniform(-6.0, 6.0, 200), b,
+                                np.nextafter(b, -np.inf),
+                                np.nextafter(b, np.inf)])
             u = u[u > a]
             left, right = piece_values(pieces, u)
-            np.testing.assert_allclose(right, fam.k(t, u), rtol=1e-12,
-                                       atol=1e-12)
-            np.testing.assert_allclose(left, fam.left(t, u), rtol=1e-12,
-                                       atol=1e-12)
+            for got, want in ((right, ref.k(t, u)), (left, ref.left(t, u)),
+                              (fam.k(t, u), ref.k(t, u)),
+                              (fam.left(t, u), ref.left(t, u))):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("name", PIECES_CASES)
     def test_declared_pieces_evaluate_no_k(self, name):
-        fam, calls = _counted(RESOLVENT_CASES[name], raising=True)
-        variants = [fam]
-        if fam.sign == "real":
-            variants += [truncate_shift(fam, n) for n in (1, 4, 8)]
+        base = RESOLVENT_CASES[name]
+        variants = [base]
+        if base.sign == "real":
+            variants += [truncate_shift(base, n) for n in (1, 4, 8)]
         xs = np.linspace(-5.0, 5.0, 41)
         for variant in variants:
+            fam, calls = _counted(variant, raising=True)
             for t in (0.0, 0.5, 0.9):
                 for slope in (0.5, 16.0, 2.0**20):
-                    resolvent_ordinate(variant, t, xs, slope)
-        assert calls == []
+                    resolvent_ordinate(fam, t, xs, slope)
+            assert calls == []
+
+
+class TestStalePieces:
+    # pieces and evaluators that disagree are refused at construction, so
+    # the closed-form resolvent cannot solve a family other than the one
+    # the evaluators describe
+
+    def test_replaced_body_is_refused(self):
+        with pytest.raises(ValueError, match=r"body .* at t=0, x=0: -1 "
+                                             r"against 0"):
+            replace(REFLECT, body=lambda t, x: np.full_like(x, -1.0))
+
+    def test_replaced_pieces_are_refused(self):
+        decay = make_family("linear_decay", {}, GRID)
+        with pytest.raises(ValueError, match=r"at t=0, x=1: 1 against 0"):
+            replace(decay, pieces=MIN_ZERO.pieces)
+
+    def test_replaced_left_limits_are_refused(self):
+        step = make_family("step", {}, GRID)
+        with pytest.raises(ValueError, match=r"left_body .* at t=0, x=1:"):
+            replace(step, left_body=None)
+
+    def test_pieces_beyond_the_domain_are_not_checked(self):
+        # x = -1 lies below a_t = 0, where body and pieces may differ
+        fam = replace(REFLECT, body=lambda t, x: np.where(x < 0, -9.0, 0.0))
+        assert fam.k(0.0, [0.0, 1.0]).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_counting_wrappers_pass(self, name):
+        # the shape of a tracer's patch: evaluators wrapped, values unchanged
+        calls = []
+
+        def wrap(fn):
+            @functools.wraps(fn)
+            def counted(t, x):
+                calls.append(t)
+                return fn(t, x)
+            return counted
+
+        fam = make_family(name, {}, GRID)
+        left = fam.left_body
+        wrapped = replace(fam, body=wrap(fam.body),
+                          left_body=None if left is None else wrap(left))
+        xs = np.random.default_rng(5).uniform(-4.0, 4.0, 64)
+        xs = xs[xs > fam.barriers(0.0)[0]]
+        for t in (0.0, 0.5, 0.9):
+            assert np.array_equal(wrapped.k(t, xs), fam.k(t, xs))
+            assert np.array_equal(wrapped.left(t, xs), fam.left(t, xs))
+            assert np.array_equal(resolvent_ordinate(wrapped, t, xs, 4.0),
+                                  resolvent_ordinate(fam, t, xs, 4.0))
+        assert calls
 
 
 class TestOpenMovingBoundary:
@@ -439,17 +528,21 @@ class TestOpenMovingBoundary:
 
 
 def _counted(fam, raising=False):
-    """The family with a counter of its k-evaluations (calls of ``body``);
-    with ``raising``, each evaluation also raises."""
-    calls = []
+    """The family with a counter of the k-evaluations (calls of ``body``)
+    made after it is built; with ``raising``, each of them also raises.  The
+    construction's check of declared pieces is not counted."""
+    calls, armed = [], []
 
     def body(t, x, _b=fam.body):
-        calls.append(t)
-        if raising:
-            raise AssertionError(f"k evaluated at t={t}")
+        if armed:
+            calls.append(t)
+            if raising:
+                raise AssertionError(f"k evaluated at t={t}")
         return _b(t, x)
 
-    return replace(fam, body=body), calls
+    counted = replace(fam, body=body)
+    armed.append(True)
+    return counted, calls
 
 
 class TestResolventRootSearch:

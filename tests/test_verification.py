@@ -176,6 +176,22 @@ class TestComparison:
         with pytest.raises(HypothesisViolated):
             check_comparison(higher, sol, reflected_problem, sol, tree6)
 
+    def test_unordered_drivers_name_the_first_sample(self, reflected_problem,
+                                                     tree6,
+                                                     reflected_solution):
+        # f1 > f2 = 0 where y + z + q > 3.5; the first such (y, z, q), with y
+        # slowest and q fastest, is (1, 2, 1)
+        higher = replace(reflected_problem, driver=replace(
+            reflected_problem.driver,
+            shape=lambda t, s, y, z, q: y + z + q - 3.5))
+        zero = replace(reflected_problem, driver=replace(
+            reflected_problem.driver,
+            shape=lambda t, s, y, z, q: np.zeros_like(y)))
+        sol, _ = reflected_solution
+        with pytest.raises(HypothesisViolated, match=r"^driver ordering fails "
+                           r"at t=0, \(y,z,q\)=\(1\.0,2\.0,1\.0\)$"):
+            check_comparison(higher, sol, zero, sol, tree6)
+
     def test_unordered_family_guarded(self, reflected_problem, tree6,
                                       reflected_solution):
         raised_fam = replace(reflected_problem.family,
