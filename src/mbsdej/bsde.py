@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,8 +34,8 @@ import numpy as np
 from . import artifacts
 from .errors import ContractionFailure
 from .monotone import PenalizedOperator, resolvent_ordinate
-from .scenario import (ForwardState, MarkSpace, PathEnsemble, PathNodes,
-                       ScenarioTree, TimeGrid)
+from .scenario import (ForwardState, MarkSpace, PathEnsemble, ScenarioTree,
+                       TimeGrid)
 
 __all__ = [
     "ForwardState",
@@ -137,7 +137,7 @@ class CEBackend:
 
 class NodeColumns:
     """One solution component: an array per grid column, on the states of
-    one scenario.
+    one scenario, the only store of a component.
 
     Column c holds one value per state of scenario level ``levels[c]``, and
     ``probs[c]`` their probabilities.  A solver output is on its scenario's
@@ -149,16 +149,15 @@ class NodeColumns:
     and works there (:meth:`spread`, :meth:`accumulate`).  On an ensemble the
     columns are views of one (n_paths, n_cols[, m]) array, which is also the
     leaf view.  On a tree :meth:`leaves` gathers and repeats each column
-    onto the leaf paths on its first call and keeps the result, read-only:
-    the columns stay the one store.
+    onto the leaf paths on its first call and keeps the result, read-only.
     """
 
-    def __init__(self, columns, levels, scenario, leaves=None):
+    def __init__(self, columns, levels, scenario):
         self.columns = columns
         self.levels = levels
         self.scenario = scenario
         self.probs = [scenario.level_probs(i) for i in levels]
-        self._leaves = leaves
+        self._leaves = None
 
     @classmethod
     def empty(cls, scenario, levels, trailing=()) -> "NodeColumns":
@@ -213,9 +212,9 @@ class NodeColumns:
 
 
 class _LeafView:
-    """A component field of :class:`SolutionGrid`: stored as given (node
-    columns or a leaf array), read as the leaf array.  K's node columns hold
-    its increments, so K is read as their running sums."""
+    """A component field of :class:`SolutionGrid`: stored as
+    :class:`NodeColumns`, read as the leaf array.  K's node columns hold its
+    increments, so K is read as their running sums."""
 
     def __set_name__(self, owner, name):
         self.key = "_" + name
@@ -224,8 +223,6 @@ class _LeafView:
         if sol is None:
             raise AttributeError(self.key[1:])   # the field has no default
         stored = sol.__dict__[self.key]
-        if not isinstance(stored, NodeColumns):
-            return stored
         if self.key != "_K":
             return stored.leaves()
         sums = np.cumsum(stored.leaves(), axis=1)
@@ -233,6 +230,9 @@ class _LeafView:
         return sums
 
     def __set__(self, sol, value):
+        if not isinstance(value, NodeColumns):
+            raise TypeError(f"solution component {self.key[1:]} must be stored "
+                            f"as NodeColumns, not {type(value).__name__}")
         sol.__dict__[self.key] = value
 
 
@@ -247,19 +247,18 @@ class SolutionGrid:
     ``weights`` are the path probabilities (uniform for ensembles, leaf
     probabilities for trees).
 
-    The solver stores each component as :class:`NodeColumns`: Y_i, Z_i and
-    psi_i are level-i state values.  K is stored by its increments: column
-    0 holds K_0 and column i+1 the increment K_{i+1} - K_i, a level-i state
-    value that the penalty at t_i fixes; :meth:`k_terminal_mean` sums their
-    means.  Every reader in the package reads :meth:`nodes`.
-    Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the leaf view for
-    :meth:`write_csv` and tests: an (n_paths, ...) array that on a tree is
-    expanded on first read, kept and read-only (K's running sums are formed
-    on each read); on an ensemble the leaf view of Y, Z and psi is the store
-    itself.
-    Assigning a component (``sol.K = ...``, ``dataclasses.replace``) stores
-    it as given.  A solution with a component stored as a leaf array is read
-    in leaf form throughout, with the paths as states.
+    Each component is stored as :class:`NodeColumns`, and only so:
+    assigning anything else raises TypeError, and ``dataclasses.replace``,
+    which reads a component it is not given as its leaf view, needs all
+    four.  Y_i, Z_i and psi_i are level-i state values.  K is stored by its
+    increments: column 0 holds K_0 and column i+1 the increment
+    K_{i+1} - K_i, a level-i state value that the penalty at t_i fixes;
+    :meth:`k_terminal_mean` sums their means.  Every reader in the package
+    reads :meth:`nodes`.  Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the
+    leaf view for :meth:`write_csv` and tests: an (n_paths, ...) array that
+    on a tree is expanded on first read, kept and read-only (K's running
+    sums are formed on each read); on an ensemble the leaf view of Y, Z and
+    psi is the store itself.
     """
 
     grid: TimeGrid
@@ -276,36 +275,15 @@ class SolutionGrid:
         return self.weights.size
 
     def nodes(self, name: str) -> NodeColumns:
-        """Component ``name`` on its states, or, once any component is
-        stored as a leaf array, its leaf array with the paths as states: the
-        columns of one solution always share their states."""
-        if all(isinstance(self.__dict__["_" + n], NodeColumns) for n in _PARTS):
-            return self.__dict__["_" + name]
-        return self.on_paths(name)
-
-    @cached_property
-    def _paths(self) -> PathNodes:
-        return PathNodes(self.weights)
-
-    def on_paths(self, name: str) -> NodeColumns:
-        """Component ``name`` column by column on its leaf array (K by its
-        increments): each column's states are the paths, the nodes of the
-        last grid level, held in one scenario per solution."""
-        stored = self.__dict__["_" + name]
-        if isinstance(stored, NodeColumns):
-            leaves = stored.leaves()
-        else:
-            leaves = np.diff(stored, axis=1, prepend=0.0) if name == "K" else stored
-        n_cols, level = leaves.shape[1], self.grid.n_steps
-        return NodeColumns([leaves[:, c] for c in range(n_cols)],
-                           [level] * n_cols, self._paths, leaves)
+        """Component ``name`` on its states (K by its increments)."""
+        return self.__dict__["_" + name]
 
     def y0(self) -> float:
         Y = self.nodes("Y")
         return float(Y.probs[0] @ Y[0])
 
     def k_terminal_mean(self) -> float:
-        """E[K_T], the sum of the stored increments' means (any layout)."""
+        """E[K_T], the sum of the stored increments' means."""
         K = self.nodes("K")
         return sum(float(p @ k) for p, k in zip(K.probs, K.columns))
 
@@ -607,22 +585,13 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     conditional mean of R for a solver output is zero to machine precision;
     so are its conditional covariances with the increments, which pin Z and
     psi.  An ensemble state is a path with one branch, its own increment,
-    and c = lambda*dt.  A solution off the tree's states (glued, so on the
-    tree's :attr:`~mbsdej.scenario.ScenarioTree.node_view`, or stored as
-    leaf arrays) is checked on the node view; leaf arrays are read on the
-    nodes with ``scenario.to_level``, which raises ValueError on a tree
-    column that is not measurable at its time.
+    and c = lambda*dt.  A glued solution, on the tree's
+    :attr:`~mbsdej.scenario.ScenarioTree.node_view`, is checked there.
     """
     tree = isinstance(scenario, ScenarioTree)
     Y, Z, psi, K = map(solution.nodes, _PARTS)    # on one scenario's states
     if Y.scenario is not scenario:
         scenario = scenario.node_view
-
-    def at(part, c, level):    # column c on the level's states
-        if part.scenario is scenario:
-            return part[c]
-        # a leaf array: on the node view (or an ensemble) the states are nodes
-        return scenario.to_level(part.levels[c], part.on_nodes(c), level)
 
     n_steps = grid.n_steps
     mean_abs = np.empty(n_steps)
@@ -632,20 +601,20 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     zscores = np.empty(n_steps)
 
     for i in range(n_steps):
-        y, z, psi_i = at(Y, i, i), at(Z, i, i), at(psi, i, i)
+        y, z, psi_i = Y[i], Z[i], psi[i]
         if tree:     # increments (B,) and (B, m), branch probabilities p
             p, dN = scenario.probs[i], scenario.dN[i]
             dW, centered = scenario.dW[i], dN - p @ dN
-            y_next = at(Y, i + 1, i + 1)[scenario.child[i]]
+            y_next = Y[i + 1][scenario.child[i]]
         else:        # increments (n, 1) and (n, 1, m), one sure branch
             p, dW = np.ones(1), scenario.dW[:, i, None]
             centered = scenario.dN_tilde[:, i, None, :]
-            y_next = at(Y, i + 1, i + 1)[:, None]
+            y_next = Y[i + 1][:, None]
         state = scenario.state(i)
         fval = driver.f(state.t, state, y, z, psi_i, marks)
         drift = grid.steps[i] * np.broadcast_to(fval, y.shape)
         jump = (psi_i[:, None, :] * centered).sum(axis=-1)
-        dk = at(K, i + 1, i)
+        dk = K[i + 1]                          # K_{i+1} - K_i, on level i
         R = y[:, None] - (y_next + drift[:, None] - z[:, None] * dW - jump
                           + dk[:, None])
         mean_abs[i] = float(scenario.level_probs(i) @ (np.abs(R) @ p))

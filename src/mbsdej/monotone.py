@@ -10,8 +10,8 @@ attaches the ray ]-inf, k(t, a_t)] at x = a_t; at an open one k tends to -inf
 and k is never evaluated at a_t.  :class:`PenalizedOperator` produces the
 n-Lipschitz approximants k_n(t, .) (Yosida approximations) by intersecting
 that graph with lines of slope -n.  On declared pieces the resolvent
-(I + k/n)^-1 has a closed form (Brezis 1973, ch. II): one ``searchsorted``
-over the values of u + k(t, u)/n at the breaks and one affine solve, with no
+(I + k/n)^-1 has a closed form (Brezis 1973, ch. II): one count of x against
+the values of u + k(t, u)/n at the breaks and one affine solve, with no
 evaluation of k.  Other families take a bracket walk and a safeguarded
 Illinois (regula falsi) search for the root of the strictly increasing map
 u -> u + k(t, u)/n, as whole-array ``np.where`` updates.
@@ -67,11 +67,11 @@ class MonotoneFamily:
         breaks b_j (at least one; a constant k uses one as its anchor),
         k_-(t, b_j) and k(t, b_j), and the slope of k on each of the
         intervals between and beyond the breaks (one more than the breaks).
-        Construction checks ``body`` and ``left_body`` against them at t = 0
-        only (the family knows no horizon): at each break, inside each
-        interior piece and one beyond each end, where these lie in the
-        domain, to 1e-12 relative and absolute.  A mismatch, such as a
-        ``dataclasses.replace`` of one of the three alone, raises ValueError.
+        :meth:`check_pieces` checks them against ``body`` and ``left_body``
+        at each break, inside each interior piece and one beyond each end,
+        within the domain, to 1e-12 relative and absolute, at t = 0 and at a
+        ``Problem``'s horizon.  A mismatch, such as a ``dataclasses.replace``
+        of one of the three alone, raises ValueError.
         None (the default) leaves k_n to the numeric root search.
     closed : bool
         True declares a finite a_t part of the domain: k(t, a_t) is finite
@@ -94,13 +94,17 @@ class MonotoneFamily:
     def __post_init__(self):
         if self.sign not in ("negative", "real"):
             raise ValueError("sign must be 'negative' or 'real'")
+        self.check_pieces(0.0)
+
+    def check_pieces(self, t: float) -> None:
+        """Refuse a body or left_body that leaves the pieces at time t."""
         if self.pieces is None:
             return
-        pieces, a = self.pieces(0.0), float(self.barriers(0.0)[0])
+        pieces, a = self.pieces(t), float(self.barriers(t)[0])
         b = np.asarray(pieces[0], dtype=float)
         xs = np.concatenate([b, 0.5 * (b[:-1] + b[1:]), [b[0] - 1, b[-1] + 1]])
         right, left = xs[(xs > a) | ((xs == a) & self.closed)], xs[xs > a]
-        got = np.append(self.k(0.0, right), self.left(0.0, left))
+        got = np.append(self.k(t, right), self.left(t, left))
         want = np.append(_piece_values(pieces, right),
                          _piece_values(pieces, left, True))
         bad = np.flatnonzero(~np.isclose(got, want, rtol=1e-12, atol=1e-12))
@@ -108,7 +112,7 @@ class MonotoneFamily:
             j, x = bad[0], np.append(right, left)[bad[0]]
             raise ValueError(
                 f"{'body' if j < right.size else 'left_body'} of family '{self.name}' "
-                f"disagrees with its pieces at t=0, x={x:.17g}: {got[j]:.17g} "
+                f"disagrees with its pieces at t={t:g}, x={x:.17g}: {got[j]:.17g} "
                 f"against {want[j]:.17g}")
 
     @classmethod
@@ -300,13 +304,18 @@ def _bracket(family: MonotoneFamily, t: float, x: np.ndarray, slope: float,
     return lo, klo, hi, khi
 
 
+def _region(edges: np.ndarray, x: np.ndarray, side: str = "left"):
+    """``np.searchsorted(edges, x, side)``, by one comparison per edge."""
+    return sum(x > e if side == "left" else x >= e for e in edges)
+
+
 def _piece_values(pieces, x, left: bool = False) -> np.ndarray:
     """k(t, x) read off the pieces of k(t, .), or with ``left`` k_-(t, x).
     Region j of x follows break j - 1 and is anchored there, region 0 at the
     first break; x is its region's anchor only at a break, where k_- differs."""
     b, k_left, k_right, slopes = (np.asarray(p, dtype=float) for p in pieces)
     x = np.asarray(x, dtype=float)
-    j = np.searchsorted(b, x, side="right")
+    j = _region(b, x, "right")
     at = np.concatenate([b[:1], b])[j]
     v = np.concatenate([k_left[:1], k_right])[j] + slopes[j] * (x - at)
     if left:
@@ -330,7 +339,7 @@ def _affine_ordinate(pieces, x: np.ndarray, slope: float) -> np.ndarray:
     x0[0:-1:2], x0[1::2], x0[-1] = g_left, b, g_right[-1]
     v0[0:-1:2], v0[1::2], v0[-1] = k_left, 0.0, k_right[-1]
     c[0::2], c[1::2] = slopes / (1.0 + slopes / slope), slope
-    j = np.searchsorted(edges, x)
+    j = _region(edges, x)
     return v0[j] + (x - x0[j]) * c[j]
 
 
@@ -436,8 +445,8 @@ def resolvent_ordinate(family: MonotoneFamily, t: float, x, slope: float):
     on the vertical segment: v = slope*(x - a_t).
 
     Where the family declares ``pieces``, g(u) = u + k_t(u)/slope is affine
-    between the breaks b_j and jumps from g(b_j-) to g(b_j) at them.  One
-    ``searchsorted`` of x over those values places each point on a piece or
+    between the breaks b_j and jumps from g(b_j-) to g(b_j) at them.  A
+    count of x against those values places each point on a piece or
     on a jump, and one affine solve gives the ordinate: on a piece with slope
     beta anchored at a break b, k(b) + (x - g(b)) beta/(1 + beta/slope); on a
     jump at b_j, u = b_j exactly and v = slope*(x - b_j).  k(t, a_t) comes

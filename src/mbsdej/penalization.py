@@ -49,6 +49,10 @@ class Problem:
     family: Optional[MonotoneFamily] = None
     envelope: Optional[GrowthEnvelope] = None
 
+    def __post_init__(self):     # the family has checked its pieces at t=0
+        if self.family is not None:
+            self.family.check_pieces(self.grid.horizon)
+
 
 _MONO_TOL = {"tree": 1e-9, "regression": 5e-2}   # largest Y decrease per level
 
@@ -220,14 +224,18 @@ def solve_mbsde(problem: Problem, schedule: PenalizationSchedule, scenario,
     sup-over-steps mean |Y^next - Y^prev| drops below the schedule's stop
     tolerance; running out of levels returns the last grid with
     ``report.converged = False`` (the report is still complete), as with
-    ``stop_tolerance = 0``, which runs every level.
+    ``stop_tolerance = 0``, which runs every level.  A level's error is
+    re-raised as the same type, prefixed with ``level n``.
     """
     mono_tol = _MONO_TOL[backend.kind]
 
     report = PenalizationReport()
     prev = None
     for level in schedule.levels:
-        sol = solve_penalized(problem, level, scenario, backend)
+        try:
+            sol = solve_penalized(problem, level, scenario, backend)
+        except MbsdejError as exc:
+            raise type(exc)(f"level {level}: {exc}") from exc
         stats = _level_stats(problem, sol, level, prev)
         report.rows.append(stats)
         if prev is not None and stats.mono_violation > mono_tol:

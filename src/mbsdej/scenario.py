@@ -160,47 +160,11 @@ def _block_generator(seed: int, block: int, kind: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-class PathNodes:
-    """Levels whose nodes are the paths, each its own state: the layout of
-    an ensemble, and of any array with one row per path."""
+class PathEnsemble:
+    """Monte Carlo increments: dW (n_paths, N) and dN (n_paths, N, m).
 
-    def __init__(self, weights: np.ndarray):
-        self.weights = weights
-
-    def level_probs(self, i: int) -> np.ndarray:
-        """Every level's states are the paths: their weights."""
-        return self.weights
-
-    def node_map(self, i: int) -> None:
-        """Every path is its own state: the identity."""
-        return None
-
-    def branch_mean(self, i: int, values: np.ndarray) -> np.ndarray:
-        """A path is its own one sure child: the values."""
-        return values
-
-    def to_level(self, i: int, values: np.ndarray,
-                 level: int | None = None) -> np.ndarray:
-        """Every level's nodes are the paths: the identity."""
-        return values
-
-    @property
-    def node_view(self) -> "PathNodes":
-        """Every path is its own node already: these levels."""
-        return self
-
-    def paths(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each path is one path through itself, and the first."""
-        return np.ones(self.weights.size, np.int64), np.arange(self.weights.size)
-
-    def push_max(self, i: int, values: np.ndarray,
-                 first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A path's one branch leads to itself: the values and their paths."""
-        return values, first
-
-
-class PathEnsemble(PathNodes):
-    """Monte Carlo increments: dW (n_paths, N) and dN (n_paths, N, m)."""
+    Every level's nodes are the paths, each its own state: the level maps
+    are identities, and a path's one sure branch leads to itself."""
 
     def __init__(self, grid: TimeGrid, marks: MarkSpace, dW: np.ndarray,
                  dN: np.ndarray, seed: int):
@@ -236,6 +200,31 @@ class PathEnsemble(PathNodes):
     @cached_property
     def weights(self) -> np.ndarray:
         return np.full(self.n_paths, 1.0 / self.n_paths)
+
+    def level_probs(self, i: int) -> np.ndarray:
+        return self.weights
+
+    def node_map(self, i: int) -> None:
+        return None
+
+    def branch_mean(self, i: int, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def to_level(self, i: int, values: np.ndarray,
+                 level: int | None = None) -> np.ndarray:
+        return values
+
+    @property
+    def node_view(self) -> "PathEnsemble":
+        return self
+
+    def paths(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each path is one path through itself, and the first."""
+        return np.ones(self.n_paths, np.int64), np.arange(self.n_paths)
+
+    def push_max(self, i: int, values: np.ndarray,
+                 first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return values, first
 
     def state(self, i: int) -> ForwardState:
         """Forward state at grid time t_i, one entry per path."""

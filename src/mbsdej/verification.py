@@ -95,8 +95,8 @@ class PropertyReport:
 @dataclass
 class GraphSelection:
     """Optional pair (alpha_t, beta_t) with values in Gr(k_t), per step:
-    ``alpha[i]`` holds one value, or one per level-i state of ``states``,
-    the scenario a midpoint was formed on (so does beta)."""
+    ``alpha[i]`` holds one value, or one per level-i state of ``states``, the
+    scenario a midpoint was formed on and the only one it is checked on."""
 
     name: str
     alpha: list
@@ -154,12 +154,11 @@ class GraphSelection:
 
 
 def _paired(sol1: SolutionGrid, sol2: SolutionGrid, name: str):
-    """Component ``name`` of two solutions on one scenario's states: their
-    own, or the paths when their states differ (one read in leaf form, say)."""
+    """Component ``name`` of two solutions on one scenario, else ValueError."""
     pair = sol1.nodes(name), sol2.nodes(name)
-    if pair[0].scenario is pair[1].scenario:
-        return pair
-    return sol1.on_paths(name), sol2.on_paths(name)
+    if pair[0].scenario is not pair[1].scenario:
+        raise ValueError(f"{name} of the two solutions is on different scenarios")
+    return pair
 
 
 def _worst_cell(columns, paths) -> tuple[float, int, int]:
@@ -213,22 +212,19 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
     The measure statement is interval-wise, so negativity is checked on every
     contiguous grid span, not just [0, T]: the largest span sum that ends in
     each state comes from Kadane's recursion over the states.  A selection
-    formed on other states (a midpoint of solutions read in another layout)
-    is read with the solution on the paths.
+    formed on other states (a midpoint of solutions on another scenario)
+    raises ValueError.
     """
     grid = solution.grid
     worst = -np.inf
     witness = None
+    Y, K = solution.nodes("Y"), solution.nodes("K")
     for sel in selections:
         sel.validate(family, grid)
-        Y, K = solution.nodes("Y"), solution.nodes("K")
-        alpha, beta = sel.alpha, sel.beta
         if sel.states is not None and sel.states is not Y.scenario:
-            Y, K = solution.on_paths("Y"), solution.on_paths("K")
-            alpha, beta = (list(NodeColumns(vs, range(grid.n_steps), sel.states)
-                                .leaves().T) for vs in (alpha, beta))
-        terms = [(Y[i] - a) * (K[i + 1] + b * dt)
-                 for i, (a, b, dt) in enumerate(zip(alpha, beta, grid.steps))]
+            raise ValueError(f"selection '{sel.name}' is on another scenario")
+        terms = [(Y[i] - a) * (K[i + 1] + b * dt) for i, (a, b, dt)
+                 in enumerate(zip(sel.alpha, sel.beta, grid.steps))]
         stat, i, path = _worst_cell(*_path_sums(Y, terms, reset=True))
         if stat > worst:
             worst = stat

@@ -11,6 +11,7 @@ import pytest
 
 from mbsdej import (ConcatenationRecord, MarkSpace, PathEnsemble,
                     PenalizationReport, SolutionGrid, TimeGrid, artifacts, cli)
+from mbsdej.bsde import NodeColumns
 from mbsdej.penalization import LevelStats
 
 SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300]
@@ -62,10 +63,15 @@ def lines(rows) -> bytes:
 def solution_case(rng, m, out, monkeypatch):
     path = out / "solution.csv"
     n = GRID.n_steps
-    sol = SolutionGrid(GRID, MARKS[m], values(rng, (N_PATHS, n + 1)),
-                       values(rng, (N_PATHS, n)), values(rng, (N_PATHS, n, m)),
-                       values(rng, (N_PATHS, n + 1)),
-                       np.full(N_PATHS, 1.0 / N_PATHS))
+    ens = PathEnsemble(GRID, MARKS[m], np.zeros((N_PATHS, n)),
+                       np.zeros((N_PATHS, n, m)), 0)
+    parts = []
+    # K's special values are planted in its increments, which K sums
+    for levels, shape in ((range(n + 1), ()), (range(n), ()), (range(n), (m,)),
+                          ([0, *range(n)], ())):
+        parts.append(NodeColumns.empty(ens, levels, shape))
+        parts[-1].leaves()[...] = values(rng, (N_PATHS, len(levels), *shape))
+    sol = SolutionGrid(GRID, MARKS[m], *parts, ens.weights)
     sol.write_csv(path)
     rows = [["path", "step", "Y", "Z"] + [f"psi_{j + 1}" for j in range(m)]
             + ["K"]]

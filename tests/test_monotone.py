@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbsdej import (DomainViolation, GrowthEnvelope, MonotoneFamily, NoBracket,
-                    PenalizedOperator, TimeGrid, resolvent_ordinate,
-                    truncate_shift, validate_assumptions)
+from mbsdej import (DomainViolation, GrowthEnvelope, MarkSpace, MonotoneFamily,
+                    NoBracket, PenalizedOperator, Problem, TimeGrid,
+                    resolvent_ordinate, truncate_shift, validate_assumptions)
 from mbsdej import monotone
-from mbsdej.registry import FAMILIES, make_envelope, make_family
+from mbsdej.registry import (FAMILIES, make_driver, make_envelope, make_family,
+                             make_terminal)
 
 
 def constant_family(c=-1.0):
@@ -389,6 +390,23 @@ PIECES_CASES = sorted(n for n, f in RESOLVENT_CASES.items()
 assert PIECES_CASES == sorted(HAND_WRITTEN_CASES)
 
 
+# edge values that tie often (a continuous break has g_left == g_right)
+_EDGE = st.one_of(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, np.inf]),
+                  st.floats(-5.0, 5.0))
+
+
+@given(st.lists(_EDGE, min_size=1, max_size=8).map(sorted),
+       st.lists(st.floats(allow_nan=False), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_region_counts_match_searchsorted(edges, points):
+    # every edge is a point too, and so are both infinities
+    edges = np.array(edges)
+    x = np.concatenate([edges, [-np.inf, np.inf], points])
+    for side in ("left", "right"):
+        assert np.array_equal(monotone._region(edges, x, side),
+                              np.searchsorted(edges, x, side))
+
+
 class TestResolventProperty:
     # t <= 0.9 keeps blowup_near_terminal's k = -1/(T - t) inside the
     # bracket radius.  ``search`` sets declared pieces aside, so the root
@@ -467,6 +485,21 @@ class TestStalePieces:
         step = make_family("step", {}, GRID)
         with pytest.raises(ValueError, match=r"left_body .* at t=0, x=1:"):
             replace(step, left_body=None)
+
+    def test_pieces_are_checked_at_the_horizon(self):
+        # k = -1 declared, but the body drifts to -1 - t: it agrees at t = 0
+        # and the Problem refuses it at T = 1
+        fam = MonotoneFamily(lambda t, x: np.full_like(x, -1.0 - t),
+                             lambda t: -np.inf,
+                             pieces=lambda t: ([0.0], [-1.0], [-1.0],
+                                               [0.0, 0.0]),
+                             name="drift")
+        marks = MarkSpace.empty()
+        with pytest.raises(ValueError, match=r"'drift' disagrees with its "
+                                             r"pieces at t=1, x=0: -2 "
+                                             r"against -1"):
+            Problem(GRID, marks, make_driver("zero", {}, marks),
+                    make_terminal("zero", {}, marks, GRID), family=fam)
 
     def test_pieces_beyond_the_domain_are_not_checked(self):
         # x = -1 lies below a_t = 0, where body and pieces may differ

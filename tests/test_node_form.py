@@ -13,7 +13,6 @@ running sum and its differences do not round differently; the glue
 references un-shift K by those increments too.
 """
 
-import copy
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -36,8 +35,8 @@ from mbsdej.monotone import PenalizedOperator, truncate_shift
 from mbsdej.penalization import ConcatenationRecord, LevelStats, OverlapStats
 from mbsdej.registry import (make_driver, make_envelope, make_family,
                              make_terminal)
-from mbsdej.scenario import PathNodes, ScenarioTree
-from mbsdej.verification import (GraphSelection, _paired, check_comparison,
+from mbsdej.scenario import ScenarioTree
+from mbsdej.verification import (GraphSelection, check_comparison,
                                  check_constraint, check_skorokhod,
                                  corollary1_ordering_stat, lemma1_pairing_stat)
 from test_config_cli import UNBOUNDED_REG
@@ -81,7 +80,7 @@ def leaf_form_solve(problem, tree, penalty):
 
 def leaf_dK(sol):
     """(n_paths, N) leaf array of K's increments K_{i+1} - K_i, as stored."""
-    return sol.on_paths("K").leaves()[:, 1:]
+    return sol.nodes("K").leaves()[:, 1:]
 
 
 def leaf_constraint_slack(Y, family, grid):
@@ -500,8 +499,8 @@ def test_path_primitives_match_the_enumerated_nodes(n_marks, n_steps, uniform,
             assert lead[s] == best.min() * per_node // B
 
 
-def test_path_primitives_on_paths_are_the_identity():
-    paths = PathNodes(np.full(5, 0.2))
+def test_path_primitives_on_paths_are_the_identity(grid6, no_marks):
+    paths = simulate_paths(grid6, no_marks, 5, seed=1)
     count, first = paths.paths(3)
     assert count.tolist() == [1] * 5 and first.tolist() == list(range(5))
     values = np.arange(5.0)
@@ -591,11 +590,7 @@ def test_ensemble_residual_matches_leaf_form(n_marks):
     rng = np.random.default_rng(n_marks)
     grid, marks = _random_grid_and_marks(rng, 4, n_marks)
     ens = simulate_paths(grid, marks, 500, seed=n_marks)
-    n, cols = ens.n_paths, grid.n_steps + 1
-    sol = SolutionGrid(grid, marks, rng.normal(size=(n, cols)),
-                       rng.normal(size=(n, cols - 1)),
-                       rng.normal(size=(n, cols - 1, n_marks)),
-                       rng.uniform(size=(n, cols)), ens.weights)
+    sol = _random_node_solution(ens, rng)
     driver = _mixed_driver(marks)
     got = residual_check(sol, driver, ens, grid, marks)
     want = leaf_form_residual(sol, driver, ens, grid, marks)
@@ -716,37 +711,28 @@ def test_ladder_leaves_levels_unexpanded(jump_problem, grid6, tree6_jumps,
     Y = sol.Y
     assert len(built) == 1 and sol.nodes("Y").expanded
     assert not sol.nodes("Z").expanded
-
-    shifted = replace(sol, Y=Y + 1.0)
-    assert shifted.y0() == pytest.approx(y0 + 1.0, rel=1e-12)
-    np.testing.assert_array_equal(shifted.nodes("Y")[0], Y[:, 0] + 1.0)
-    np.testing.assert_array_equal(shifted.Z, sol.Z)
-    assert sol.y0() == y0                      # the original is untouched
-
-    sol.K = sol.K - 2.0 * grid6.times[None, :]
-    assert sol.k_terminal_mean() == pytest.approx(k_mean - 2.0, rel=1e-12)
+    assert (sol.y0(), sol.k_terminal_mean()) == (y0, k_mean)
+    np.testing.assert_array_equal(Y[:, 0], y0)
 
 
-def test_overlap_mean_weighs_cells_by_path_probability(grid6, marks1,
-                                                       tree6_jumps, jump_problem):
+def test_overlap_mean_weighs_cells_by_path_probability(tree6_jumps,
+                                                       jump_problem):
+    # random columns on the nodes, as the glue holds them, and a random
+    # stopping time: each level-i node, i >= 1, stops with probability 1/3
     rng = np.random.default_rng(3)
-    n, cols = tree6_jumps.n_leaves, grid6.n_steps + 1
+    nodes, cols = tree6_jumps.node_view, tree6_jumps.grid.n_steps + 1
     w = tree6_jumps.weights
     assert w.max() > 10 * w.min()                 # leaves of unequal weight
-
-    def solution(Y):
-        return SolutionGrid(grid6, marks1, Y, np.zeros((n, cols - 1)),
-                            np.zeros((n, cols - 1, 1)), np.zeros((n, cols)), w)
-
-    prev_Y = rng.normal(size=(n, cols))
-    cur_Y = prev_Y + rng.normal(size=(n, cols))
-    tau = rng.integers(0, cols, size=n)
-    stats = penalization._overlap_stats(2, solution(prev_Y), solution(cur_Y),
-                                        tau, jump_problem)
+    prev, cur = (_random_node_solution(nodes, rng) for _ in range(2))
+    tau = np.full(w.size, cols - 1)
+    for i in reversed(range(1, cols - 1)):
+        stops = nodes.to_level(i, rng.random(nodes.level_size(i)) < 1 / 3)
+        tau[stops] = i
+    stats = penalization._overlap_stats(2, prev, cur, tau, jump_problem)
     mask = np.arange(cols)[None, :] >= tau[:, None]
-    want = np.average((cur_Y - prev_Y)[mask],
+    want = np.average((cur.Y - prev.Y)[mask],
                       weights=np.broadcast_to(w[:, None], mask.shape)[mask])
-    assert stats.cells == mask.sum()
+    assert 0 < stats.cells == mask.sum() < mask.size
     assert stats.mean_y_diff == pytest.approx(want, rel=1e-12)
 
 
@@ -759,17 +745,6 @@ def test_residual_reads_the_nodes_only(jump_problem, tree6_jumps,
     assert built_leaf_views == []
 
 
-def test_residual_refuses_a_column_that_is_not_adapted(jump_problem,
-                                                       tree6_jumps):
-    sol = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
-    Y = sol.Y.copy()
-    Y[0, 3] += 1e-3                          # one leaf of one level-3 node
-    sol.Y = Y
-    with pytest.raises(ValueError, match="level-3 node"):
-        residual_check(sol, jump_problem.driver, tree6_jumps,
-                       jump_problem.grid, jump_problem.marks)
-
-
 def test_tree_leaf_views_are_read_only(jump_problem, tree6_jumps):
     sol = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
     y0 = sol.y0()
@@ -777,33 +752,57 @@ def test_tree_leaf_views_are_read_only(jump_problem, tree6_jumps):
         with pytest.raises(ValueError, match="read-only"):
             getattr(sol, name)[0] += 1.0
     assert sol.y0() == y0
-    sol.Y = sol.Y + 1.0                      # assignment stores a new array
-    sol.Y[:, 0] -= 1.0
-    assert sol.y0() == pytest.approx(y0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["Y", "Z", "psi", "K"])
+def test_a_component_is_stored_as_state_columns_only(name, jump_problem,
+                                                     tree6_jumps):
+    sol = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
+    parts = {n: sol.nodes(n) for n in ("Y", "Z", "psi", "K")}
+    leaves = getattr(sol, name) + 0.0
+    with pytest.raises(TypeError, match=f"component {name} must be stored"):
+        setattr(sol, name, leaves)
+    with pytest.raises(TypeError, match=f"component {name} must be stored"):
+        replace(sol, **{**parts, name: leaves})
+    with pytest.raises(TypeError, match="must be stored as NodeColumns"):
+        replace(sol, **{name: leaves})
+    assert all(sol.nodes(n) is part for n, part in parts.items())
+
+
+def test_solutions_on_different_scenarios_are_refused(jump_problem,
+                                                      tree6_jumps):
+    # the same tree built twice: the columns have the same sizes, so only
+    # the scenario tells the two solutions apart
+    family, grid = jump_problem.family, jump_problem.grid
+    again = build_tree(grid, jump_problem.marks)
+    sol, other = (solve_penalized(jump_problem, 16, scenario, TREE)
+                  for scenario in (tree6_jumps, again))
+    with pytest.raises(ValueError, match="on different scenarios"):
+        check_comparison(jump_problem, sol, jump_problem, other, tree6_jumps)
+    with pytest.raises(ValueError, match="on different scenarios"):
+        lemma1_pairing_stat(sol, other)
+    mid = GraphSelection.midpoint(family, grid, other, other)
+    assert check_skorokhod(other, family, [mid], tol=0.0).passed
+    with pytest.raises(ValueError, match="on another scenario"):
+        check_skorokhod(sol, family, [mid], tol=0.0)
 
 
 def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
                                                           tree6_jumps):
-    # an assigned leaf array puts its solution in leaf form throughout, and
-    # a solution or selection in leaf form pairs with one on its nodes
+    # a solution whose state columns are replaced pairs with the one it
+    # came from, and a midpoint of the two is checked against either
     family, grid = jump_problem.family, jump_problem.grid
-    selections = [GraphSelection.interior_constant(family, grid, 0.5)]
     solved = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
-    K = solved.nodes("K")           # K by its increments
-    K[3] = K[3] + 1.0                # an impulse of K while Y > 0.5 somewhere
-    assigned = copy.copy(solved)
-    assigned.Y = solved.Y + 0.0
-    replaced = replace(solved, K=solved.K + 0.0)
-    want = check_skorokhod(solved, family, selections, tol=0.0)
-    assert want.statistic > 0.0
-    for sol in (assigned, replaced):
-        got = check_skorokhod(sol, family, selections, tol=0.0)
-        assert repr((got.statistic, got.witness)) == repr(
-            (want.statistic, want.witness))
-        assert repr(check_constraint(sol, family, tol=0.0)) == repr(
-            check_constraint(solved, family, tol=0.0))
-
-    other = replace(solved, Y=solved.Y + 0.25, K=0.5 * solved.K)
+    Y, K = solved.nodes("Y"), solved.nodes("K")     # K by its increments
+    K[3] = K[3] + 1.0                # an impulse of K: Skorokhod sums > 0
+    # replace reads a component it is not given as its leaf view, which a
+    # solution refuses: every component is passed
+    other = replace(solved,
+                    Y=NodeColumns([y + 0.25 for y in Y.columns], Y.levels,
+                                  Y.scenario),
+                    Z=solved.nodes("Z"), psi=solved.nodes("psi"),
+                    K=NodeColumns([0.5 * k for k in K.columns], K.levels,
+                                  K.scenario))
     for a, b in ((solved, other), (other, solved)):
         got = check_comparison(jump_problem, a, jump_problem, b, tree6_jumps,
                                tol=0.0)
@@ -813,7 +812,7 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
         assert lemma1_pairing_stat(a, b) == pytest.approx(
             leaf_form_lemma1(a.Y, leaf_dK(a), b.Y, leaf_dK(b)), rel=1e-12)
 
-    # a midpoint selection is checked with solutions on other nodes too
+    # a midpoint selection is checked with either solution
     for a, b in ((solved, solved), (solved, other), (other, solved)):
         mid = GraphSelection.midpoint(family, grid, a, b)
         alpha, beta = leaf_form_midpoint(family, grid, a.Y, b.Y)
@@ -825,22 +824,6 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
             assert_skorokhod_close(got, sol.Y, leaf_dK(sol), grid,
                                    [("midpoint", alpha, beta)],
                                    exact_witness=False)
-
-
-def test_leaf_form_reads_share_one_scenario(jump_problem, tree6_jumps):
-    # every read of a solution on the paths is on one PathNodes, so a
-    # leaf-form solution pairs with itself, and a midpoint formed on it is
-    # read on its own states
-    solved = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
-    sol = replace(solved, Y=solved.Y + 0.0)
-    paths = sol.nodes("Y").scenario
-    assert isinstance(paths, PathNodes)
-    assert sol.nodes("Y").scenario is paths
-    assert sol.on_paths("K").scenario is paths
-    assert all(c.scenario is paths for c in _paired(sol, sol, "Y"))
-    mid = GraphSelection.midpoint(jump_problem.family, jump_problem.grid,
-                                  sol, sol)
-    assert mid.states is paths
 
 
 def test_ensemble_leaf_arrays_are_the_store(reflected_problem, grid6,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from mbsdej import (CEBackend, MarkSpace, MonotonicityBreach,
-                    PenalizationSchedule, Problem, TimeGrid, build_tree,
+from mbsdej import (CEBackend, ContractionFailure, MarkSpace,
+                    MonotonicityBreach, PenalizationSchedule, Problem,
+                    TimeGrid, build_tree,
                     penalization, residual_check, simulate_paths, solve_mbsde,
                     solve_penalized, solve_unbounded, stopping_times,
                     truncate_shift)
@@ -124,6 +125,21 @@ class TestSolveMbsde:
         with pytest.raises(ValueError):
             PenalizationSchedule(stop_tolerance=-1e-12)
 
+    def test_ladder_failure_names_its_level(self):
+        # the budget case as a penalized ladder: the first level fails, and
+        # the error keeps its type and names the level
+        grid = TimeGrid.uniform(1.0, 1)
+        marks = MarkSpace.empty()
+        problem = Problem(grid, marks,
+                          make_driver("linear", {"a": -5000.0, "b": 0.0}, marks),
+                          make_terminal("brownian", {}, marks, grid),
+                          family=make_family("reflect_at", {"a": -1.0}, grid))
+        with pytest.raises(ContractionFailure,
+                           match=r"^level 2: dt\*L = 5e\+03 needs") as info:
+            solve_mbsde(problem, PenalizationSchedule(levels=(2, 4)),
+                        build_tree(grid, marks), CEBackend(kind="tree"))
+        assert type(info.value.__cause__) is ContractionFailure
+
     def test_k_increments_stable_under_refinement(self, reg_backend):
         # discrete proxy for continuity of K: with the path law held fixed,
         # the largest per-step increment must not blow up as the grid refines
@@ -188,7 +204,8 @@ class TestStoppingTimes:
         sol = solve_penalized(
             replace(prob, family=make_family("reflect_at", {"a": 0.0}, grid)),
             1, ens, reg_backend)
-        sol.Y += 1e6
+        for c in range(grid.n_steps + 1):
+            sol.nodes("Y")[c] += 1e6
         tau = stopping_times(sol, prob.envelope, 1, grid)
         assert np.all(tau <= grid.n_steps)
         assert np.all(tau == grid.n_steps)
@@ -315,7 +332,7 @@ def _every_level_reference(prob, sched, scenario, backend, max_truncation):
         sol_n, _ = solve_mbsde(prob_n, sched, scenario, backend)
         sols.append(sol_n)
         # K^n = K-hat - n t by increments: the stored dK-hat_i - n dt_i
-        dks.append(sol_n.on_paths("K").leaves()[:, 1:] - n * grid.steps)
+        dks.append(sol_n.nodes("K").leaves()[:, 1:] - n * grid.steps)
         taus.append(stopping_times(sol_n, prob.envelope, n, grid))
 
     n_paths, n_steps = sols[0].Z.shape

@@ -290,3 +290,15 @@ class TestScenarioTree:
             assert np.array_equal(
                 tree.count_nodes[i + 1] - tree.count_nodes[i][parent],
                 tree.dN[i][branch])
+
+    def test_to_level_refuses_values_that_are_not_measurable(self):
+        # values read on a coarser level must be constant under each of its
+        # nodes; the truncation glue relies on it to move a stopping event
+        grid = TimeGrid.uniform(1.0, 5)
+        tree = build_tree(grid, MarkSpace([1.0], [1.0]))
+        values = tree.to_level(3, np.arange(tree.level_size(3), dtype=float))
+        assert np.array_equal(tree.to_level(5, values, 3),
+                              np.arange(tree.level_size(3)))
+        values[1] += 1e-3                    # one leaf of one level-3 node
+        with pytest.raises(ValueError, match="under one level-3 node"):
+            tree.to_level(5, values, 3)

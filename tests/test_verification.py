@@ -107,8 +107,8 @@ class TestSkorokhod:
         sol, _ = solve_mbsde(reflected_problem, full_schedule, tree6,
                              tree_backend)
         fam = reflected_problem.family
-        sol = replace(sol, K=sol.K.copy())
-        sol.K[:, 3:] += 1.0   # impulsive K increase while Y > alpha somewhere
+        # an impulsive K increase while Y > alpha somewhere: K_3 - K_2 += 1
+        sol.nodes("K")[3] += 1.0
         sel = GraphSelection.interior_constant(fam, grid6, 0.5)
         entry = check_skorokhod(sol, fam, [sel], tol=5e-2)
         assert not entry.passed
