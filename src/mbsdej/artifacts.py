@@ -43,11 +43,12 @@ def write_json(path, obj) -> None:
         json.dump(_strict(obj), fh, indent=2, sort_keys=True)
 
 
-def path_step_rows(n_steps: int, *columns):
+def path_step_rows(n_steps: int, n_paths: int, read):
     """Row blocks (path, step, *columns) of CHUNK_PATHS paths each, path-major;
-    a column is (n_paths, s[, c]) with s <= n_steps, and steps past s read 0."""
-    for p in range(0, len(columns[0]), CHUNK_PATHS):
-        cells = [np.atleast_3d(c[p:p + CHUNK_PATHS]) for c in columns]
+    ``read(rows)`` gives the columns on the paths of the slice ``rows``, each
+    (paths, s[, c]) with s <= n_steps, and steps past s read 0."""
+    for p in range(0, n_paths, CHUNK_PATHS):
+        cells = [np.atleast_3d(c) for c in read(slice(p, p + CHUNK_PATHS))]
         index = np.meshgrid(np.arange(p, p + len(cells[0])), np.arange(n_steps),
                             indexing="ij")
         block = np.dstack([*index, *(np.pad(c, ((0, 0), (0, n_steps - c.shape[1]),

@@ -9,14 +9,15 @@ polynomial least squares with a fixed small ridge on a
 recursion runs on the scenario's states: a level-i quantity is one value per
 level-i state of a tree (a lattice point of a recombining tree), or one per
 path of an ensemble.  Y, Z, psi and the penalty increments of K are stored
-that way, in :class:`NodeColumns`, whose columns are all on the states of
-one scenario.  K's moments and the verification checks are recursions and
-counts on those states; only the truncation glue, which follows the paths,
-gathers them onto the nodes.  Leaf paths see a tree's values only through
-the read-only leaf view that :meth:`SolutionGrid.write_csv` builds.  An
-optional structured penalty term -k_n(t, y) is integrated exactly through
-the resolvent identity, which keeps the implicit step stable no matter how
-large the penalization level is.
+that way, in :class:`NodeColumns`, the four fields of a
+:class:`SolutionGrid`, all on the states of one scenario.  K's moments and
+the verification checks are recursions and counts on those states; only
+the truncation glue, which follows the paths, gathers them onto the nodes.
+Only :meth:`SolutionGrid.write_csv` reads a tree's values on the leaf
+paths, one block of paths at a time.  An optional structured penalty term
+-k_n(t, y) is integrated exactly through the resolvent identity, which
+keeps the implicit step stable no matter how large the penalization level
+is.
 Each implicit step is a fixed point y = G(y) of a contraction, found per
 point by a secant iteration whose slope is clipped to keep it contracting;
 it is exact after two sweeps wherever G is affine.
@@ -137,19 +138,15 @@ class CEBackend:
 
 class NodeColumns:
     """One solution component: an array per grid column, on the states of
-    one scenario, the only store of a component.
+    one scenario.
 
     Column c holds one value per state of scenario level ``levels[c]``, and
     ``probs[c]`` their probabilities.  A solver output is on its scenario's
-    states (a recombining tree's lattice points); a component that follows
-    the paths, as the truncation glue's does, is on the tree's
+    states; the truncation glue's, which follows the paths, is on the tree's
     :attr:`~mbsdej.scenario.ScenarioTree.node_view`, whose states are the
-    nodes.  Path readers run on the states through the scenario's ``paths``
-    and ``push_max``.  The glue gathers states onto nodes (:meth:`on_nodes`)
-    and works there (:meth:`spread`, :meth:`accumulate`).  On an ensemble the
-    columns are views of one (n_paths, n_cols[, m]) array, which is also the
-    leaf view.  On a tree :meth:`leaves` gathers and repeats each column
-    onto the leaf paths on its first call and keeps the result, read-only.
+    nodes.  The glue gathers states onto nodes (:meth:`on_nodes`) and works
+    there (:meth:`spread`, :meth:`accumulate`); :meth:`leaves` gathers the
+    columns onto a block of leaf paths, afresh on every call.
     """
 
     def __init__(self, columns, levels, scenario):
@@ -157,18 +154,12 @@ class NodeColumns:
         self.levels = levels
         self.scenario = scenario
         self.probs = [scenario.level_probs(i) for i in levels]
-        self._leaves = None
 
     @classmethod
     def empty(cls, scenario, levels, trailing=()) -> "NodeColumns":
         """Uninitialized columns on the states of the given scenario levels."""
         out = cls(None, list(levels), scenario)
-        n = scenario.weights.size
-        if all(p.size == n for p in out.probs):     # the entries are the paths
-            out._leaves = np.empty((n, len(out.levels), *trailing))
-            out.columns = [out._leaves[:, c] for c in range(len(out.levels))]
-        else:
-            out.columns = [np.empty((p.size, *trailing)) for p in out.probs]
+        out.columns = [np.empty((p.size, *trailing)) for p in out.probs]
         return out
 
     def __getitem__(self, c: int) -> np.ndarray:
@@ -196,113 +187,83 @@ class NodeColumns:
             out.append(op(self.spread(c - 1, out[-1], c), terms[c]))
         return out
 
-    @property
-    def expanded(self) -> bool:
-        """Whether the leaf view exists (always, on an ensemble)."""
-        return self._leaves is not None
-
-    def leaves(self) -> np.ndarray:
-        """The (n_paths, n_cols[, m]) leaf view, built read-only on the first
-        call."""
-        if self._leaves is None:
-            self._leaves = np.stack([self.scenario.to_level(level, self.on_nodes(c))
-                                     for c, level in enumerate(self.levels)], axis=1)
-            self._leaves.flags.writeable = False
-        return self._leaves
-
-
-class _LeafView:
-    """A component field of :class:`SolutionGrid`: stored as
-    :class:`NodeColumns`, read as the leaf array.  K's node columns hold its
-    increments, so K is read as their running sums."""
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, sol, owner=None):
-        if sol is None:
-            raise AttributeError(self.key[1:])   # the field has no default
-        stored = sol.__dict__[self.key]
-        if self.key != "_K":
-            return stored.leaves()
-        sums = np.cumsum(stored.leaves(), axis=1)
-        sums.flags.writeable = False
-        return sums
-
-    def __set__(self, sol, value):
-        if not isinstance(value, NodeColumns):
-            raise TypeError(f"solution component {self.key[1:]} must be stored "
-                            f"as NodeColumns, not {type(value).__name__}")
-        sol.__dict__[self.key] = value
+    def leaves(self, rows: slice = slice(None)) -> np.ndarray:
+        """The (paths, n_cols[, m]) values on the leaf paths ``rows``."""
+        return np.stack([col[self.scenario.leaf_states(level, rows)]
+                         for col, level in zip(self.columns, self.levels)], axis=1)
 
 
 _PARTS = ("Y", "Z", "psi", "K")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionGrid:
-    """Discrete (Y, Z, psi, K) per path per grid time.
+    """Discrete (Y, Z, psi, K), each :class:`NodeColumns` on ``Y.scenario``.
 
-    Y and K have one column per grid point; Z and psi one column per step.
-    ``weights`` are the path probabilities (uniform for ensembles, leaf
-    probabilities for trees).
-
-    Each component is stored as :class:`NodeColumns`, and only so:
-    assigning anything else raises TypeError, and ``dataclasses.replace``,
-    which reads a component it is not given as its leaf view, needs all
-    four.  Y_i, Z_i and psi_i are level-i state values.  K is stored by its
-    increments: column 0 holds K_0 and column i+1 the increment
-    K_{i+1} - K_i, a level-i state value that the penalty at t_i fixes;
-    :meth:`k_terminal_mean` sums their means.  Every reader in the package
-    reads :meth:`nodes`.  Reading ``Y``, ``Z``, ``psi`` or ``K`` gives the
-    leaf view for :meth:`write_csv` and tests: an (n_paths, ...) array that
-    on a tree is expanded on first read, kept and read-only (K's running
-    sums are formed on each read); on an ensemble the leaf view of Y, Z and
-    psi is the store itself.
+    The constructor, and so ``dataclasses.replace``, raises TypeError for a
+    component of another type and ValueError for one on another scenario.
+    Y and K have one column per grid point, Z and psi one per step; Y_i,
+    Z_i and psi_i are level-i state values.  K is stored by its increments:
+    column 0 holds K_0 and column i+1 K_{i+1} - K_i, a level-i state value
+    that the penalty at t_i fixes.  ``weights`` are the path probabilities.
     """
 
     grid: TimeGrid
     marks: MarkSpace
-    Y: np.ndarray = _LeafView()
-    Z: np.ndarray = _LeafView()
-    psi: np.ndarray = _LeafView()
-    K: np.ndarray = _LeafView()
-    weights: np.ndarray
+    Y: NodeColumns
+    Z: NodeColumns
+    psi: NodeColumns
+    K: NodeColumns
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in _PARTS:
+            part = getattr(self, name)
+            if not isinstance(part, NodeColumns):
+                raise TypeError(f"solution component {name} must be stored "
+                                f"as NodeColumns, not {type(part).__name__}")
+            if part.scenario is not self.Y.scenario:
+                raise ValueError(f"solution component {name} is on another "
+                                 "scenario than Y")
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.Y.scenario.weights
 
     @property
     def n_paths(self) -> int:
         return self.weights.size
 
-    def nodes(self, name: str) -> NodeColumns:
-        """Component ``name`` on its states (K by its increments)."""
-        return self.__dict__["_" + name]
+    def leaves(self, name: str, rows: slice = slice(None)) -> np.ndarray:
+        """Component ``name`` on the leaf paths ``rows``; K as the running
+        sums of its increments."""
+        values = getattr(self, name).leaves(rows)
+        return np.cumsum(values, axis=1) if name == "K" else values
 
     def y0(self) -> float:
-        Y = self.nodes("Y")
-        return float(Y.probs[0] @ Y[0])
+        return float(self.Y.probs[0] @ self.Y[0])
 
     def k_terminal_mean(self) -> float:
         """E[K_T], the sum of the stored increments' means."""
-        K = self.nodes("K")
-        return sum(float(p @ k) for p, k in zip(K.probs, K.columns))
+        return sum(float(p @ k) for p, k in zip(self.K.probs, self.K.columns))
 
     def validate(self, tol: float = 1e-12) -> None:
         if not all(np.all(np.isfinite(col)) for name in _PARTS
-                   for col in self.nodes(name).columns):
+                   for col in getattr(self, name).columns):
             raise ValueError("solution contains non-finite entries")
-        K = self.nodes("K")
-        if np.any(np.abs(K[0]) > tol):
+        if np.any(np.abs(self.K[0]) > tol):
             raise ValueError("K must start at 0")
-        if any(np.any(K[c] < -tol) for c in range(1, len(K.columns))):
+        if any(np.any(k < -tol) for k in self.K.columns[1:]):
             raise ValueError("K must be nondecreasing per path")
 
     def write_csv(self, path) -> None:
         """One row per (path, step); terminal row pads controls with 0."""
         psis = [f"psi_{j + 1}" for j in range(self.marks.n_marks)]
         artifacts.write_csv(path, ["path", "step", "Y", "Z", *psis, "K"],
-                            artifacts.path_step_rows(self.grid.n_steps + 1, self.Y,
-                                                     self.Z, self.psi, self.K))
+                            artifacts.path_step_rows(
+                                self.grid.n_steps + 1, self.n_paths,
+                                lambda rows: [self.leaves(name, rows)
+                                              for name in _PARTS]))
 
 
 # -- implicit step -----------------------------------------------------------
@@ -540,7 +501,7 @@ def solve_bsde(driver: DriverSpec, terminal: TerminalSpec, scenario,
             "sweeps": sweeps,
             "penalty_level": None if penalty is None else penalty.level,
             "seed": getattr(scenario, "seed", None)}
-    return SolutionGrid(grid, marks, Y, Z, psi, K, scenario.weights, meta)
+    return SolutionGrid(grid, marks, Y, Z, psi, K, meta)
 
 
 # -- residuals ----------------------------------------------------------------
@@ -589,7 +550,7 @@ def residual_check(solution: SolutionGrid, driver: DriverSpec, scenario,
     :attr:`~mbsdej.scenario.ScenarioTree.node_view`, is checked there.
     """
     tree = isinstance(scenario, ScenarioTree)
-    Y, Z, psi, K = map(solution.nodes, _PARTS)    # on one scenario's states
+    Y, Z, psi, K = solution.Y, solution.Z, solution.psi, solution.K
     if Y.scenario is not scenario:
         scenario = scenario.node_view
 

@@ -9,7 +9,6 @@ writes every one of them, byte-identical for identical configs.
 from __future__ import annotations
 
 import argparse
-import copy
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -177,11 +176,9 @@ def _suite_uniqueness(problem, backend, full, scenario, sol, run, report):
 def _suite_negative_controls(problem, scenario, sol, report):
     # a corrupted solution must fail the residual check
     mid = problem.grid.n_steps // 2
-    Y = sol.nodes("Y")
-    columns = list(Y.columns)
+    columns = list(sol.Y.columns)       # shares every other column
     columns[mid] = columns[mid] + 1.0
-    corrupted = copy.copy(sol)      # shares Z, psi, K and the other columns
-    corrupted.Y = NodeColumns(columns, Y.levels, Y.scenario)
+    corrupted = replace(sol, Y=NodeColumns(columns, sol.Y.levels, sol.Y.scenario))
     resid = residual_check(corrupted, problem.driver, scenario, problem.grid,
                            problem.marks)
     detected = not resid.passed(**_RESIDUAL_GATE)

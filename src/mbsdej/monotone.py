@@ -429,10 +429,12 @@ def _root_ordinate(family: MonotoneFamily, t: float, x: np.ndarray,
         f_lo = np.where(up, f_mid, f_lo)
         f_hi = np.where(down, f_mid, f_hi)
     # u is resolved to about one float spacing, which slope scales
-    if np.any(upper < lower - 1e-6 * (1.0 + np.abs(lower)) - 4 * slope
-              * np.spacing(np.fmax(np.abs(x), np.abs(hi)))):
+    bad = np.flatnonzero(upper < lower - 1e-6 * (1.0 + np.abs(lower)) - 4 * slope
+                         * np.spacing(np.fmax(np.abs(x), np.abs(hi))))
+    if bad.size:
         raise NoBracket("inconsistent root-search state; "
-                        "family evaluator is likely non-monotone")
+                        "family evaluator is likely non-monotone "
+                        f"at t={t:g}, slope={slope:g}, x={x[bad[0]]:.17g}")
     return 0.5 * (lower + upper)
 
 

@@ -125,9 +125,8 @@ def constraint_slack(solution: SolutionGrid,
     """Slack Y_i - a_{t_i} on the entries of Y's column i (the level-i
     states of a solver output), keyed by the steps i < N with a finite
     barrier (Y_N == xi is data, not solver output)."""
-    Y = solution.nodes("Y")
     barriers = family.barriers(solution.grid.times[:-1])
-    return {int(i): Y[i] - barriers[i]
+    return {int(i): solution.Y[i] - barriers[i]
             for i in np.flatnonzero(np.isfinite(barriers))}
 
 
@@ -167,11 +166,11 @@ def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
     E[sup_i |Y_i|^2] from (state, running max) pairs; nothing is gathered
     onto the nodes."""
     grid = problem.grid
-    Y, Z, psi = (sol.nodes(name) for name in ("Y", "Z", "psi"))
+    Y, Z, psi = sol.Y, sol.Z, sol.psi
     if prev is None:
         delta, viol = np.nan, 0.0
     else:
-        diffs = [a - b for a, b in zip(Y.columns, prev.nodes("Y").columns)]
+        diffs = [a - b for a, b in zip(Y.columns, prev.Y.columns)]
         delta = max(float(p @ np.abs(d)) for p, d in zip(Y.probs, diffs))
         viol = max(0.0, max(float(np.max(-d)) for d in diffs))
     min_slack = min((float(np.min(s)) for s in
@@ -189,7 +188,7 @@ def _level_stats(problem: Problem, sol: SolutionGrid, level: int,
         k_terminal_mean=sol.k_terminal_mean(),
         sup_y_sq=_sup_y_sq(Y),
         control_energy=energy,
-        k_terminal_sq=_k_terminal_sq(sol.nodes("K")),
+        k_terminal_sq=_k_terminal_sq(sol.K),
     )
 
 
@@ -207,7 +206,7 @@ def solve_penalized(problem: Problem, level: int, scenario,
                      problem.marks, backend, penalty=op)
     if problem.terminal.lower_bound_check:
         a_T = family.barriers(problem.grid.horizon)[0]
-        worst = float(np.min(sol.nodes("Y")[-1]))   # xi on the terminal nodes
+        worst = float(np.min(sol.Y[-1]))   # xi on the terminal nodes
         if worst < a_T - 1e-12:
             raise ValidationError(
                 f"terminal condition dips to {worst} below a_T = {a_T}")
@@ -261,7 +260,7 @@ def stopping_times(solution: SolutionGrid, envelope: GrowthEnvelope,
     A running minimum down the columns of Y of i where the condition holds,
     else N; the terminal index always meets it, since ell(T, .) = 0.
     """
-    Y = solution.nodes("Y")
+    Y = solution.Y
     n = grid.n_steps
     first = [Y.on_nodes(i, np.where(envelope(float(t), Y[i]) <= level, i, n))
              for i, t in enumerate(grid.times[:-1])]
@@ -380,12 +379,11 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
             sol, rep = solve_mbsde(prob_n, schedule, scenario, backend)
         except MbsdejError as exc:
             raise type(exc)(f"truncation level {n}: {exc}") from exc
-        Y_n, Z_n, psi_n, K_n = map(sol.nodes, ("Y", "Z", "psi", "K"))
         # undo the shift K^n_t = K-hat^n_t - n t on the stored K_0 (by 0)
         # and increments (by n dt_i), each on its states
         shift = n * np.diff(grid.times, prepend=0.0)
-        sol.K = K_n = NodeColumns([k - s for k, s in zip(K_n.columns, shift)],
-                                  K_n.levels, K_n.scenario)
+        sol = replace(sol, K=NodeColumns([k - s for k, s in zip(sol.K.columns, shift)],
+                                         sol.K.levels, sol.K.scenario))
         tau[n] = stopping_times(sol, envelope, n, grid)
         record.level_reports.append(rep)
         record.level_y0.append(sol.y0())
@@ -401,13 +399,13 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
                     f"(max |dY| = {stats.max_y_diff:.3g})")
 
         for i in range(n_steps):           # {tau_n <= i} is known at t_i
-            claim = free[i] & Y_n.spread(n_steps, tau[n] <= i, i)
+            claim = free[i] & sol.Y.spread(n_steps, tau[n] <= i, i)
             if n == last:                  # the last level takes the rest
                 record.uncovered_cells += (int(np.count_nonzero(free[i] & ~claim))
                                            * (n_paths // claim.size))
                 claim = free[i]
-            for glued, part, c in ((Y, Y_n, i), (Z, Z_n, i), (psi, psi_n, i),
-                                   (K, K_n, i + 1)):
+            for glued, part, c in ((Y, sol.Y, i), (Z, sol.Z, i),
+                                   (psi, sol.psi, i), (K, sol.K, i + 1)):
                 glued[c][claim] = part.on_nodes(c)[claim]
             free[i] &= ~claim
         prev = sol
@@ -416,11 +414,10 @@ def solve_unbounded(problem: Problem, schedule: PenalizationSchedule, scenario,
         if not any(f.any() for f in free):       # every cell is claimed
             last = n + 1
 
-    Y[n_steps] = prev.nodes("Y").on_nodes(n_steps)   # xi, the same on every level
+    Y[n_steps] = prev.Y.on_nodes(n_steps)   # xi, the same on every level
 
     meta = {"backend": backend.kind, "truncation_levels": levels[:last]}
-    return SolutionGrid(grid, problem.marks, Y, Z, psi, K, prev.weights,
-                        meta), record
+    return SolutionGrid(grid, problem.marks, Y, Z, psi, K, meta), record
 
 
 def _overlap_stats(level: int, prev: SolutionGrid, cur: SolutionGrid,
@@ -430,8 +427,7 @@ def _overlap_stats(level: int, prev: SolutionGrid, cur: SolutionGrid,
     by probability.  The levels are merged one at a time, as in Welford's
     update, so no level's differences outlive its turn."""
     n_steps = problem.grid.n_steps
-    Y, K = cur.nodes("Y"), cur.nodes("K")
-    Y_prev, K_prev = prev.nodes("Y"), prev.nodes("K")
+    Y, K, Y_prev, K_prev = cur.Y, cur.K, prev.Y, prev.K
     cells, u, ss, weighted, mass, mx, mdk = 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     for i in range(n_steps + 1):
         inside = Y.spread(n_steps, tau_prev <= i, i)

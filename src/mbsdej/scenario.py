@@ -16,8 +16,9 @@ carry the forward state (:meth:`state`, :meth:`level_probs`); its *nodes*
 are the histories that lead there (:attr:`node_view`, :meth:`to_level`),
 and ``node_map(i)`` sends each level-i node to its state, None where every
 node is its own state.  Path readers run on the states (:meth:`paths`,
-:meth:`push_max`).  On an ensemble the states and the nodes of every level
-are the paths.
+:meth:`push_max`); ``leaf_states(i, rows)`` names the level-i state of each
+leaf path in a slice, so that a writer reads a block of paths at a time.
+On an ensemble the states and the nodes of every level are the paths.
 """
 
 from __future__ import annotations
@@ -207,6 +208,9 @@ class PathEnsemble:
     def node_map(self, i: int) -> None:
         return None
 
+    def leaf_states(self, i: int, rows: slice) -> slice:
+        return rows
+
     def branch_mean(self, i: int, values: np.ndarray) -> np.ndarray:
         return values
 
@@ -240,8 +244,9 @@ class PathEnsemble:
         """Debug export: one row per (path, step) with dW and dN_1..dN_m."""
         dns = [f"dN_{j + 1}" for j in range(self.marks.n_marks)]
         artifacts.write_csv(path, ["path", "step", "dW", *dns],
-                            artifacts.path_step_rows(self.grid.n_steps, self.dW,
-                                                     self.dN))
+                            artifacts.path_step_rows(
+                                self.grid.n_steps, self.n_paths,
+                                lambda rows: (self.dW[rows], self.dN[rows])))
 
 
 def simulate_paths(grid: TimeGrid, marks: MarkSpace, n_paths: int,
@@ -389,6 +394,14 @@ class ScenarioTree:
     def node_map(self, i: int) -> np.ndarray | None:
         """The state of each level-i node, or None where they coincide."""
         return self._node_map[i]
+
+    def leaf_states(self, i: int, rows: slice) -> np.ndarray:
+        """The level-i state of each leaf path in the slice ``rows``: leaf
+        path k passes through level-i node k // B^(N-i)."""
+        paths = np.arange(*rows.indices(self.n_leaves))
+        nodes = paths // self.branching**(self.grid.n_steps - i)
+        m = self.node_map(i)
+        return nodes if m is None else m[nodes]
 
     def branch_mean(self, i: int, values: np.ndarray) -> np.ndarray:
         """Per level-i state, the mean of its level-(i+1) children's values."""

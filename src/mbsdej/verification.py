@@ -155,7 +155,7 @@ class GraphSelection:
 
 def _paired(sol1: SolutionGrid, sol2: SolutionGrid, name: str):
     """Component ``name`` of two solutions on one scenario, else ValueError."""
-    pair = sol1.nodes(name), sol2.nodes(name)
+    pair = getattr(sol1, name), getattr(sol2, name)
     if pair[0].scenario is not pair[1].scenario:
         raise ValueError(f"{name} of the two solutions is on different scenarios")
     return pair
@@ -195,7 +195,7 @@ def check_constraint(solution: SolutionGrid, family: MonotoneFamily,
     slack = constraint_slack(solution, family)
     if not slack:
         return CheckResult("constraint", True, np.inf, tol)
-    Y = solution.nodes("Y")
+    Y = solution.Y
     low, c, path = _worst_cell([-s for s in slack.values()],
                                [Y.scenario.paths(Y.levels[i])[1] for i in slack])
     stat = -low + 0.0       # a zero slack reads 0.0, not -0.0
@@ -218,7 +218,7 @@ def check_skorokhod(solution: SolutionGrid, family: MonotoneFamily,
     grid = solution.grid
     worst = -np.inf
     witness = None
-    Y, K = solution.nodes("Y"), solution.nodes("K")
+    Y, K = solution.Y, solution.K
     for sel in selections:
         sel.validate(family, grid)
         if sel.states is not None and sel.states is not Y.scenario:

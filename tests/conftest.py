@@ -2,12 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
                     TimeGrid, build_tree, default_levels, simulate_paths,
                     solve_bsde, solve_mbsde)
 from mbsdej.registry import make_driver, make_family, make_terminal
 from mbsdej.verification import block_y0_se, check_uniqueness
+
+# one profile for every property test: no per-example deadline (solves vary
+# in time with the machine), and a failing example is printed as a blob that
+# @reproduce_failure replays
+settings.register_profile("mbsdej", deadline=None, print_blob=True)
+settings.load_profile("mbsdej")
 
 
 @pytest.fixture(scope="session")

@@ -116,13 +116,13 @@ def test_03_martingale_representation():
         driver = make_driver("zero", {}, marks)
         sol_w = solve_bsde(driver, make_terminal("brownian", {}, marks, grid),
                            tree, grid, marks, backend)
-        assert np.abs(sol_w.Z - 1.0).max() <= 1e-10
-        assert np.abs(sol_w.psi).max() <= 1e-10
+        assert np.abs(sol_w.leaves("Z") - 1.0).max() <= 1e-10
+        assert np.abs(sol_w.leaves("psi")).max() <= 1e-10
         sol_n = solve_bsde(driver,
                            make_terminal("compensated_jumps", {}, marks, grid),
                            tree, grid, marks, backend)
-        assert np.abs(sol_n.psi - 1.0).max() <= 1e-10
-        assert np.abs(sol_n.Z).max() <= 1e-10
+        assert np.abs(sol_n.leaves("psi") - 1.0).max() <= 1e-10
+        assert np.abs(sol_n.leaves("Z")).max() <= 1e-10
 
 
 def test_04_single_valued_reduction():
@@ -315,7 +315,7 @@ def test_10_negative_controls():
                           family=make_family("reflect_at", {"a": 0.0}, grid))
         schedule = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=1e-4)
         sol, _ = solve_mbsde(problem, schedule, tree, backend)
-        sol.nodes("Y")[3] += 1.0
+        sol.Y[3] += 1.0
         assert not residual_check(sol, problem.driver, tree, grid,
                                   marks).passed()
         higher = replace(problem, terminal=TerminalSpec(lambda s: s.w + 0.5,

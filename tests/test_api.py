@@ -108,12 +108,11 @@ def test_registry_families_are_described_once():
         "f(left_body=g,\n  pieces=p)\nf(body=g)\n") == [1, 3]
 
 
-_LEAF_FIELDS = ("Y", "Z", "psi", "K")
-
-
-def _leaf_view_readers(source: str) -> list:
-    """Qualified names of the scopes that read x.Y, x.Z, x.psi or x.K."""
-    found = set()
+def _leaf_gathers(source: str) -> dict:
+    """Qualified names of the scopes that call ``.leaves(``, by the method
+    called: ``self.leaves`` inside SolutionGrid is SolutionGrid.leaves, any
+    other receiver NodeColumns.leaves."""
+    found = {"SolutionGrid.leaves": set(), "NodeColumns.leaves": set()}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -121,31 +120,36 @@ def _leaf_view_readers(source: str) -> list:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef,
                                   ast.AsyncFunctionDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif (isinstance(child, ast.Attribute)
-                  and child.attr in _LEAF_FIELDS
-                  and isinstance(child.ctx, ast.Load)):
-                found.add(scope or "<module>")
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "leaves"):
+                own = (scope.startswith("SolutionGrid.")
+                       and isinstance(child.func.value, ast.Name)
+                       and child.func.value.id == "self")
+                method = "SolutionGrid" if own else "NodeColumns"
+                found[f"{method}.leaves"].add(scope or "<module>")
             visit(child, inner)
 
     visit(ast.parse(source), "")
-    return sorted(found)
+    return {method: sorted(scopes) for method, scopes in found.items()}
 
 
 def test_only_the_csv_writer_reads_leaf_views():
-    # a solution is read on its nodes (SolutionGrid.nodes); the leaf view,
+    # a solution is read on its states; gathering it onto the leaf paths,
     # which on a tree repeats each node onto every leaf path under it, is
-    # built for the CSV file only
-    readers = {}
+    # for the CSV file only
+    calls = {"SolutionGrid.leaves": [], "NodeColumns.leaves": []}
     for path in sorted(Path(mbsdej.__file__).parent.glob("*.py")):
-        names = _leaf_view_readers(path.read_text())
-        if names:
-            readers[path.name] = names
-    assert readers == {"bsde.py": ["SolutionGrid.write_csv"]}
-    assert _leaf_view_readers("def f(sol):\n    return sol.Y[:, 0]\n"
-                              "class C:\n    def g(self, s):\n"
-                              "        s.K = 0\n"
-                              "        return [x.psi for x in s]\n"
-                              "y = a.Z + b.W\n") == ["<module>", "C.g", "f"]
+        for method, scopes in _leaf_gathers(path.read_text()).items():
+            calls[method] += [f"{path.name}:{scope}" for scope in scopes]
+    assert calls == {"SolutionGrid.leaves": ["bsde.py:SolutionGrid.write_csv"],
+                     "NodeColumns.leaves": ["bsde.py:SolutionGrid.leaves"]}
+    assert _leaf_gathers("def f(sol):\n    return sol.leaves('Y')\n"
+                         "class SolutionGrid:\n    def g(self, s):\n"
+                         "        return self.leaves('K'), s.leaves\n"
+                         "y = a.Y.leaves()\n") == {
+                             "SolutionGrid.leaves": ["SolutionGrid.g"],
+                             "NodeColumns.leaves": ["<module>", "f"]}
 
 
 _NODE_READERS = ("on_nodes", "spread", "accumulate", "to_level", "node_map",

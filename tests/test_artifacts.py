@@ -69,19 +69,20 @@ def solution_case(rng, m, out, monkeypatch):
     # K's special values are planted in its increments, which K sums
     for levels, shape in ((range(n + 1), ()), (range(n), ()), (range(n), (m,)),
                           ([0, *range(n)], ())):
-        parts.append(NodeColumns.empty(ens, levels, shape))
-        parts[-1].leaves()[...] = values(rng, (N_PATHS, len(levels), *shape))
-    sol = SolutionGrid(GRID, MARKS[m], *parts, ens.weights)
+        cells = values(rng, (N_PATHS, len(levels), *shape))
+        parts.append(NodeColumns(list(cells.swapaxes(0, 1)), list(levels), ens))
+    sol = SolutionGrid(GRID, MARKS[m], *parts)
     sol.write_csv(path)
+    Y, Z, psi, K = (sol.leaves(name) for name in ("Y", "Z", "psi", "K"))
     rows = [["path", "step", "Y", "Z"] + [f"psi_{j + 1}" for j in range(m)]
             + ["K"]]
     for p in range(N_PATHS):
         for i in range(n + 1):
-            z = sol.Z[p, i] if i < n else 0.0
-            psis = sol.psi[p, i] if i < n else np.zeros(m)
-            rows.append([str(p), str(i), f"{sol.Y[p, i]:.17g}", f"{z:.17g}"]
+            z = Z[p, i] if i < n else 0.0
+            psis = psi[p, i] if i < n else np.zeros(m)
+            rows.append([str(p), str(i), f"{Y[p, i]:.17g}", f"{z:.17g}"]
                         + [f"{v:.17g}" for v in psis]
-                        + [f"{sol.K[p, i]:.17g}"])
+                        + [f"{K[p, i]:.17g}"])
     return path, lines(rows)
 
 

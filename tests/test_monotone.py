@@ -119,7 +119,7 @@ class TestGraphContains:
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0, 1),
            st.floats(0, 1))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_operator_monotonicity(self, x, u, fy, fv):
         """Any two graph points (x,y), (u,v) satisfy (y-v)(x-u) >= 0."""
         fam = step_family()
@@ -192,15 +192,29 @@ class TestPenalizedEval:
                            r"search range at t=0\.25, slope=2, x=1; "):
             resolvent_ordinate(bad, 0.25, np.linspace(-3, 3, 7), 2.0)
 
+    def test_inconsistent_state_names_its_witness(self):
+        # k decreases past u = 1 while u + k(u)/2 still increases: a point
+        # whose root lies there brackets it, and the ordinate bounds cross
+        def body(t, x):
+            return np.where(x < 1.0, np.minimum(x, 0.0), 0.5 * (1.0 - x))
+
+        bad = MonotoneFamily(body=body, boundary=lambda t: -np.inf)
+        ok = resolvent_ordinate(bad, 0.25, np.array([-1.0, 0.5]), 2.0)
+        assert ok.tolist() == pytest.approx([-2.0 / 3.0, 0.0])
+        with pytest.raises(NoBracket, match=r"^inconsistent root-search state; "
+                           r"family evaluator is likely non-monotone at "
+                           r"t=0\.25, slope=2, x=3$"):
+            resolvent_ordinate(bad, 0.25, np.array([-1.0, 0.5, 3.0, 5.0]), 2.0)
+
     @given(st.integers(1, 12), st.floats(-2, 2))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_decreasing_in_level(self, exponent, x):
         lo = PenalizedOperator(MIN_ZERO, 2**(exponent - 1)).eval(0.0, x)
         hi = PenalizedOperator(MIN_ZERO, 2**exponent).eval(0.0, x)
         assert hi <= lo + 2e-10
 
     @given(st.integers(1, 64), st.floats(-2, 2), st.floats(-2, 2))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_lipschitz_n(self, n, x, x2):
         op = PenalizedOperator(NEG_EXP, n)
         assert abs(op.eval(0.0, x) - op.eval(0.0, x2)) <= n * abs(x - x2) + 2e-10
@@ -397,7 +411,7 @@ _EDGE = st.one_of(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, np.inf]),
 
 @given(st.lists(_EDGE, min_size=1, max_size=8).map(sorted),
        st.lists(st.floats(allow_nan=False), max_size=8))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_region_counts_match_searchsorted(edges, points):
     # every edge is a point too, and so are both infinities
     edges = np.array(edges)
@@ -416,7 +430,7 @@ class TestResolventProperty:
     @given(st.sampled_from(sorted(RESOLVENT_CASES)), st.floats(0.0, 0.9),
            st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
            st.floats(0.5, 4096.0), st.booleans())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_scalar_bisection(self, name, t, xs, slope, search):
         fam = RESOLVENT_CASES[name]
         if fam.pieces is not None:

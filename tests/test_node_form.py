@@ -14,7 +14,8 @@ references un-shift K by those increments too.
 """
 
 import shutil
-from dataclasses import fields, replace
+from contextlib import contextmanager
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from mbsdej import (CEBackend, MarkSpace, PenalizationSchedule, Problem,
                     SolutionGrid, TerminalSpec, TimeGrid, build_tree,
                     residual_check, simulate_paths, solve_mbsde,
                     solve_penalized, solve_unbounded)
-from mbsdej import bsde, cli, penalization
+from mbsdej import artifacts, bsde, cli, penalization
 from mbsdej.bsde import NodeColumns, ResidualReport
 from mbsdej.cli import run_verify
 from mbsdej.config import build_problem, parse_config
@@ -45,6 +46,7 @@ TREE_VERIFY_CONFIG = (Path(__file__).resolve().parents[1] / "perfbench"
                       / "configs" / "tree_verify.cfg")
 
 TREE = CEBackend(kind="tree")
+PARTS = ("Y", "Z", "psi", "K")
 
 
 def leaf_form_solve(problem, tree, penalty):
@@ -80,7 +82,7 @@ def leaf_form_solve(problem, tree, penalty):
 
 def leaf_dK(sol):
     """(n_paths, N) leaf array of K's increments K_{i+1} - K_i, as stored."""
-    return sol.nodes("K").leaves()[:, 1:]
+    return sol.K.leaves()[:, 1:]
 
 
 def leaf_constraint_slack(Y, family, grid):
@@ -149,6 +151,7 @@ def leaf_form_residual(solution, driver, scenario, grid, marks):
         kind = "ensemble"
 
     w = solution.weights
+    Y, Z, psi = (solution.leaves(name) for name in ("Y", "Z", "psi"))
     dK = leaf_dK(solution)
     mean_abs = np.empty(n_steps)
     max_abs = np.empty(n_steps)
@@ -162,13 +165,11 @@ def leaf_form_residual(solution, driver, scenario, grid, marks):
         state = replace(node_state,
                         w=scenario.to_level(i, node_state.w),
                         counts=scenario.to_level(i, node_state.counts))
-        fval = driver.f(state.t, state, solution.Y[:, i], solution.Z[:, i],
-                        solution.psi[:, i, :], marks)
-        jump_part = np.einsum("pj,pj->p", solution.psi[:, i, :], centered[:, i, :]) \
+        fval = driver.f(state.t, state, Y[:, i], Z[:, i], psi[:, i, :], marks)
+        jump_part = np.einsum("pj,pj->p", psi[:, i, :], centered[:, i, :]) \
             if m else 0.0
-        resid = solution.Y[:, i] - (
-            solution.Y[:, i + 1] + dt * np.asarray(fval)
-            - solution.Z[:, i] * dW[:, i] - jump_part + dK[:, i])
+        resid = Y[:, i] - (Y[:, i + 1] + dt * np.asarray(fval)
+                           - Z[:, i] * dW[:, i] - jump_part + dK[:, i])
         mean_abs[i] = float(w @ np.abs(resid))
         max_abs[i] = float(np.max(np.abs(resid)))
         if kind == "tree":
@@ -183,7 +184,7 @@ def leaf_form_residual(solution, driver, scenario, grid, marks):
             cond_cov[i] = float(np.max(np.abs(cov)))
         else:
             mu = float(resid.mean())
-            mart = solution.Z[:, i] * dW[:, i] + jump_part
+            mart = Z[:, i] * dW[:, i] + jump_part
             scale = max(float(resid.std(ddof=1)), float(np.std(mart, ddof=1))) \
                 if resid.size > 1 else 0.0
             se = scale / np.sqrt(resid.size)
@@ -342,7 +343,7 @@ def leaf_form_unbounded(problem, schedule, scenario, backend, max_truncation,
         prob_n = replace(problem, family=truncate_shift(problem.family, n),
                          driver=problem.driver.shifted(n))
         sol, _ = solve_mbsde(prob_n, schedule, scenario, backend)
-        cur = (sol.Y, leaf_dK(sol) - n * grid.steps[None, :])   # un-shifted
+        cur = (sol.leaves("Y"), leaf_dK(sol) - n * grid.steps[None, :])  # un-shifted
         tau[n] = leaf_form_stopping_times(cur[0], envelope, n, grid)
         if prev is not None:
             stats = leaf_form_overlap(n, prev, cur, tau[n - 1], sol.weights)
@@ -355,8 +356,8 @@ def leaf_form_unbounded(problem, schedule, scenario, backend, max_truncation,
             record.uncovered_cells = int((free & ~claim).sum())
             claim = free
         Y[:, :-1][claim] = cur[0][:, :-1][claim]
-        Z[claim] = sol.Z[claim]
-        psi[claim] = sol.psi[claim]
+        Z[claim] = sol.leaves("Z")[claim]
+        psi[claim] = sol.leaves("psi")[claim]
         K[:, 1:][claim] = cur[1][claim]
         free &= ~claim
         prev = cur
@@ -394,20 +395,20 @@ def test_levels_match_leaf_form_reference(jump_problem, tree6_jumps):
         want = leaf_form_solve(jump_problem, tree6_jumps,
                                PenalizedOperator(jump_problem.family, level))
         for name, got, ref in zip("Y Z psi K".split(),
-                                  (sol.Y, sol.Z, sol.psi, sol.K), want):
+                                  map(sol.leaves, PARTS), want):
             assert got.shape == ref.shape, name
             assert got.tobytes() == ref.tobytes(), name
         assert_stats_close(stats, leaf_form_stats(
             jump_problem, level, *want, tree6_jumps.weights, prev_Y))
         prev, prev_Y = sol, want[0]
-    assert np.abs(prev.psi).max() > 0.1
-    assert prev.K[:, -1].max() > 0.1
+    assert np.abs(prev.leaves("psi")).max() > 0.1
+    assert prev.leaves("K")[:, -1].max() > 0.1
 
 
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
 @given(n_steps=st.integers(1, 5), uniform=st.booleans(),
        seed=st.integers(0, 2**32 - 1), barrier=st.floats(-1.0, 1.0))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_state_solve_matches_node_by_node_reference(n_marks, n_steps, uniform,
                                                     seed, barrier):
     # a uniform grid recombines; any other keeps one state per node (a
@@ -448,7 +449,7 @@ def test_state_solve_matches_node_by_node_reference(n_marks, n_steps, uniform,
         stats = penalization._level_stats(problem, sol, level, prev)
         want = leaf_form_solve(problem, tree, PenalizedOperator(family, level))
         for name, got, ref in zip("Y Z psi K".split(),
-                                  (sol.Y, sol.Z, sol.psi, sol.K), want):
+                                  map(sol.leaves, PARTS), want):
             assert got.shape == ref.shape, name
             assert got.tobytes() == ref.tobytes(), name
         assert_stats_close(stats, leaf_form_stats(problem, level, *want,
@@ -459,7 +460,7 @@ def test_state_solve_matches_node_by_node_reference(n_marks, n_steps, uniform,
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
 @given(n_steps=st.integers(1, 4), uniform=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_path_primitives_match_the_enumerated_nodes(n_marks, n_steps, uniform,
                                                     seed):
     # paths: the leaf paths under each state's nodes and the first of them;
@@ -519,7 +520,7 @@ def _random_node_solution(tree, rng):
                                   rng.uniform)):
         for column in part.columns:
             column[...] = draw(size=column.shape)
-    return SolutionGrid(tree.grid, tree.marks, *parts, tree.weights)
+    return SolutionGrid(tree.grid, tree.marks, *parts)
 
 
 def _random_grid_and_marks(rng, n_steps, n_marks):
@@ -542,7 +543,7 @@ def _mixed_driver(marks):
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
 @given(n_steps=st.integers(1, 3), uniform=st.booleans(), ties=st.booleans(),
        seed=st.integers(0, 2**32 - 1), barrier=st.floats(-1.0, 1.0))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_node_monitors_match_leaf_formulas(n_marks, n_steps, uniform, ties,
                                            seed, barrier):
     # a uniform grid recombines, so running maxima merge per state; Y drawn
@@ -558,25 +559,27 @@ def test_node_monitors_match_leaf_formulas(n_marks, n_steps, uniform, ties,
     sol = _random_node_solution(tree, rng)
     prev = _random_node_solution(tree, rng)
     if ties:
-        for column in sol.nodes("Y").columns:
+        for column in sol.Y.columns:
             column[...] = rng.integers(-2, 3, column.shape)
-    got = penalization._level_stats(problem, sol, 4, prev)
-    assert not any(sol.nodes(name).expanded for name in ("Y", "Z", "psi", "K"))
-    assert_stats_close(got, leaf_form_stats(problem, 4, sol.Y, sol.Z, sol.psi,
-                                            sol.K, tree.weights, prev.Y))
+    with leaf_gathers() as built:
+        got = penalization._level_stats(problem, sol, 4, prev)
+    assert built == []
+    assert_stats_close(got, leaf_form_stats(problem, 4, *map(sol.leaves, PARTS),
+                                            tree.weights, prev.leaves("Y")))
 
 
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
 @given(n_steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_node_residual_matches_leaf_form(n_marks, n_steps, seed):
     rng = np.random.default_rng(seed)
     grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
     tree = build_tree(grid, marks)
     driver = _mixed_driver(marks)
     sol = _random_node_solution(tree, rng)
-    got = residual_check(sol, driver, tree, grid, marks)
-    assert not any(sol.nodes(name).expanded for name in ("Y", "Z", "psi", "K"))
+    with leaf_gathers() as built:
+        got = residual_check(sol, driver, tree, grid, marks)
+    assert built == []
     want = leaf_form_residual(sol, driver, tree, grid, marks)
     assert got.kind == want.kind == "tree"
     assert got.max_abs.tobytes() == want.max_abs.tobytes()
@@ -611,11 +614,11 @@ def test_ensemble_monitors_match_leaf_formulas(n_marks):
                       family=make_family("reflect_at", {"a": 0.0}, grid))
     prev = solve_penalized(problem, 1, ens, CEBackend("regression"))
     sol = solve_penalized(problem, 4, ens, CEBackend("regression"))
-    sol.nodes("K")[0] = rng.normal(size=ens.n_paths)       # K_0 != 0
+    sol.K[0] = rng.normal(size=ens.n_paths)       # K_0 != 0
     assert leaf_dK(sol).max() > 0.1                   # the penalty acts
     got = penalization._level_stats(problem, sol, 4, prev)
-    assert_stats_close(got, leaf_form_stats(problem, 4, sol.Y, sol.Z, sol.psi,
-                                            sol.K, ens.weights, prev.Y))
+    assert_stats_close(got, leaf_form_stats(problem, 4, *map(sol.leaves, PARTS),
+                                            ens.weights, prev.leaves("Y")))
 
 
 _NODE_READERS = ((NodeColumns, "on_nodes"), (NodeColumns, "spread"),
@@ -679,19 +682,28 @@ def test_tree_verify_reads_no_nodes(tmp_path, node_reads):
     assert calls == []
 
 
-@pytest.fixture
-def built_leaf_views(monkeypatch):
-    """The NodeColumns whose leaf view is built, in the order built."""
+@contextmanager
+def leaf_gathers():
+    """The NodeColumns gathered onto leaf paths while the block runs, one
+    entry per call of NodeColumns.leaves."""
     built = []
     leaves = NodeColumns.leaves
 
-    def counted(self):
-        if not self.expanded:
-            built.append(self)
-        return leaves(self)
+    def counted(self, *args):
+        built.append(self)
+        return leaves(self, *args)
 
-    monkeypatch.setattr(NodeColumns, "leaves", counted)
-    return built
+    NodeColumns.leaves = counted
+    try:
+        yield built
+    finally:
+        NodeColumns.leaves = leaves
+
+
+@pytest.fixture
+def built_leaf_views():
+    with leaf_gathers() as built:
+        yield built
 
 
 def test_ladder_leaves_levels_unexpanded(jump_problem, grid6, tree6_jumps,
@@ -708,9 +720,8 @@ def test_ladder_leaves_levels_unexpanded(jump_problem, grid6, tree6_jumps,
     assert built == []
 
     y0, k_mean = sol.y0(), sol.k_terminal_mean()
-    Y = sol.Y
-    assert len(built) == 1 and sol.nodes("Y").expanded
-    assert not sol.nodes("Z").expanded
+    Y = sol.leaves("Y")
+    assert len(built) == 1 and built[0] is sol.Y
     assert (sol.y0(), sol.k_terminal_mean()) == (y0, k_mean)
     np.testing.assert_array_equal(Y[:, 0], y0)
 
@@ -730,7 +741,7 @@ def test_overlap_mean_weighs_cells_by_path_probability(tree6_jumps,
         tau[stops] = i
     stats = penalization._overlap_stats(2, prev, cur, tau, jump_problem)
     mask = np.arange(cols)[None, :] >= tau[:, None]
-    want = np.average((cur.Y - prev.Y)[mask],
+    want = np.average((cur.leaves("Y") - prev.leaves("Y"))[mask],
                       weights=np.broadcast_to(w[:, None], mask.shape)[mask])
     assert 0 < stats.cells == mask.sum() < mask.size
     assert stats.mean_y_diff == pytest.approx(want, rel=1e-12)
@@ -745,28 +756,109 @@ def test_residual_reads_the_nodes_only(jump_problem, tree6_jumps,
     assert built_leaf_views == []
 
 
-def test_tree_leaf_views_are_read_only(jump_problem, tree6_jumps):
-    sol = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
-    y0 = sol.y0()
-    for name in ("Y", "Z", "psi", "K"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(sol, name)[0] += 1.0
-    assert sol.y0() == y0
-
-
 @pytest.mark.parametrize("name", ["Y", "Z", "psi", "K"])
 def test_a_component_is_stored_as_state_columns_only(name, jump_problem,
                                                      tree6_jumps):
     sol = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
-    parts = {n: sol.nodes(n) for n in ("Y", "Z", "psi", "K")}
-    leaves = getattr(sol, name) + 0.0
-    with pytest.raises(TypeError, match=f"component {name} must be stored"):
-        setattr(sol, name, leaves)
+    parts = {n: getattr(sol, n) for n in PARTS}
+    leaves = sol.leaves(name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(sol, name, parts[name])
     with pytest.raises(TypeError, match=f"component {name} must be stored"):
         replace(sol, **{**parts, name: leaves})
-    with pytest.raises(TypeError, match="must be stored as NodeColumns"):
+    with pytest.raises(TypeError, match=f"component {name} must be stored"):
         replace(sol, **{name: leaves})
-    assert all(sol.nodes(n) is part for n, part in parts.items())
+    assert all(getattr(sol, n) is part for n, part in parts.items())
+
+
+def test_tree_leaf_reads_follow_edits_of_the_columns(jump_problem,
+                                                     tree6_jumps, tmp_path):
+    # nothing caches a gather: an edit of the state columns shows in the
+    # next leaf read and in the CSV file
+    sol = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
+    before = sol.leaves("Y")
+    sol.Y[0] += 1.0
+    after = sol.leaves("Y")
+    assert np.array_equal(after[:, 0], before[:, 0] + 1.0)
+    assert after[:, 1:].tobytes() == before[:, 1:].tobytes()
+    sol.write_csv(tmp_path / "solution.csv")
+    rows = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[rows[:, 1] == 0, 2], after[:, 0])
+
+
+def test_ensemble_in_place_add_is_refused_whole(reflected_problem, grid6,
+                                                no_marks):
+    ens = simulate_paths(grid6, no_marks, 480, seed=5)
+    sol = solve_penalized(reflected_problem, 4, ens,
+                          CEBackend(kind="regression", degree=2))
+    y0 = sol.y0()
+    with pytest.raises(TypeError):
+        sol.Y += 1.0
+    assert sol.y0() == y0
+
+
+def test_replace_swaps_one_component(jump_problem, tree6_jumps):
+    sol = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
+    K = NodeColumns([2.0 * k for k in sol.K.columns], sol.K.levels,
+                    sol.K.scenario)
+    swapped = replace(sol, K=K)
+    assert swapped.K is K
+    assert all(getattr(swapped, n) is getattr(sol, n) for n in PARTS[:3])
+    assert swapped.k_terminal_mean() == pytest.approx(
+        2.0 * sol.k_terminal_mean(), rel=1e-12)
+
+
+def test_a_component_on_another_scenario_is_refused(jump_problem,
+                                                    tree6_jumps):
+    # the same tree built twice: the columns have the same sizes, so only
+    # the scenario tells the two solutions apart
+    again = build_tree(jump_problem.grid, jump_problem.marks)
+    sol, other = (solve_penalized(jump_problem, 16, scenario, TREE)
+                  for scenario in (tree6_jumps, again))
+    with pytest.raises(ValueError, match="component K is on another scenario"):
+        replace(sol, K=other.K)
+    with pytest.raises(ValueError, match="component psi is on another"):
+        SolutionGrid(sol.grid, sol.marks, sol.Y, sol.Z, other.psi, sol.K)
+
+
+def _chunk_endpoints(n_paths):
+    """Slice ends in [0, n_paths], often at or next to a CHUNK_PATHS
+    boundary."""
+    chunk = artifacts.CHUNK_PATHS
+    near = sorted({min(max(k * chunk + d, 0), n_paths)
+                   for k in range(n_paths // chunk + 2) for d in (-1, 0, 1)})
+    return st.one_of(st.integers(0, n_paths), st.sampled_from(near))
+
+
+@pytest.mark.parametrize("kind", ["tree", "node_view", "ensemble"])
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+@given(uniform=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=15)
+def test_leaf_gather_matches_repeated_columns(kind, n_marks, uniform, seed,
+                                              data):
+    # up to 4096 leaf paths, so that slices cross CHUNK_PATHS boundaries
+    rng = np.random.default_rng(seed)
+    n_steps = data.draw(st.integers(1, (12, 6, 4)[n_marks]), "n_steps")
+    grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)
+    if uniform:
+        grid = TimeGrid.uniform(grid.horizon, n_steps)
+    if kind == "ensemble":
+        scenario = simulate_paths(grid, marks, data.draw(
+            st.integers(1, 3 * artifacts.CHUNK_PATHS), "n_paths"), seed=seed)
+    else:
+        tree = build_tree(grid, marks, node_budget=10**4)
+        scenario = tree if kind == "tree" else tree.node_view
+    n_paths = scenario.weights.size
+    a = data.draw(_chunk_endpoints(n_paths), "a")
+    b = data.draw(_chunk_endpoints(n_paths), "b")
+    sol = _random_node_solution(scenario, rng)
+    for part in (getattr(sol, name) for name in PARTS):
+        full = np.stack([scenario.to_level(level, part.on_nodes(c))
+                         for c, level in enumerate(part.levels)], axis=1)
+        for rows in (slice(a, b), slice(a, a)):
+            got = part.leaves(rows)
+            assert got.shape == full[rows].shape
+            assert got.tobytes() == full[rows].tobytes()
 
 
 def test_solutions_on_different_scenarios_are_refused(jump_problem,
@@ -793,47 +885,36 @@ def test_assigned_and_replaced_solutions_read_in_one_form(jump_problem,
     # came from, and a midpoint of the two is checked against either
     family, grid = jump_problem.family, jump_problem.grid
     solved = solve_penalized(jump_problem, 16, tree6_jumps, TREE)
-    Y, K = solved.nodes("Y"), solved.nodes("K")     # K by its increments
+    Y, K = solved.Y, solved.K       # K by its increments
     K[3] = K[3] + 1.0                # an impulse of K: Skorokhod sums > 0
-    # replace reads a component it is not given as its leaf view, which a
-    # solution refuses: every component is passed
     other = replace(solved,
                     Y=NodeColumns([y + 0.25 for y in Y.columns], Y.levels,
                                   Y.scenario),
-                    Z=solved.nodes("Z"), psi=solved.nodes("psi"),
                     K=NodeColumns([0.5 * k for k in K.columns], K.levels,
                                   K.scenario))
     for a, b in ((solved, other), (other, solved)):
         got = check_comparison(jump_problem, a, jump_problem, b, tree6_jumps,
                                tol=0.0)
-        frac, witness = leaf_form_comparison(a.Y, b.Y, 0.0)
+        Y_a, Y_b = a.leaves("Y"), b.leaves("Y")
+        frac, witness = leaf_form_comparison(Y_a, Y_b, 0.0)
         assert repr((got.statistic, got.witness)) == repr(
             (frac, None if got.passed else witness))
         assert lemma1_pairing_stat(a, b) == pytest.approx(
-            leaf_form_lemma1(a.Y, leaf_dK(a), b.Y, leaf_dK(b)), rel=1e-12)
+            leaf_form_lemma1(Y_a, leaf_dK(a), Y_b, leaf_dK(b)), rel=1e-12)
 
     # a midpoint selection is checked with either solution
     for a, b in ((solved, solved), (solved, other), (other, solved)):
         mid = GraphSelection.midpoint(family, grid, a, b)
-        alpha, beta = leaf_form_midpoint(family, grid, a.Y, b.Y)
+        alpha, beta = leaf_form_midpoint(family, grid, a.leaves("Y"),
+                                         b.leaves("Y"))
         assert np.column_stack(
             [state_leaves(mid.states, i, x) for i, x in enumerate(mid.alpha)]
         ).tobytes() == alpha.tobytes()
         for sol in (solved, other):
             got = check_skorokhod(sol, family, [mid], tol=0.0)
-            assert_skorokhod_close(got, sol.Y, leaf_dK(sol), grid,
+            assert_skorokhod_close(got, sol.leaves("Y"), leaf_dK(sol), grid,
                                    [("midpoint", alpha, beta)],
                                    exact_witness=False)
-
-
-def test_ensemble_leaf_arrays_are_the_store(reflected_problem, grid6,
-                                            no_marks):
-    ens = simulate_paths(grid6, no_marks, 480, seed=5)
-    sol = solve_penalized(reflected_problem, 4, ens,
-                          CEBackend(kind="regression", degree=2))
-    y0 = sol.y0()
-    sol.Y[:, 0] += 1.0
-    assert sol.y0() == pytest.approx(y0 + 1.0, rel=1e-12)
 
 
 def test_glued_tree_solution_is_adapted():
@@ -854,7 +935,7 @@ def test_glued_tree_solution_is_adapted():
     # every column reads back on the nodes of its time; K_{i+1} on level i
     for name, levels in (("Y", range(6)), ("Z", range(5)), ("psi", range(5)),
                          ("K", [0, *range(5)])):
-        leaves = getattr(sol, name)
+        leaves = sol.leaves(name)
         for c, level in enumerate(levels):
             nodes = tree.to_level(grid.n_steps, leaves[:, c], level)
             np.testing.assert_array_equal(tree.to_level(level, nodes),
@@ -886,24 +967,25 @@ def _check_readers(scenario, rng, barrier):
     envelope = make_envelope("linear_decay", {}, grid)
     sol = _random_node_solution(scenario, rng)
     other = _random_node_solution(scenario, rng)
-    other.nodes("Y")[0] = sol.nodes("Y")[0] - 1.0     # Y_0 cells all violate
+    other.Y[0] = sol.Y[0] - 1.0       # Y_0 cells all violate
 
-    selections = [GraphSelection.interior_constant(family, grid, barrier + 0.5),
-                  GraphSelection.boundary_offset(family, grid, 1e-3),
-                  GraphSelection.midpoint(family, grid, sol, other)]
-    constraint = check_constraint(sol, family, tol=-np.inf)
-    skorokhod = check_skorokhod(sol, family, selections, tol=-np.inf)
-    comparison = check_comparison(problem, sol, problem, other, scenario,
-                                  tol=0.0)
-    lemma1 = lemma1_pairing_stat(sol, other)
-    corollary1 = corollary1_ordering_stat(sol, other)
-    tau = penalization.stopping_times(other, envelope, 1, grid)
-    overlap = penalization._overlap_stats(2, other, sol, tau, problem)
-    if isinstance(scenario, ScenarioTree):
-        assert not any(s.nodes(name).expanded for s in (sol, other)
-                       for name in ("Y", "Z", "psi", "K"))
+    with leaf_gathers() as built:
+        selections = [
+            GraphSelection.interior_constant(family, grid, barrier + 0.5),
+            GraphSelection.boundary_offset(family, grid, 1e-3),
+            GraphSelection.midpoint(family, grid, sol, other)]
+        constraint = check_constraint(sol, family, tol=-np.inf)
+        skorokhod = check_skorokhod(sol, family, selections, tol=-np.inf)
+        comparison = check_comparison(problem, sol, problem, other, scenario,
+                                      tol=0.0)
+        lemma1 = lemma1_pairing_stat(sol, other)
+        corollary1 = corollary1_ordering_stat(sol, other)
+        tau = penalization.stopping_times(other, envelope, 1, grid)
+        overlap = penalization._overlap_stats(2, other, sol, tau, problem)
+    assert built == []
 
-    Y, K, Y_o, K_o = sol.Y, leaf_dK(sol), other.Y, leaf_dK(other)
+    Y, K = sol.leaves("Y"), leaf_dK(sol)
+    Y_o, K_o = other.leaves("Y"), leaf_dK(other)
     assert repr((constraint.statistic, constraint.witness)) == repr(
         leaf_form_constraint(Y, family, grid, -np.inf))
     alpha, beta = leaf_form_midpoint(family, grid, Y, Y_o)
@@ -929,19 +1011,20 @@ def _check_readers(scenario, rng, barrier):
     # every cell ties at excess 1: the witness is the first leaf cell
     high, low = (_random_node_solution(scenario, rng) for _ in range(2))
     for c in range(grid.n_steps + 1):
-        high.nodes("Y")[c] = 0.0
-        low.nodes("Y")[c] = -1.0
+        high.Y[c] = 0.0
+        low.Y[c] = -1.0
     ties = check_comparison(problem, high, problem, low, scenario, tol=0.0)
     assert repr((ties.statistic, ties.witness)) == repr(
-        leaf_form_comparison(high.Y, low.Y, 0.0))
+        leaf_form_comparison(high.leaves("Y"), low.leaves("Y"), 0.0))
 
     # Y on the barrier: the zero slack reads 0.0, as the leaf minimum does
     flat = _random_node_solution(scenario, rng)
     for c in range(grid.n_steps + 1):
-        flat.nodes("Y")[c] = barrier
+        flat.Y[c] = barrier
     on_barrier = check_constraint(flat, family, tol=0.0)
     assert repr((on_barrier.statistic, on_barrier.witness)) == repr(
-        leaf_form_constraint(flat.Y, family, grid, 0.0)) == "(0.0, None)"
+        leaf_form_constraint(flat.leaves("Y"), family, grid, 0.0)
+    ) == "(0.0, None)"
 
 
 def _check_glue(scenario, backend, scale):
@@ -953,16 +1036,15 @@ def _check_glue(scenario, backend, scale):
                       family=make_family("linear_decay", params, grid),
                       envelope=make_envelope("linear_decay", params, grid))
     schedule = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=1e-2)
-    sol, record = solve_unbounded(problem, schedule, scenario, backend,
-                                  max_truncation=6, overlap_floor=1.0)
-    if isinstance(scenario, ScenarioTree):
-        assert not any(sol.nodes(name).expanded
-                       for name in ("Y", "Z", "psi", "K"))
+    with leaf_gathers() as built:
+        sol, record = solve_unbounded(problem, schedule, scenario, backend,
+                                      max_truncation=6, overlap_floor=1.0)
+    assert built == []
     want, ref, solved = leaf_form_unbounded(problem, schedule, scenario,
                                             backend, 6, 1.0)
     assert sol.meta["truncation_levels"] == solved
     for name, got, leaf in zip(("Y", "Z", "psi", "K"),
-                               (sol.Y, sol.Z, sol.psi, sol.K), want):
+                               map(sol.leaves, PARTS), want):
         assert got.shape == leaf.shape and got.tobytes() == leaf.tobytes(), name
     assert record.tau.tolist() == ref.tau.tolist()     # tau is compact
     assert record.uncovered_cells == ref.uncovered_cells
@@ -974,7 +1056,7 @@ def _check_glue(scenario, backend, scale):
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
 @given(n_steps=st.integers(1, 3), uniform=st.booleans(),
        seed=st.integers(0, 2**32 - 1), barrier=st.floats(-1.0, 1.0))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_node_readers_match_leaf_form(n_marks, n_steps, uniform, seed,
                                       barrier):
     # a uniform grid recombines, so the readers merge histories per state
@@ -988,7 +1070,7 @@ def test_node_readers_match_leaf_form(n_marks, n_steps, uniform, seed,
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
 @given(n_steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1.0, 4.0, 8.0]))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 def test_node_glue_matches_leaf_form(n_marks, n_steps, seed, scale):
     rng = np.random.default_rng(seed)
     grid, marks = _random_grid_and_marks(rng, n_steps, n_marks)

@@ -21,8 +21,8 @@ class TestSolvePenalized:
                                                     tree_backend):
         for level in (1, 64):
             sol = solve_penalized(slack_problem, level, tree6, tree_backend)
-            assert np.abs(sol.K).max() <= 1e-12
-            assert np.min(sol.Y) >= 1.0 - 1e-12  # Y = E_i[xi] >= 1
+            assert np.abs(sol.leaves("K")).max() <= 1e-12
+            assert np.min(sol.leaves("Y")) >= 1.0 - 1e-12  # Y = E_i[xi] >= 1
 
     def test_constant_family_closed_form(self, grid6, no_marks, tree6,
                                          tree_backend):
@@ -33,7 +33,8 @@ class TestSolvePenalized:
                        family=make_family("constant", {"c": -1.0}, grid6))
         for level in (1, 2, 32):
             sol = solve_penalized(prob, level, tree6, tree_backend)
-            assert np.abs(sol.Y - (1.0 - grid6.times)[None, :]).max() <= 1e-10
+            assert np.abs(sol.leaves("Y")
+                          - (1.0 - grid6.times)[None, :]).max() <= 1e-10
             assert sol.k_terminal_mean() == pytest.approx(1.0, abs=1e-10)
 
     def test_reflection_high_level_near_projection(self, reflected_problem,
@@ -154,7 +155,7 @@ class TestSolveMbsde:
                            make_terminal("brownian", {}, marks, grid),
                            family=make_family("reflect_at", {"a": 0.0}, grid))
             sol = solve_penalized(prob, 256, ens, reg_backend)
-            increments.append(np.diff(sol.K, axis=1).max())
+            increments.append(np.diff(sol.leaves("K"), axis=1).max())
         assert increments[1] <= 1.5 * increments[0]
         assert increments[2] <= 1.5 * increments[0]
 
@@ -194,7 +195,8 @@ class TestStoppingTimes:
         sched = PenalizationSchedule(levels=(1, 4, 16), stop_tolerance=1e-2)
         sol, _ = solve_unbounded(prob, sched, ens, reg_backend,
                                  max_truncation=2)
-        big = int(np.ceil(grid.horizon * (1 + np.max(sol.Y.clip(min=0)))) + 1)
+        big = int(np.ceil(grid.horizon * (1 + np.max(sol.leaves("Y").clip(min=0))))
+                  + 1)
         tau = stopping_times(sol, prob.envelope, big, grid)
         assert np.all(tau == 0)
 
@@ -205,7 +207,7 @@ class TestStoppingTimes:
             replace(prob, family=make_family("reflect_at", {"a": 0.0}, grid)),
             1, ens, reg_backend)
         for c in range(grid.n_steps + 1):
-            sol.nodes("Y")[c] += 1e6
+            sol.Y[c] += 1e6
         tau = stopping_times(sol, prob.envelope, 1, grid)
         assert np.all(tau <= grid.n_steps)
         assert np.all(tau == grid.n_steps)
@@ -269,7 +271,7 @@ class TestSolveUnbounded:
         assert all(b <= a + 5e-2 for a, b in zip(record.level_y0,
                                                  record.level_y0[1:]))
         # K starts at zero but may decrease (bounded variation after unshift)
-        assert np.abs(sol.K[:, 0]).max() == 0.0
+        assert np.abs(sol.leaves("K")[:, 0]).max() == 0.0
         report = residual_check(sol, prob.driver, ens, grid, marks)
         assert report.passed()
 
@@ -332,23 +334,24 @@ def _every_level_reference(prob, sched, scenario, backend, max_truncation):
         sol_n, _ = solve_mbsde(prob_n, sched, scenario, backend)
         sols.append(sol_n)
         # K^n = K-hat - n t by increments: the stored dK-hat_i - n dt_i
-        dks.append(sol_n.nodes("K").leaves()[:, 1:] - n * grid.steps)
+        dks.append(sol_n.K.leaves()[:, 1:] - n * grid.steps)
         taus.append(stopping_times(sol_n, prob.envelope, n, grid))
 
-    n_paths, n_steps = sols[0].Z.shape
-    Y = sols[0].Y.copy()
-    Z = np.empty_like(sols[0].Z)
-    psi = np.empty_like(sols[0].psi)
-    dK = np.empty_like(sols[0].Z)
+    leaves = [[s.leaves(name) for name in ("Y", "Z", "psi")] for s in sols]
+    n_paths, n_steps = leaves[0][1].shape
+    Y = leaves[0][0].copy()
+    Z = np.empty_like(leaves[0][1])
+    psi = np.empty_like(leaves[0][2])
+    dK = np.empty_like(leaves[0][1])
     uncovered = 0
     for p in range(n_paths):
         for i in range(n_steps):
             started = [n for n in range(max_truncation) if taus[n][p] <= i]
             uncovered += not started
             owner = started[0] if started else -1
-            Y[p, i] = sols[owner].Y[p, i]
-            Z[p, i] = sols[owner].Z[p, i]
-            psi[p, i] = sols[owner].psi[p, i]
+            Y[p, i] = leaves[owner][0][p, i]
+            Z[p, i] = leaves[owner][1][p, i]
+            psi[p, i] = leaves[owner][2][p, i]
             dK[p, i] = dks[owner][p, i]
     K = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(dK, axis=1)],
                        axis=1)
@@ -378,7 +381,7 @@ def _glued_against_reference(prob, sched, scenario, backend, max_truncation,
     want, uncovered, first_full = _every_level_reference(
         prob, sched, scenario, backend, max_truncation)
 
-    for got, ref in zip((sol.Y, sol.Z, sol.psi, sol.K), want):
+    for got, ref in zip(map(sol.leaves, ("Y", "Z", "psi", "K")), want):
         assert np.array_equal(got, ref)
     assert record.uncovered_cells == uncovered
     # the level after the first one leaving no cell free is the last solved
@@ -458,7 +461,7 @@ class TestConcatenation:
                 peaks[max_truncation] = tracemalloc.get_traced_memory()[1]
                 assert len(record.level_y0) == max_truncation
                 level_bytes = sum(col.nbytes for name in ("Y", "Z", "psi", "K")
-                                  for col in sol.nodes(name).columns)
+                                  for col in getattr(sol, name).columns)
                 del sol
         finally:
             tracemalloc.stop()

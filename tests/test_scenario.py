@@ -89,7 +89,7 @@ class TestSimulatePaths:
 
     @given(st.integers(1, 3 * BLOCK + 7), st.integers(1, 3 * BLOCK + 7),
            st.sampled_from([1, 2]))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_prefix_holds_across_block_boundaries(self, n_a, n_b, n_marks):
         n_small, n_large = sorted((n_a, n_b))
         grid = TimeGrid.uniform(1.0, 3)

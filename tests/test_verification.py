@@ -45,7 +45,7 @@ class TestConstraint:
         assert not entry.passed
         assert entry.witness is not None
         p, i = entry.witness["path"], entry.witness["step"]
-        assert plain.Y[p, i] == pytest.approx(entry.witness["slack"])
+        assert plain.leaves("Y")[p, i] == pytest.approx(entry.witness["slack"])
 
     def test_penalized_solution_passes_calibrated(self, reflected_solution,
                                                   reflected_problem):
@@ -108,7 +108,7 @@ class TestSkorokhod:
                              tree_backend)
         fam = reflected_problem.family
         # an impulsive K increase while Y > alpha somewhere: K_3 - K_2 += 1
-        sol.nodes("K")[3] += 1.0
+        sol.K[3] += 1.0
         sel = GraphSelection.interior_constant(fam, grid6, 0.5)
         entry = check_skorokhod(sol, fam, [sel], tol=5e-2)
         assert not entry.passed
@@ -229,7 +229,7 @@ class TestComparisonProperty:
            bz=st.floats(-1.0, 1.0), qc=st.floats(0.0, 1.0),
            gamma=st.floats(-0.4, 0.4), c=st.floats(0.0, 1.0),
            d=st.floats(0.0, 1.0), e=st.floats(0.0, 1.0))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_ordered_triples_give_ordered_solutions(
             self, family, a, shift, jump_w, drift, bz, qc, gamma, c, d, e):
         assert self.scheme_weights(bz, qc, gamma).min() >= 0.0
